@@ -59,7 +59,6 @@ effort: it must be set before NumPy spins them up).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os

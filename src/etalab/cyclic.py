@@ -601,21 +601,6 @@ def _matrix_box(w) -> tuple:
     return arr, tuple(int(x) for x in lo)
 
 
-def _matrix_convolve(a: tuple, b: tuple, rank: int) -> tuple:
-    """Convolution of matrix boxes: FFT on the spatial axes, matrix product
-    on the block axes."""
-    arr_a, origin_a = a
-    arr_b, origin_b = b
-    out_shape = tuple(sa + sb - 1 for sa, sb
-                      in zip(arr_a.shape[:rank], arr_b.shape[:rank]))
-    axes = tuple(range(rank))
-    fa = np.fft.fftn(arr_a, s=out_shape, axes=axes)
-    fb = np.fft.fftn(arr_b, s=out_shape, axes=axes)
-    fc = np.einsum("...ik,...kj->...ij", fa, fb)
-    out = np.fft.ifftn(fc, axes=axes)
-    return out, tuple(int(x + y) for x, y in zip(origin_a, origin_b))
-
-
 class SeparableClassCochain(CyclicCochain):
     """A delocalized cochain over Z^d of the form
 

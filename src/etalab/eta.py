@@ -210,15 +210,28 @@ class EtaReport:
 def _complex_quad(func, a: float, b: float, *, epsabs: float,
                   limit: int = 200,
                   epsrel: float = 1e-10) -> tuple[complex, float]:
-    """Adaptive quadrature of a complex integrand; returns (value, error)."""
+    """Adaptive quadrature of a complex integrand; returns (value, error).
+
+    The real and imaginary parts are integrated by two scalar passes, but
+    ``func`` is evaluated once per distinct node within one call: the real
+    pass fills a memo keyed by the exact float ``t`` and the imaginary pass
+    reads it, so both returned parts come from the same samples.
+    """
     if b <= a:
         return 0.0 + 0.0j, 0.0
+    memo: dict = {}
+
+    def sample(t: float) -> complex:
+        if t not in memo:
+            memo[t] = func(t)
+        return memo[t]
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        re_val, re_err = integrate.quad(lambda t: func(t).real, a, b,
+        re_val, re_err = integrate.quad(lambda t: sample(t).real, a, b,
                                         epsabs=epsabs, epsrel=epsrel,
                                         limit=limit)
-        im_val, im_err = integrate.quad(lambda t: func(t).imag, a, b,
+        im_val, im_err = integrate.quad(lambda t: sample(t).imag, a, b,
                                         epsabs=epsabs, epsrel=epsrel,
                                         limit=limit)
     return complex(re_val, im_val), float(re_err + im_err)

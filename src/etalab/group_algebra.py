@@ -37,6 +37,16 @@ def trace_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
+def _trace_norms(blocks: dict, dim: int) -> dict:
+    """``{key: trace_norm(M)}`` over a dict of blocks, with one stacked SVD
+    for matrix blocks."""
+    if dim == 1 or not blocks:
+        return {key: trace_norm(M) for key, M in blocks.items()}
+    sums = np.linalg.svd(np.stack(list(blocks.values())),
+                         compute_uv=False).sum(axis=1)
+    return dict(zip(blocks, sums.tolist()))
+
+
 def _as_block(value, dim: int) -> np.ndarray:
     block = np.asarray(value, dtype=complex)
     if block.ndim == 0:
@@ -140,7 +150,7 @@ class AlgebraElement:
         return self.coeffs.get(g, np.zeros((self.dim, self.dim), dtype=complex))
 
     def trace_norms(self) -> dict:
-        return {g: trace_norm(M) for g, M in self.coeffs.items()}
+        return _trace_norms(self.coeffs, self.dim)
 
     def propagation_radius(self) -> int:
         """Largest word length in the support (0 for the zero element)."""
@@ -424,9 +434,6 @@ class BoxElement:
             idx.append(i)
         return complex(self.array[tuple(idx)])
 
-    def abs_total(self) -> float:
-        return float(np.abs(self.array).sum())
-
     def __repr__(self):
         return (f"BoxElement({self.group!r}, shape={self.array.shape}, "
                 f"origin={self.origin})")
@@ -459,7 +466,7 @@ class TensorElement:
         return sorted(self.coeffs, key=key)
 
     def trace_norms(self) -> dict:
-        return {pair: trace_norm(M) for pair, M in self.coeffs.items()}
+        return _trace_norms(self.coeffs, self.dim)
 
     def __repr__(self):
         return (f"TensorElement({self.group!r}, dim={self.dim}, "

@@ -70,18 +70,18 @@ def _loop_unitary(x):
 
 
 _SCHWARTZ_EVALUATORS = {
-    # tag: (callable (x, t) -> complex array, real_valued, max_envelope_order)
-    "gauss": (lambda x, t: np.exp(-((t * x) ** 2)) + 0j, True, 8),
-    "xgauss": (lambda x, t: x * np.exp(-((t * x) ** 2)) + 0j, True, 8),
+    # tag: (callable (x, t) -> complex array, max_envelope_order)
+    "gauss": (lambda x, t: np.exp(-((t * x) ** 2)) + 0j, 8),
+    "xgauss": (lambda x, t: x * np.exp(-((t * x) ** 2)) + 0j, 8),
     "udot_uinv": (lambda x, t: 2j * math.sqrt(math.pi) * x
-                  * np.exp(-((t * x) ** 2)), False, 8),
-    "ut_minus_1": (lambda x, t: _loop_unitary(t * x) - 1.0, False, 6),
+                  * np.exp(-((t * x) ** 2)), 8),
+    "ut_minus_1": (lambda x, t: _loop_unitary(t * x) - 1.0, 6),
     "ut_inv_minus_1": (lambda x, t: np.conj(_loop_unitary(t * np.asarray(
-        x, dtype=float))) - 1.0, False, 6),
-    "wt_minus_1": (lambda x, t: -2j / (t * x + 1j), False, 0),
-    "wt_inv_minus_1": (lambda x, t: 2j / (t * x - 1j), False, 0),
-    "wdot_winv": (lambda x, t: 2j * x / ((t * x) ** 2 + 1.0), False, 0),
-    "identity": (lambda x, t: np.asarray(x, dtype=complex), True, -1),
+        x, dtype=float))) - 1.0, 6),
+    "wt_minus_1": (lambda x, t: -2j / (t * x + 1j), 0),
+    "wt_inv_minus_1": (lambda x, t: 2j / (t * x - 1j), 0),
+    "wdot_winv": (lambda x, t: 2j * x / ((t * x) ** 2 + 1.0), 0),
+    "identity": (lambda x, t: np.asarray(x, dtype=complex), -1),
 }
 
 
@@ -107,12 +107,8 @@ class SchwartzFunction:
             raise PreconditionError(f"scale parameter must be > 0, got {self.t}")
 
     @property
-    def is_real(self) -> bool:
-        return _SCHWARTZ_EVALUATORS[self.tag][1]
-
-    @property
     def max_envelope_order(self) -> int:
-        return _SCHWARTZ_EVALUATORS[self.tag][2]
+        return _SCHWARTZ_EVALUATORS[self.tag][1]
 
     def __call__(self, x) -> np.ndarray:
         fn = _SCHWARTZ_EVALUATORS[self.tag][0]
