@@ -52,8 +52,12 @@ route)"``.  Exit code 1 covers two kinds of failure:
 
 Reports are deterministic: identical configuration and seed produce
 byte-identical JSON (timing goes to stderr, never into the report).  The
-``ETALAB_THREADS`` environment variable caps the BLAS thread pools (best
-effort: it must be set before NumPy spins them up).
+``ETALAB_THREADS`` environment variable caps the BLAS thread pools:
+importing this module copies it into ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and the related variables that are not already set,
+before NumPy is imported.  The cap therefore holds whenever this module
+is what first imports NumPy, as in the ``etalab`` script and ``python -m
+etalab.cli``.
 """
 
 from __future__ import annotations
@@ -66,6 +70,21 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+
+def _apply_thread_env() -> str | None:
+    count = os.environ.get("ETALAB_THREADS")
+    if not count:
+        return None
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, count)
+    return count
+
+
+# NumPy's BLAS sizes its thread pool once, when numpy is first imported, so
+# the cap goes into the environment before the import below.
+_apply_thread_env()
 
 import numpy as np
 
@@ -866,16 +885,6 @@ _SUBCOMMAND_HELP = {
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def _apply_thread_env() -> str | None:
-    count = os.environ.get("ETALAB_THREADS")
-    if not count:
-        return None
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, count)
-    return count
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,9 +30,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erfc, erfcinv
 
+# scipy is imported at its call sites so that commands which never
+# integrate do not load it.
 from .cyclic import CyclicCochain, Idempotent, certify_cyclic_cocycle, pair_phi_tr
 from .errors import CertificateError, PreconditionError
 from .group_algebra import AlgebraElement, convolve
@@ -217,6 +217,8 @@ def _complex_quad(func, a: float, b: float, *, epsabs: float,
     pass fills a memo keyed by the exact float ``t`` and the imaginary pass
     reads it, so both returned parts come from the same samples.
     """
+    from scipy import integrate
+
     if b <= a:
         return 0.0 + 0.0j, 0.0
     memo: dict = {}
@@ -426,7 +428,11 @@ def _weighted_slot_norm(a: AlgebraElement, growth) -> float:
     norms = a.trace_norms()
     if not norms:
         return 0.0
-    lengths = np.array([a.group.word_length(g) for g in norms], dtype=float)
+    group = a.group
+    if group.has_array_codec:
+        lengths = group.array_length(group.array_encode(list(norms)))
+    else:
+        lengths = np.array([group.word_length(g) for g in norms], dtype=float)
     vals = np.array(list(norms.values()), dtype=float)
     return float(np.sum(vals * _length_weights(growth, lengths)))
 
@@ -573,6 +579,8 @@ def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
     by ``n_class * dim * erfc(gap * T)``; the cut targets ``tol * tail_frac``
     and the finite legs integrate at relative tolerance ``quad_rel``.
     """
+    from scipy.special import erfc, erfcinv
+
     group = op.element.group
     if cls.group != group:
         raise PreconditionError("class does not live on the operator's group")
@@ -668,6 +676,8 @@ def _tail_cut_higher(engine: _HigherIntegrand, g0: float,
                      target: float) -> tuple[float, float]:
     """Smallest T (on a half-integer ladder) with
     ``int_T^inf |integrand| <= target`` by the closed-form envelope."""
+    from scipy.special import erfc
+
     m = engine.m
     a = (2 * m + 1) * g0 * g0
 

@@ -34,10 +34,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, sparse
-from scipy.sparse.linalg import eigsh
-from scipy.special import erf
 
+# scipy is imported at its call sites so that commands which never
+# integrate do not load it.
 from .errors import (
     CertificateError,
     PreconditionError,
@@ -66,6 +65,8 @@ DEFAULT_MU = 1.1
 def _loop_unitary(x):
     """The smooth unitary loop exp(i pi (1 + erf(x))); tends to 1 at both
     ends of the real line and winds once through the circle."""
+    from scipy.special import erf
+
     return -np.exp(1j * np.pi * erf(x))
 
 
@@ -146,6 +147,8 @@ def _gaussian_derivative_polys(base: str, max_order: int):
 @lru_cache(maxsize=None)
 def _gaussian_tail_integral(base: str, n: int, sigma: float) -> float:
     """E_n(sigma) = 2 int_sigma^inf |p_n(xi)| exp(-xi^2/4) dxi."""
+    from scipy import integrate
+
     poly = _gaussian_derivative_polys(base, n)[n]
 
     def integrand(xi):
@@ -358,6 +361,7 @@ class FourierSymbolOperator(EquivariantOperator):
             raise PreconditionError("Fourier symbols require Z^d models")
         super().__init__(element)
         self.rank = element.group.rank
+        self._spectra = {}
 
     def symbol(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate D(theta) on an (..., d) array of angles -> (..., m, m)."""
@@ -368,38 +372,57 @@ class FourierSymbolOperator(EquivariantOperator):
             out += phase[..., None, None] * A
         return out
 
-    def _apply_on_grid(self, f: SchwartzFunction, axes_nodes) -> np.ndarray:
-        """f(D(theta)) on the tensor grid of per-axis nodes."""
-        shape = tuple(len(nodes) for nodes in axes_nodes)
+    def _grid_spectrum(self, nodes: int):
+        """The f-independent part of f(D(theta)) on the tensor grid of
+        ``nodes`` Gauss-Legendre nodes per axis, built once per node count:
+        the real symbol for ``dim == 1``, ``(mu, delta, b, r)`` of the 2x2
+        closed form for ``dim == 2`` and ``eigh`` otherwise."""
+        if nodes in self._spectra:
+            return self._spectra[nodes]
+        theta, _ = _leggauss(nodes)
+        shape = (nodes,) * self.rank
         D = np.zeros(shape + (self.dim, self.dim), dtype=complex)
         for g, A in self.element.coeffs.items():
             phase = np.ones(shape, dtype=complex)
-            for k, nodes in enumerate(axes_nodes):
-                axis_phase = np.exp(1j * g[k] * nodes)
-                reshape = [1] * len(shape)
-                reshape[k] = len(nodes)
+            for k in range(self.rank):
+                axis_phase = np.exp(1j * g[k] * theta)
+                reshape = [1] * self.rank
+                reshape[k] = nodes
                 phase = phase * axis_phase.reshape(reshape)
             D += phase[..., None, None] * A
         if self.dim == 1:
-            return f(D[..., 0, 0].real)[..., None, None]
-        if self.dim == 2:
+            spectrum = D[..., 0, 0].real
+        elif self.dim == 2:
             # closed-form Hermitian 2x2 spectral calculus (no LAPACK loop):
             # H = mu I + N with N traceless, N^2 = r^2 I, eigenvalues mu +- r
             mu = 0.5 * (D[..., 0, 0] + D[..., 1, 1]).real
             delta = 0.5 * (D[..., 0, 0] - D[..., 1, 1]).real
             b = D[..., 0, 1]
             r = np.sqrt(delta * delta + (b * b.conj()).real)
+            spectrum = (mu, delta, b, r)
+        else:
+            spectrum = np.linalg.eigh(D)
+        self._spectra[nodes] = spectrum
+        return spectrum
+
+    def _apply_on_grid(self, f: SchwartzFunction, nodes: int) -> np.ndarray:
+        """f(D(theta)) on the tensor grid of ``nodes`` nodes per axis."""
+        spectrum = self._grid_spectrum(nodes)
+        if self.dim == 1:
+            return f(spectrum)[..., None, None]
+        if self.dim == 2:
+            mu, delta, b, r = spectrum
             f_plus = f(mu + r)
             f_minus = f(mu - r)
             even = 0.5 * (f_plus + f_minus)
             odd = 0.5 * (f_plus - f_minus) / np.maximum(r, 1e-300)
-            out = np.empty_like(D)
+            out = np.empty(mu.shape + (2, 2), dtype=complex)
             out[..., 0, 0] = even + odd * delta
             out[..., 1, 1] = even - odd * delta
             out[..., 0, 1] = odd * b
             out[..., 1, 0] = odd * b.conj()
             return out
-        lam, U = np.linalg.eigh(D)
+        lam, U = spectrum
         fl = f(lam)
         return np.einsum("...ij,...j,...kj->...ik", U, fl, np.conj(U))
 
@@ -407,8 +430,7 @@ class FourierSymbolOperator(EquivariantOperator):
                          nodes: int) -> np.ndarray:
         """All coefficients c_a, a in [-R, R]^d, at one quadrature level."""
         theta, w = _leggauss(nodes)
-        axes_nodes = [theta] * self.rank
-        F = self._apply_on_grid(f, axes_nodes)
+        F = self._apply_on_grid(f, nodes)
         a_range = np.arange(-R, R + 1)
         # per-axis contraction matrices E[a, j] = w_j exp(-i a theta_j) / 2pi
         E = (w[None, :] * np.exp(-1j * np.outer(a_range, theta))
@@ -443,11 +465,10 @@ class FourierSymbolOperator(EquivariantOperator):
             if err <= 0.1 * tol:
                 converged = True
                 break
-        coeffs = {}
-        for idx in np.ndindex(*(2 * R + 1,) * self.rank):
-            g = tuple(int(i) - R for i in idx)
-            if group.word_length(g) <= R:
-                coeffs[g] = prev[idx]
+        # the ball |g| <= R of the box, in the C order of np.ndindex
+        box = np.indices((2 * R + 1,) * self.rank).reshape(self.rank, -1).T
+        ball = box[group.array_length(box - R) <= R].tolist()
+        coeffs = {tuple(i - R for i in idx): prev[tuple(idx)] for idx in ball}
         element = AlgebraElement(group, self.dim, coeffs)
         result = CalculusResult(element, err, tol, converged, self.backend,
                                 {"levels": levels, "f": f.tag, "t": f.t})
@@ -678,6 +699,8 @@ class FreeConvolutionOperator(EquivariantOperator):
     def truncated_matrix(self, radius: int, budget: int = 4_000_000):
         """(sparse matrix, ball, index) for D acting on the span of the
         ball, kernel M[x, y] = A(x y^-1)."""
+        from scipy import sparse
+
         key = radius
         if key in self._trunc_cache:
             return self._trunc_cache[key]
@@ -791,6 +814,8 @@ class FreeConvolutionOperator(EquivariantOperator):
                 lam = np.linalg.eigvalsh(mat.toarray())
                 mins.append(float(np.abs(lam).min()))
             else:
+                from scipy.sparse.linalg import eigsh
+
                 lam = eigsh(mat, k=2, sigma=0.0, which="LM",
                             return_eigenvectors=False)
                 mins.append(float(np.abs(lam).min()))

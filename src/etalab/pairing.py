@@ -27,8 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
+# scipy is imported at its call sites so that commands which never
+# integrate do not load it.
 from .cyclic import (
     CyclicCochain,
     Idempotent,
@@ -59,6 +60,7 @@ def scalar_loop_integral(m: int) -> float:
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise PreconditionError(f"loop power must be a nonnegative integer, "
                                 f"got {m!r}")
+    from scipy import integrate
 
     def f(s: float) -> float:
         return (2.0 - 2.0 * math.cos(2.0 * math.pi * s)) ** m
