@@ -37,7 +37,7 @@ from .errors import (
     RepresentationError,
     ResourceBudgetError,
 )
-from .group_algebra import AlgebraElement, BoxElement, convolve
+from .group_algebra import AlgebraElement, _dense_block_box, convolve
 from .groups import ConjugacyClass, FreeAbelianGroup, GroupModel
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
@@ -206,23 +206,13 @@ def _merge_arrays(group: GroupModel, arrays: list, i: int) -> list:
     return [group.array_add(arrays[-1], arrays[0])] + arrays[1:-1]
 
 
-def _slot_product(a, b):
-    if isinstance(a, BoxElement) or isinstance(b, BoxElement):
-        if not isinstance(a, BoxElement):
-            a = BoxElement.from_element(a)
-        if not isinstance(b, BoxElement):
-            b = BoxElement.from_element(b)
-        return a.convolve(b)
-    return convolve(a, b)
-
-
 def _merge_slots(ws: list, i: int) -> list:
     """The slot-list counterpart of a face: the trace pairing of a merged
     cochain equals the pairing of the base cochain against the slot list with
     the two merged slots multiplied (trace cyclicity handles the wrap)."""
     if i < len(ws) - 1:
-        return ws[:i] + [_slot_product(ws[i], ws[i + 1])] + ws[i + 2:]
-    return [_slot_product(ws[-1], ws[0])] + ws[1:-1]
+        return ws[:i] + [convolve(ws[i], ws[i + 1])] + ws[i + 2:]
+    return [convolve(ws[-1], ws[0])] + ws[1:-1]
 
 
 def coboundary(phi: CyclicCochain) -> CyclicCochain:
@@ -307,7 +297,7 @@ def periodicity(phi: CyclicCochain, *, check: bool = True, seed: int = 0,
         def prod(x, y):
             key = (id(x), id(y))
             if key not in memo:
-                memo[key] = _slot_product(x, y)
+                memo[key] = convolve(x, y)
             return memo[key]
 
         def merge(lst, k):
@@ -448,14 +438,6 @@ def growth_certify(phi: CyclicCochain, radius: int, *, samples: int = 20_000,
 # ---------------------------------------------------------------------------
 
 
-def _slot_group_dim(w):
-    if isinstance(w, BoxElement):
-        return w.group, 1
-    if isinstance(w, AlgebraElement):
-        return w.group, w.dim
-    raise PreconditionError(f"cannot pair against {type(w).__name__}")
-
-
 def pair_phi_tr(phi: CyclicCochain, ws, *, use_reduction: bool = True,
                 tuple_budget: int = DEFAULT_TUPLE_BUDGET,
                 _box_cache: dict | None = None) -> complex:
@@ -475,13 +457,13 @@ def pair_phi_tr(phi: CyclicCochain, ws, *, use_reduction: bool = True,
             f"{phi.name} pairs with {phi.arity} slots, got {len(ws)}")
     dims = set()
     for w in ws:
-        g, d = _slot_group_dim(w)
-        if g != phi.group:
+        if not isinstance(w, AlgebraElement):
+            raise PreconditionError(f"cannot pair against {type(w).__name__}")
+        if w.group != phi.group:
             raise PreconditionError("slot group differs from cochain group")
-        dims.add(d)
+        dims.add(w.dim)
     if len(dims) != 1:
         raise PreconditionError(f"inconsistent slot dimensions {sorted(dims)}")
-    dim = dims.pop()
 
     if use_reduction and phi.pair_reduction is not None:
         cache = {} if _box_cache is None else _box_cache
@@ -500,7 +482,6 @@ def pair_phi_tr(phi: CyclicCochain, ws, *, use_reduction: bool = True,
     if phi.is_separable() and isinstance(phi.group, FreeAbelianGroup):
         return phi.pair_separable(ws, box_cache=_box_cache)
 
-    ws = [w.to_element() if isinstance(w, BoxElement) else w for w in ws]
     return _pair_tuple_sum(phi, ws, tuple_budget)
 
 
@@ -580,27 +561,6 @@ def _pair_tuple_sum(phi: CyclicCochain, ws: list, tuple_budget: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_box(w) -> tuple:
-    """Dense block box of a matrix-valued element over Z^d:
-    array of shape ``spatial + (dim, dim)`` plus the lattice origin."""
-    if isinstance(w, BoxElement):
-        return w.array[..., None, None], w.origin
-    group = w.group
-    rank = group.rank
-    if not w.coeffs:
-        return (np.zeros((1,) * rank + (w.dim, w.dim), dtype=complex),
-                (0,) * rank)
-    pts = np.array(list(w.coeffs), dtype=np.int64)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
-    arr = np.zeros(shape + (w.dim, w.dim), dtype=complex)
-    rel = pts - lo[None, :]
-    arr[tuple(rel[:, k] for k in range(pts.shape[1]))] = np.stack(
-        list(w.coeffs.values()))
-    return arr, tuple(int(x) for x in lo)
-
-
 class SeparableClassCochain(CyclicCochain):
     """A delocalized cochain over Z^d of the form
 
@@ -649,37 +609,23 @@ class SeparableClassCochain(CyclicCochain):
         super().__init__(group, degree, ev, batch_evaluator=batch, **kwargs)
 
     def pair_separable(self, ws, box_cache: dict | None = None) -> complex:
-        dims = {w.dim for w in ws}
-        if dims == {1}:
-            boxes = [w if isinstance(w, BoxElement)
-                     else BoxElement.from_element(w) for w in ws]
-            total = 0.0 + 0.0j
-            for c, fs in self.terms:
-                cur = None
-                for box, fn in zip(boxes, fs):
-                    b = box if fn is None else box.pointwise(fn)
-                    cur = b if cur is None else cur.convolve(b)
-                total += c * cur.value_at(self.class_h)
-            return total
-        return self._pair_separable_blocks(ws, box_cache)
-
-    def _pair_separable_blocks(self, ws, box_cache: dict | None = None) -> complex:
-        """Matrix-slot FFT route: every weighted slot is transformed once to
-        the common padded convolution grid, the slot chain is multiplied and
-        traced in frequency space, and the class point is read off by a
-        single-point inverse DFT. ``box_cache`` (scoped to one top-level
-        pairing) shares dense boxes and transforms between the many slot
-        lists a face reduction produces; entries are keyed by object identity,
-        which is safe because the reduction holds all slots alive."""
+        """FFT route for slots of any block dimension: every weighted slot
+        is transformed once to the common padded convolution grid, the slot
+        chain is multiplied and traced in frequency space, and the class
+        point is read off by a single-point inverse DFT. ``box_cache``
+        (scoped to one top-level pairing) shares dense boxes and transforms
+        between the many slot lists a face reduction produces; entries are
+        keyed by object identity, which is safe because the reduction holds
+        all slots alive."""
         rank = self.group.rank
         axes = tuple(range(rank))
 
         def boxed(w):
             if box_cache is None:
-                return _matrix_box(w)
+                return _dense_block_box(w)
             got = box_cache.get(("box", id(w)))
             if got is None:
-                got = _matrix_box(w)
+                got = _dense_block_box(w)
                 box_cache[("box", id(w))] = got
             return got
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, RepresentationError
-from .groups import GroupModel, group_from_json, group_to_json
+from .groups import FreeAbelianGroup, GroupModel, group_from_json, group_to_json
 
 #: Relative magnitude below which coefficients are dropped during cleanup.
 ZERO_THRESHOLD = 1e-14
@@ -264,7 +264,12 @@ FFT_CROSSOVER = 40_000
 
 def _dense_block_box(A: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
     """Dense ``spatial + (dim, dim)`` coefficient array and its lattice
-    origin for an element over Z^d."""
+    origin for an element over Z^d (a single zero block at the origin for
+    the zero element)."""
+    rank = A.group.rank
+    if not A.coeffs:
+        return (np.zeros((1,) * rank + (A.dim, A.dim), dtype=complex),
+                np.zeros(rank, dtype=np.int64))
     pts = np.array(list(A.coeffs), dtype=np.int64)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -319,7 +324,6 @@ def convolve(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
     """
     A._check_compatible(B)
     group = A.group
-    from .groups import FreeAbelianGroup
     if (isinstance(group, FreeAbelianGroup)
             and len(A.coeffs) * len(B.coeffs) > FFT_CROSSOVER
             and A.coeffs and B.coeffs):
@@ -332,111 +336,6 @@ def convolve(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
             prod = M1 @ B.coeffs[g2]
             out[g] = out[g] + prod if g in out else prod
     return AlgebraElement(group, A.dim, out)
-
-
-# ---------------------------------------------------------------------------
-# dense coefficient boxes over Z^d (fast scalar convolution path)
-# ---------------------------------------------------------------------------
-
-
-class BoxElement:
-    """Scalar element over Z^d stored as a dense coefficient box.
-
-    Used by the pairing engine: convolution of boxes is an FFT, and slot
-    contractions become array reads. ``origin`` is the lattice coordinate of
-    array index (0, ..., 0).
-    """
-
-    __slots__ = ("group", "array", "origin")
-
-    def __init__(self, group, array: np.ndarray, origin: tuple):
-        from .groups import FreeAbelianGroup
-        if not isinstance(group, FreeAbelianGroup):
-            raise PreconditionError("BoxElement requires a free abelian group")
-        self.group = group
-        self.array = np.asarray(array, dtype=complex)
-        if self.array.ndim != group.rank:
-            raise RepresentationError(
-                f"box has {self.array.ndim} axes, expected {group.rank}")
-        self.origin = tuple(int(x) for x in origin)
-
-    dim = 1
-
-    @staticmethod
-    def from_element(A: AlgebraElement) -> "BoxElement":
-        from .groups import FreeAbelianGroup
-        group = A.group
-        if not isinstance(group, FreeAbelianGroup):
-            raise PreconditionError("BoxElement requires a free abelian group")
-        if A.dim != 1:
-            raise PreconditionError("BoxElement requires scalar coefficients")
-        rank = group.rank
-        if not A.coeffs:
-            return BoxElement(group, np.zeros((1,) * rank, dtype=complex),
-                              (0,) * rank)
-        pts = np.array(list(A.coeffs), dtype=np.int64)
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
-        arr = np.zeros(shape, dtype=complex)
-        for g, M in A.coeffs.items():
-            idx = tuple(int(c - l) for c, l in zip(g, lo))
-            arr[idx] = M[0, 0]
-        return BoxElement(group, arr, tuple(int(x) for x in lo))
-
-    def to_element(self, threshold: float = ZERO_THRESHOLD) -> AlgebraElement:
-        coeffs = {}
-        it = np.nditer(self.array, flags=["multi_index"])
-        for v in it:
-            z = complex(v)
-            if z != 0.0:
-                g = tuple(int(i + o) for i, o in zip(it.multi_index, self.origin))
-                coeffs[g] = np.array([[z]])
-        return AlgebraElement(self.group, 1, coeffs)
-
-    @property
-    def support(self):
-        return self.to_element().support
-
-    def coordinate_grids(self) -> tuple:
-        """Per-axis lattice coordinate arrays, broadcastable to the box shape."""
-        rank = self.group.rank
-        grids = []
-        for k, (n, o) in enumerate(zip(self.array.shape, self.origin)):
-            shape = [1] * rank
-            shape[k] = n
-            grids.append(np.arange(o, o + n, dtype=np.int64).reshape(shape))
-        return tuple(grids)
-
-    def pointwise(self, fn) -> "BoxElement":
-        """Multiply by a function of the lattice coordinates.
-
-        ``fn`` receives the tuple of broadcastable coordinate grids and must
-        return an array broadcastable to the box shape.
-        """
-        vals = fn(self.coordinate_grids())
-        return BoxElement(self.group, self.array * vals, self.origin)
-
-    def convolve(self, other: "BoxElement") -> "BoxElement":
-        from scipy.signal import fftconvolve
-        if self.group != other.group:
-            raise PreconditionError("boxes live over different groups")
-        arr = fftconvolve(self.array, other.array, mode="full")
-        origin = tuple(a + b for a, b in zip(self.origin, other.origin))
-        return BoxElement(self.group, arr, origin)
-
-    def value_at(self, g) -> complex:
-        idx = []
-        for c, o, n in zip(g, self.origin, self.array.shape):
-            i = int(c) - o
-            if i < 0 or i >= n:
-                return 0.0 + 0.0j
-            idx.append(i)
-        return complex(self.array[tuple(idx)])
-
-    def __repr__(self):
-        return (f"BoxElement({self.group!r}, shape={self.array.shape}, "
-                f"origin={self.origin})")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from etalab.errors import (
     RepresentationError,
     ResourceBudgetError,
 )
-from etalab.group_algebra import AlgebraElement, BoxElement
+from etalab.group_algebra import AlgebraElement
 from etalab.groups import ConjugacyClass, CyclicGroup, FreeAbelianGroup, FreeGroup
 from etalab.cyclic import (
     CochainGrowth,
@@ -360,14 +360,6 @@ def test_pair_separable_route_matches_brute():
     brute_val = brute_pair(phi, ws)
     assert fft_val == pytest.approx(brute_val, rel=1e-10, abs=1e-10)
     assert loop_val == pytest.approx(brute_val, rel=1e-10, abs=1e-10)
-
-
-def test_pair_accepts_box_slots():
-    phi = area_cocycle(Z3, (0, 0, 1))
-    ws = [random_element(Z3, 1, seed=s) for s in (6, 7, 8)]
-    boxes = [BoxElement.from_element(w) for w in ws]
-    assert pair_phi_tr(phi, boxes) == pytest.approx(pair_phi_tr(phi, ws),
-                                                    rel=1e-10)
 
 
 def test_pair_reduction_route_matches_brute_scalar():

@@ -77,6 +77,12 @@ def test_free_gap_loads_only_the_sparse_package():
     assert not subpackages & {"integrate", "special", "optimize", "linalg"}
 
 
+def test_scalar_lattice_pairing_loads_no_signal_package():
+    mods = loaded_scipy(
+        "higher-eta cocycle.kind=coboundary_of_delocalized class.element=1")
+    assert "scipy.signal" not in mods
+
+
 def test_thread_cap_is_in_the_environment_before_numpy_loads():
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

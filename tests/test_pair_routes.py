@@ -1,0 +1,224 @@
+"""The trace pairing over Z^d: one FFT route for every slot dimension.
+
+``pair_phi_tr`` pairs separable cochains over Z^d through the block FFT of
+``SeparableClassCochain.pair_separable`` (directly, or after the face
+reduction of a coboundary), and everything else through the support-tuple
+sum ``_pair_tuple_sum``.  The property tests draw random slots over Z^1 to
+Z^3 with 1x1 and 2x2 blocks, zero slots and class points outside the
+convolution box, and compare both routes with a brute oracle.  The oracle
+shares no code with either route: it evaluates each cochain from its
+closed-form definition and sums over every tuple of support points.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from etalab.cyclic import (
+    _pair_tuple_sum,
+    area_cocycle,
+    class_trace_cochain,
+    coboundary,
+    pair_phi_tr,
+    random_delocalized_cochain,
+)
+from etalab.errors import PreconditionError
+from etalab.group_algebra import AlgebraElement
+from etalab.groups import CyclicGroup, FreeAbelianGroup
+
+Z1 = FreeAbelianGroup(1)
+Z2 = FreeAbelianGroup(2)
+Z3 = FreeAbelianGroup(3)
+
+ROUTES = settings(derandomize=True, deadline=None, database=None,
+                  max_examples=80)
+
+
+# ---------------------------------------------------------------------------
+# the oracle
+# ---------------------------------------------------------------------------
+
+
+def class_trace_value(h):
+    return lambda args: 1.0 if args[0] == h else 0.0
+
+
+def delocalized_value(rank, h, rate, seed):
+    """``[g0 + g1 = h] (f(g0) - f(g1))`` with
+    ``f(g) = sin(a . g + b) e^{rate |g|_1}`` and ``a``, ``b`` drawn from
+    ``default_rng(seed)`` as the generator documents."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 3.0, size=rank)
+    b = rng.uniform(0.0, 2 * np.pi)
+
+    def f(g):
+        return np.sin(np.dot(a, g) + b) * np.exp(rate * sum(abs(x) for x in g))
+
+    def value(args):
+        g0, g1 = args
+        if tuple(x + y for x, y in zip(g0, g1)) != h:
+            return 0.0
+        return f(g0) - f(g1)
+    return value
+
+
+def area_value(h):
+    def value(args):
+        g0, g1, g2 = args
+        if tuple(x + y + z for x, y, z in zip(g0, g1, g2)) != h:
+            return 0.0
+        return g1[0] * g2[1] - g1[1] * g2[0]
+    return value
+
+
+def coboundary_value(value):
+    """``(b phi)(g_0..g_{n+1})``: the interior faces add adjacent
+    arguments with sign ``(-1)^i``; the wrap face adds the last argument
+    to the first with sign ``(-1)^{n+1}``."""
+    def add(g, k):
+        return tuple(x + y for x, y in zip(g, k))
+
+    def b_value(args):
+        last = len(args) - 1
+        total = 0.0
+        for i in range(last):
+            merged = args[:i] + (add(args[i], args[i + 1]),) + args[i + 2:]
+            total += (-1) ** i * value(merged)
+        wrapped = (add(args[-1], args[0]),) + args[1:-1]
+        return total + (-1) ** last * value(wrapped)
+    return b_value
+
+
+def oracle_pair(value, ws):
+    """``sum tr(w_0^{g_0} ... w_n^{g_n}) phi(g_0..g_n)`` over all support
+    tuples, and the sum of the magnitudes of its terms."""
+    total = 0.0 + 0.0j
+    scale = 0.0
+    for items in itertools.product(*[list(w.coeffs.items()) for w in ws]):
+        v = value(tuple(g for g, _ in items))
+        if v == 0.0:
+            continue
+        M = items[0][1]
+        for _, B in items[1:]:
+            M = M @ B
+        term = complex(np.trace(M)) * v
+        total += term
+        scale += abs(term)
+    return total, scale
+
+
+# ---------------------------------------------------------------------------
+# random slots
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def slots(draw, group, arity, h):
+    """``arity`` elements of one block dimension, each with one to eight
+    support points in a shifted 3^rank box.  The shifts sum to ``h``, or
+    one time in five to ``h`` plus 20 on each axis, which leaves ``h``
+    outside the convolution box.  About one list in four has a zero slot."""
+    rank = group.rank
+    dim = draw(st.sampled_from([1, 2]))
+    miss = 20 if draw(st.integers(0, 4)) == 0 else 0
+    blank = draw(st.integers(0, 4 * arity - 1))
+    shift = st.tuples(*[st.integers(-3, 3)] * rank)
+    offsets = [draw(shift) for _ in range(arity - 1)]
+    offsets.insert(0, tuple(x + miss - sum(o[k] for o in offsets)
+                            for k, x in enumerate(h)))
+    point = st.tuples(*[st.integers(-1, 1)] * rank)
+    ws = []
+    for k, offset in enumerate(offsets):
+        pts = [] if k == blank else draw(
+            st.lists(point, min_size=1, max_size=8, unique=True))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        coeffs = {tuple(p + o for p, o in zip(pt, offset)):
+                  rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                  for pt in pts}
+        ws.append(AlgebraElement(group, dim, coeffs))
+    return ws
+
+
+def class_point(rank, free_axes=None):
+    """A class element with coordinates in [-6, 6]; ``free_axes`` limits
+    the nonzero ones."""
+    axes = range(rank) if free_axes is None else free_axes
+    return st.tuples(*[st.integers(-6, 6) if k in axes else st.just(0)
+                       for k in range(rank)])
+
+
+def assert_routes_match(phi, value, ws):
+    expected, scale = oracle_pair(value, ws)
+    tol = 1e-9 * (1.0 + scale)
+    assert abs(pair_phi_tr(phi, ws) - expected) <= tol
+    assert abs(_pair_tuple_sum(phi, ws, tuple_budget=10 ** 6) - expected) <= tol
+
+
+GROUPS = st.sampled_from([Z1, Z2, Z3])
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+
+@ROUTES
+@given(data=st.data(), group=GROUPS)
+def test_class_trace_routes_agree(data, group):
+    h = data.draw(class_point(group.rank))
+    phi = class_trace_cochain(group.conjugacy_class(h))
+    assert_routes_match(phi, class_trace_value(h), data.draw(slots(group, 1, h)))
+
+
+@ROUTES
+@given(data=st.data(), group=GROUPS, seed=st.integers(0, 1000))
+def test_delocalized_cochain_routes_agree(data, group, seed):
+    h = data.draw(class_point(group.rank))
+    phi = random_delocalized_cochain(group, h, rate=0.2, seed=seed)
+    assert_routes_match(phi, delocalized_value(group.rank, h, 0.2, seed),
+                        data.draw(slots(group, 2, h)))
+
+
+@ROUTES
+@given(data=st.data(), group=st.sampled_from([Z2, Z3]))
+def test_area_cocycle_routes_agree(data, group):
+    # the area cocycle needs a class element transverse to its plane
+    h = data.draw(class_point(group.rank, free_axes=range(2, group.rank)))
+    phi = area_cocycle(group, h, certify=False)
+    assert_routes_match(phi, area_value(h), data.draw(slots(group, 3, h)))
+
+
+@ROUTES
+@given(data=st.data(), group=GROUPS, seed=st.integers(0, 1000))
+def test_coboundary_face_reduction_routes_agree(data, group, seed):
+    h = data.draw(class_point(group.rank))
+    phi = coboundary(random_delocalized_cochain(group, h, rate=0.2, seed=seed))
+    value = coboundary_value(delocalized_value(group.rank, h, 0.2, seed))
+    assert_routes_match(phi, value, data.draw(slots(group, 3, h)))
+
+
+# ---------------------------------------------------------------------------
+# slot checks
+# ---------------------------------------------------------------------------
+
+
+def unit(group, dim=1):
+    return AlgebraElement.identity(group, dim)
+
+
+@pytest.mark.parametrize("ws, message", [
+    ([np.ones((1, 1)), unit(Z2), unit(Z2)], "cannot pair against ndarray"),
+    ([unit(Z2), unit(Z2), unit(Z2, dim=2)], "inconsistent slot dimensions"),
+    ([unit(Z2), unit(CyclicGroup(4)), unit(Z2)], "slot group differs"),
+    ([unit(Z2), unit(Z2)], "pairs with 3 slots, got 2"),
+    ([unit(Z2)] * 4, "pairs with 3 slots, got 4"),
+], ids=["not-an-element", "mixed-dim", "other-group", "too-few", "too-many"])
+def test_malformed_slot_lists_are_refused(ws, message):
+    phi = area_cocycle(Z2, (0, 0), certify=False)
+    with pytest.raises(PreconditionError, match=message):
+        pair_phi_tr(phi, ws)
