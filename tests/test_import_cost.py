@@ -241,3 +241,8 @@ def test_ball_cut_keeps_the_keys_and_order_of_the_loop(rank):
     assert_same_element(res.element, AlgebraElement(op.group, 1, loop))
     for g in res.element.coeffs:
         assert all(type(x) is int for x in g)
+
+
+def test_symbol_gap_certificates_load_no_scipy():
+    assert loaded_scipy("gap operator.kind=two_band",
+                        "gap operator.kind=wilson") == []
