@@ -7,8 +7,8 @@ operators ``D`` acting on ``l^2(G) (x) C^m``:
   trigonometric polynomial ``theta -> D(theta)``; ``f(D)`` coefficients are
   Fourier integrals evaluated by tensor Gauss-Legendre quadrature with
   successive-level agreement as the error certificate.  The gap certificate
-  is the min |eigenvalue| over uniform grids, each evaluated by one inverse
-  FFT, less the Weyl/Lipschitz slack ``(pi/n) sum_k L_k``.
+  is the min |eigenvalue| over uniform grids, each evaluated by inverse FFT,
+  less the Weyl/Lipschitz slack ``(pi/n) sum_k L_k``.
 * :class:`FiniteCoverOperator` — finite ``G``; ``D`` is an explicit Hermitian
   matrix on the cover with a free deck representation; the calculus is an
   exact eigendecomposition.
@@ -57,6 +57,7 @@ from .groups import (
 
 HERMITIAN_TOL = 1e-12
 DEFAULT_MU = 1.1
+_GRID_CAPS = {1: 1 << 16, 2: 1 << 10, 3: 1 << 7}  # symbol gap grid, by rank
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +387,9 @@ class FourierSymbolOperator(EquivariantOperator):
             phase = np.ones(shape, dtype=complex)
             for k in range(self.rank):
                 axis_phase = np.exp(1j * g[k] * theta)
-                phase = phase * axis_phase.reshape(
-                    (-1,) + (1,) * (self.rank - 1 - k))
+                reshape = [1] * self.rank
+                reshape[k] = nodes
+                phase = phase * axis_phase.reshape(reshape)
             D += phase[..., None, None] * A
         if self.dim == 1:
             spectrum = D[..., 0, 0].real
@@ -467,32 +469,36 @@ class FourierSymbolOperator(EquivariantOperator):
                                 {"levels": levels, "f": f.tag, "t": f.t})
         return self._finish(result, strict)
 
-    def gap_certificate(self, *, start_nodes: int = 64, rel_tol: float = 1e-3,
-                        max_nodes: int | None = None) -> GapCertificate:
+    def gap_certificate(self, *, start_nodes: int = 64,
+                        rel_tol: float = 1e-3) -> GapCertificate:
         """Certified lower bound on ``min_theta min |eig D(theta)|``.
 
         Eigenvalues are Lipschitz in ``theta_k`` with constant ``L_k =
         sum_g |g_k| ||A_g||`` (Weyl), so the min over the uniform grid
         ``theta_j = 2 pi j / n`` less ``(pi/n) sum_k L_k``, clipped at 0, is
         certified.  ``n`` doubles from ``start_nodes`` until two positive
-        levels agree to ``rel_tol`` or ``n`` reaches ``max_nodes`` (2^16,
-        2^10, 2^7 by rank, then 32).  Each level takes one inverse FFT per
-        channel; ``history`` records its ``nodes``, ``grid_min``, ``slack``
-        and ``certified``."""
-        L = sum(np.abs(np.asarray(g, dtype=float)) * nb
-                for g, nb in _block_norms(self.element).items())
-        cap = max_nodes or (65536, 1024, 128, 32)[min(self.rank, 4) - 1]
+        levels agree to ``rel_tol`` or ``n`` reaches ``_GRID_CAPS`` (2^16,
+        2^10, 2^7 by rank, then 32).  Each level evaluates the grid by
+        inverse FFT (``_uniform_grid_min``); ``history`` records its
+        ``nodes``, ``grid_min``, ``slack`` and ``certified``."""
+        norms = _block_norms(self.element)
+        L = np.zeros(self.rank)
+        for g, nb in norms.items():
+            L += np.abs(np.asarray(g, dtype=float)) * nb
+        cap = _GRID_CAPS.get(self.rank, 32)
         n = min(start_nodes, cap)
         prev_cert = -math.inf
         history = []
         while True:
             m = self._uniform_grid_min(n)
-            slack = float(np.sum(L)) * (np.pi / n)
+            slack = float(L.sum()) * (np.pi / n)
             cert = max(0.0, m - slack)
             history.append({"nodes": n, "grid_min": m, "slack": slack,
                             "certified": cert})
-            if n >= cap or (cert > 0 and prev_cert > 0
-                            and abs(cert - prev_cert) <= rel_tol * cert):
+            if (cert > 0 and prev_cert > 0
+                    and abs(cert - prev_cert) <= rel_tol * cert):
+                break
+            if n >= cap:
                 break
             prev_cert = cert
             n *= 2
@@ -501,25 +507,38 @@ class FourierSymbolOperator(EquivariantOperator):
 
     def _uniform_grid_min(self, n: int) -> float:
         """min |eigenvalue| of ``D`` on the grid ``theta_j = 2 pi j / n``.
-        ``grid(i, k)`` is ``D_ik`` (``grid()`` all blocks): one inverse
-        FFT of ``A_g`` added at ``g mod n`` (exact aliasing).  For
-        ``dim == 2``: ``||mu| - r|``, from real copies of the diagonals."""
-        def grid(*entry):
-            block = () if entry else (self.dim, self.dim)
-            box = np.zeros((n,) * self.rank + block, dtype=complex)
+        ``grid(i, k)`` is ``D_ik``: one inverse FFT of ``A_g`` added at
+        ``g mod n`` (exact aliasing).  For ``dim == 2``: ``||mu| - r|``, from
+        real copies of the diagonals.  For ``dim >= 3``: one block inverse
+        FFT over the other axes per first offset ``g_0 mod n``, then the sum
+        over ``g_0`` and ``eigvalsh`` in first-axis slabs of ~2M entries."""
+        def grid(i, k):
+            box = np.zeros((n,) * self.rank, dtype=complex)
             for g, A in self.element.coeffs.items():
-                box[tuple(k % n for k in g)] += A[entry]
-            return np.fft.ifftn(box, axes=tuple(range(self.rank)),
-                                norm="forward")
+                box[tuple(x % n for x in g)] += A[i, k]
+            return np.fft.ifftn(box, norm="forward")
         if self.dim == 1:
-            vals = np.abs(grid(0, 0).real)
-        elif self.dim == 2:
+            return float(np.abs(grid(0, 0).real).min())
+        if self.dim == 2:
             mu, _, _, r = _hermitian_2x2(grid(0, 0).real.copy(),
                                          grid(1, 1).real.copy(), grid(0, 1))
-            vals = np.abs(np.abs(mu) - r)
-        else:
-            vals = np.abs(np.linalg.eigvalsh(grid())).min(axis=-1)
-        return float(vals.min())
+            return float(np.abs(np.abs(mu) - r).min())
+        rest = tuple(range(self.rank - 1))
+        parts = {}
+        for g, A in self.element.coeffs.items():
+            box = parts.setdefault(g[0] % n, np.zeros((n,) * len(rest)
+                                                      + A.shape, complex))
+            box[tuple(x % n for x in g[1:])] += A
+        parts = {g0: np.fft.ifftn(box, axes=rest, norm="forward")
+                 for g0, box in parts.items()}
+        rows = np.arange(n).reshape((-1,) + (1,) * (self.rank + 1))
+        slab = max(1, 2_000_000 // (n ** len(rest) * self.dim ** 2))
+        best = math.inf
+        for j in (rows[lo:lo + slab] for lo in range(0, n, slab)):
+            block = sum(np.exp(2j * np.pi * (g0 * j % n) / n) * T
+                        for g0, T in parts.items())
+            best = min(best, float(np.abs(np.linalg.eigvalsh(block)).min()))
+        return best
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,14 @@ grid certifies 0.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etalab import operators
 from etalab.group_algebra import AlgebraElement
 from etalab.groups import FreeAbelianGroup
 from etalab.operators import (
@@ -71,8 +74,8 @@ def lipschitz_sum(op: FourierSymbolOperator) -> float:
 
 
 def certify(op: FourierSymbolOperator, start: int):
-    return op.gap_certificate(start_nodes=start,
-                              max_nodes=SMALL_CAPS[op.rank])
+    with mock.patch.dict(operators._GRID_CAPS, SMALL_CAPS):
+        return op.gap_certificate(start_nodes=start)
 
 
 # ---------------------------------------------------------------------------
@@ -80,16 +83,10 @@ def certify(op: FourierSymbolOperator, start: int):
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def symbols(draw):
-    """A Hermitian symbol on Z^1..Z^3 with ``dim`` 1..3: ``A_0`` plus one to
-    four pairs ``A_g``, ``A_{-g} = A_g^*`` with ``0 < |g_k| <= 9``."""
-    rank = draw(st.integers(1, 3))
-    dim = draw(st.integers(1, 3))
-    offset = st.tuples(*[st.integers(-9, 9)] * rank).filter(any)
-    support = draw(st.lists(offset, min_size=1, max_size=4,
-                            unique_by=lambda g: max(g, tuple(-x for x in g))))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def hermitian_symbol(rank: int, dim: int, support, seed: int):
+    """``A_0`` plus the pairs ``A_g``, ``A_{-g} = A_g^*`` for ``g`` in
+    ``support``, with Gaussian entries."""
+    rng = np.random.default_rng(seed)
 
     def block():
         return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -101,6 +98,19 @@ def symbols(draw):
         coeffs[tuple(-x for x in g)] = A.conj().T
     return FourierSymbolOperator(AlgebraElement(FreeAbelianGroup(rank), dim,
                                                 coeffs))
+
+
+@st.composite
+def symbols(draw):
+    """A Hermitian symbol on Z^1..Z^3 with ``dim`` 1..3: ``A_0`` plus one to
+    four pairs ``A_g``, ``A_{-g} = A_g^*`` with ``0 < |g_k| <= 9``."""
+    rank = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+    offset = st.tuples(*[st.integers(-9, 9)] * rank).filter(any)
+    support = draw(st.lists(offset, min_size=1, max_size=4,
+                            unique_by=lambda g: max(g, tuple(-x for x in g))))
+    return hermitian_symbol(rank, dim, support,
+                            draw(st.integers(0, 2 ** 32 - 1)))
 
 
 START = st.integers(1, 8)
@@ -181,3 +191,25 @@ def test_fixture_levels_match_the_direct_phase_sum(make):
             <= tol
     assert 0.0 < cert.value <= oracle_grid_min(op, 64 if op.rank > 1
                                                 else 4096)
+
+
+# ---------------------------------------------------------------------------
+# memory bound of the block route
+# ---------------------------------------------------------------------------
+
+
+def test_block_route_runs_in_bounded_slabs_and_matches_the_oracle():
+    # 64^3 grid points of 3x3 blocks are 2.4M entries, so the first axis
+    # splits into slabs of 54 and 10 rows
+    op = hermitian_symbol(3, 3, [(1, 0, 0), (0, 1, -2), (2, 1, 1), (65, 0, 3)],
+                          seed=3)
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(block):
+        sizes.append(block.size)
+        return eigvalsh(block)
+    with mock.patch.object(np.linalg, "eigvalsh", counted):
+        m = op._uniform_grid_min(64)
+    assert sizes == [54 * 64 * 64 * 9, 10 * 64 * 64 * 9]
+    assert abs(m - oracle_grid_min(op, 64)) <= 1e-12 * norm_sum(op)
