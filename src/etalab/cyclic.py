@@ -609,71 +609,70 @@ class SeparableClassCochain(CyclicCochain):
         super().__init__(group, degree, ev, batch_evaluator=batch, **kwargs)
 
     def pair_separable(self, ws, box_cache: dict | None = None) -> complex:
-        """FFT route for slots of any block dimension: every weighted slot
-        is transformed once to the common padded convolution grid, the slot
-        chain is multiplied and traced in frequency space, and the class
-        point is read off by a single-point inverse DFT. ``box_cache``
-        (scoped to one top-level pairing) shares dense boxes and transforms
-        between the many slot lists a face reduction produces; entries are
-        keyed by object identity, which is safe because the reduction holds
-        all slots alive."""
+        """FFT route for slots of any block dimension. Each weighted slot is
+        transformed once onto the 5-smooth grid ``_fast_len(L_k)`` per axis,
+        where the circular convolution equals the linear one of exact length
+        ``L_k``; the chain is multiplied entry plane by entry plane, traced,
+        and read off at the class point by a single-point inverse DFT. A
+        point outside the exact ``L_k`` box pairs to an exact zero.
+        ``box_cache`` (one top-level pairing) shares boxes and transforms
+        across a face reduction, keyed by the identity of slots it keeps."""
         rank = self.group.rank
-        axes = tuple(range(rank))
+        dims = range(ws[0].dim)
+        cache = {} if box_cache is None else box_cache
 
-        def boxed(w):
-            if box_cache is None:
-                return _dense_block_box(w)
-            got = box_cache.get(("box", id(w)))
+        def memo(key, make, *args):
+            got = cache.get(key)
             if got is None:
-                got = _dense_block_box(w)
-                box_cache[("box", id(w))] = got
+                got = cache[key] = make(*args)
             return got
 
-        mats = [boxed(w) for w in ws]
-        out_shape = tuple(
-            sum(arr.shape[k] for arr, _ in mats) - (len(mats) - 1)
-            for k in range(rank))
+        mats = [memo(("box", id(w)), _dense_block_box, w) for w in ws]
+        out_shape = tuple(sum(arr.shape[k] - 1 for arr, _ in mats) + 1
+                          for k in range(rank))
         origin = tuple(sum(o[k] for _, o in mats) for k in range(rank))
         idx = tuple(int(h - o) for h, o in zip(self.class_h, origin))
         if not all(0 <= i < s for i, s in zip(idx, out_shape)):
             return 0.0 + 0.0j
+        fft_shape = tuple(_fast_len(n) for n in out_shape)
         phases = [np.exp(2j * np.pi * np.arange(n) * i / n) / n
-                  for n, i in zip(out_shape, idx)]
+                  for n, i in zip(fft_shape, idx)]
 
         def slot_fft(k, fn):
             arr, o = mats[k]
-            key = ("fft", id(ws[k]), id(fn), out_shape)
-            if box_cache is not None:
-                got = box_cache.get(key)
-                if got is not None:
-                    return got
             if fn is not None:
-                grids = np.meshgrid(
-                    *[np.arange(l, l + s, dtype=np.int64)
-                      for l, s in zip(o, arr.shape[:rank])],
-                    indexing="ij")
-                weights = np.asarray(fn(tuple(grids)), dtype=complex)
-                arr = arr * weights[..., None, None]
-            out = np.fft.fftn(arr, s=out_shape, axes=axes)
-            if box_cache is not None:
-                box_cache[key] = out
-            return out
+                grids = np.indices(arr.shape[:rank], dtype=np.int64)
+                weights = fn(tuple(grids + o.reshape((rank,) + (1,) * rank)))
+                arr = arr * np.asarray(weights, dtype=complex)[..., None, None]
+            # block entries first, so that each entry plane is contiguous
+            return np.fft.fftn(np.moveaxis(arr, (-2, -1), (0, 1)), s=fft_shape,
+                               axes=tuple(range(2, rank + 2)))
 
         total = 0.0 + 0.0j
         for c, fs in self.terms:
-            fts = [slot_fft(k, fn) for k, fn in enumerate(fs)]
+            fts = [memo(("fft", id(ws[k]), id(fn), fft_shape), slot_fft, k, fn)
+                   for k, fn in enumerate(fs)]
+            cur = fts[0]
+            for F in fts[1:-1]:
+                cur = [[sum(cur[i][k] * F[k][j] for k in dims) for j in dims]
+                       for i in dims]
             if len(fts) == 1:
-                field = np.einsum("...ii->...", fts[0])
+                field = sum(cur[i][i] for i in dims)
             else:
-                cur = fts[0]
-                for F in fts[1:-1]:
-                    cur = np.einsum("...ik,...kj->...ij", cur, F)
-                field = np.einsum("...ik,...ki->...", cur, fts[-1])
-            val = field
+                field = sum(cur[i][k] * fts[-1][k][i] for i in dims for k in dims)
             for p in phases:
-                val = np.tensordot(val, p, axes=([0], [0]))
-            total += c * complex(val)
+                field = np.tensordot(field, p, axes=([0], [0]))
+            total += c * complex(field)
         return total
+
+
+def _fast_len(n: int) -> int:
+    """The smallest ``2^a 3^b 5^c >= n``, a length pocketfft transforms fast
+    (``m`` is such a product iff it divides ``30^k`` for ``2^k > m``)."""
+    m = max(n, 1)
+    while pow(30, m.bit_length(), m):
+        m += 1
+    return m
 
 
 # ---------------------------------------------------------------------------

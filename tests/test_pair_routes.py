@@ -8,6 +8,12 @@ Z^3 with 1x1 and 2x2 blocks, zero slots and class points outside the
 convolution box, and compare both routes with a brute oracle.  The oracle
 shares no code with either route: it evaluates each cochain from its
 closed-form definition and sums over every tuple of support points.
+
+The FFT route transforms onto the 5-smooth grid of ``_fast_len``, which is
+checked against a brute search; a class point in the padding beyond the
+exact convolution box must still pair to an exact zero.  Two further
+properties need no oracle: the pairing is linear in each slot and has the
+cyclic sign of a cyclic cocycle.
 """
 
 from __future__ import annotations
@@ -20,11 +26,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etalab.cyclic import (
+    SeparableClassCochain,
+    _fast_len,
     _pair_tuple_sum,
     area_cocycle,
     class_trace_cochain,
     coboundary,
     pair_phi_tr,
+    periodicity,
     random_delocalized_cochain,
 )
 from etalab.errors import PreconditionError
@@ -222,3 +231,99 @@ def test_malformed_slot_lists_are_refused(ws, message):
     phi = area_cocycle(Z2, (0, 0), certify=False)
     with pytest.raises(PreconditionError, match=message):
         pair_phi_tr(phi, ws)
+
+
+# ---------------------------------------------------------------------------
+# the 5-smooth grid
+# ---------------------------------------------------------------------------
+
+
+def test_fast_len_matches_a_brute_search():
+    smooth = sorted({2 ** a * 3 ** b * 5 ** c for a in range(14)
+                     for b in range(9) for c in range(6)})
+    for n in range(1, 4097):
+        got = _fast_len(n)
+        assert got >= n and got in smooth
+        assert not [m for m in smooth if n <= m < got]
+
+
+def test_class_point_in_the_padding_pairs_to_exact_zero():
+    # three 2x2 slots of width 3 on Z^1: L = 7 exact points, N = 8 on the grid
+    rng = np.random.default_rng(7)
+    ws = [AlgebraElement(Z1, 2, {(g,): rng.normal(size=(2, 2))
+                                 + 1j * rng.normal(size=(2, 2))
+                                 for g in range(3)}) for _ in range(3)]
+    assert _fast_len(7) == 8
+
+    def weight(c):
+        return c[0] + 0.5j
+
+    for h in (6, 7):
+        phi = SeparableClassCochain(Z1, 2, (h,), [(1.0, [None, weight, None])])
+        expected, scale = oracle_pair(
+            lambda args: args[1][0] + 0.5j if sum(g[0] for g in args) == h
+            else 0.0, ws)
+        assert abs(pair_phi_tr(phi, ws) - expected) <= 1e-12 * scale
+    assert pair_phi_tr(phi, ws) == 0j
+    assert pair_phi_tr(periodicity(class_trace_cochain(Z1.conjugacy_class((7,)))),
+                       ws) == 0j
+
+
+# ---------------------------------------------------------------------------
+# multilinearity and the cyclic sign
+# ---------------------------------------------------------------------------
+
+
+def cocycles():
+    """The degree-2 cocycles of the properties: the area cocycle on Z^3 at a
+    class transverse to its plane, and ``S`` of a class trace on Z^1-Z^3."""
+    area = st.just(area_cocycle(Z3, (0, 0, 1), certify=False))
+    s_trace = st.builds(
+        lambda group, data: periodicity(class_trace_cochain(
+            group.conjugacy_class(data.draw(class_point(group.rank))))),
+        GROUPS, st.data())
+    return st.one_of(area, s_trace)
+
+
+def allowance(phi, *slot_lists):
+    """A rounding allowance: 1e-13 times a bound on the magnitude of the
+    pairing, which is the product of the slots' l1 norms, times ``dim``,
+    times a bound on the cochain over their supports (the area cocycle
+    grows quadratically in the coordinates, ``S`` of a class trace is at
+    most 1)."""
+    bound = 0.0
+    for ws in slot_lists:
+        reach = max((abs(x) for w in ws for g in w.coeffs for x in g),
+                    default=0)
+        size = ws[0].dim * np.prod([sum(np.linalg.norm(M)
+                                        for M in w.coeffs.values())
+                                    for w in ws])
+        bound = max(bound, size * 2 * (1 + reach) ** 2)
+    return 1e-13 * (1.0 + bound)
+
+
+@ROUTES
+@given(data=st.data(), phi=cocycles(), k=st.integers(0, 2),
+       a=st.complex_numbers(max_magnitude=3.0),
+       b=st.complex_numbers(max_magnitude=3.0))
+def test_pairing_is_linear_in_each_slot(data, phi, k, a, b):
+    h = phi.support_class.representative
+    ws = data.draw(slots(phi.group, 3, h))
+    other = data.draw(slots(phi.group, 3, h).filter(
+        lambda vs: vs[0].dim == ws[0].dim))[k]
+    mixed = list(ws)
+    mixed[k] = a * ws[k] + b * other
+    swapped = list(ws)
+    swapped[k] = other
+    lhs = pair_phi_tr(phi, mixed)
+    rhs = a * pair_phi_tr(phi, ws) + b * pair_phi_tr(phi, swapped)
+    assert abs(lhs - rhs) <= (abs(a) + abs(b)) * allowance(phi, ws, swapped)
+
+
+@ROUTES
+@given(data=st.data(), phi=cocycles())
+def test_pairing_has_the_cyclic_sign(data, phi):
+    ws = data.draw(slots(phi.group, 3, phi.support_class.representative))
+    rotated = pair_phi_tr(phi, ws[1:] + ws[:1])
+    assert abs(rotated - (-1) ** phi.degree * pair_phi_tr(phi, ws)) \
+        <= allowance(phi, ws)
