@@ -616,7 +616,7 @@ class SeparableClassCochain(CyclicCochain):
         and read off at the class point by a single-point inverse DFT. A
         point outside the exact ``L_k`` box pairs to an exact zero.
         ``box_cache`` (one top-level pairing) shares boxes and transforms
-        across a face reduction, keyed by the identity of slots it keeps."""
+        across a face reduction by slot id; the reduction keeps slots alive."""
         rank = self.group.rank
         dims = range(ws[0].dim)
         cache = {} if box_cache is None else box_cache

@@ -258,13 +258,16 @@ def test_class_point_in_the_padding_pairs_to_exact_zero():
     def weight(c):
         return c[0] + 0.5j
 
-    for h in (6, 7):
-        phi = SeparableClassCochain(Z1, 2, (h,), [(1.0, [None, weight, None])])
-        expected, scale = oracle_pair(
-            lambda args: args[1][0] + 0.5j if sum(g[0] for g in args) == h
-            else 0.0, ws)
-        assert abs(pair_phi_tr(phi, ws) - expected) <= 1e-12 * scale
-    assert pair_phi_tr(phi, ws) == 0j
+    def phi(h):
+        return SeparableClassCochain(Z1, 2, (h,), [(1.0, [None, weight, None])])
+
+    def value(args):
+        return weight(args[1]) if sum(g[0] for g in args) == 6 else 0.0
+
+    # h = 6 is the last point of the exact box, h = 7 lies in [L, N)
+    expected, scale = oracle_pair(value, ws)
+    assert abs(pair_phi_tr(phi(6), ws) - expected) <= 1e-12 * scale
+    assert pair_phi_tr(phi(7), ws) == 0j
     assert pair_phi_tr(periodicity(class_trace_cochain(Z1.conjugacy_class((7,)))),
                        ws) == 0j
 
