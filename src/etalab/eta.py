@@ -284,7 +284,7 @@ def fit_gaussian_decay(samples, *, t_min: float = 1.0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _loop_coefficient(t: float) -> complex:
+def loop_coefficient(t: float) -> complex:
     """c(t) with  1 + c(t) p  =  exp(2 pi i (1-t) p);  c(1) = 0 exactly."""
     return cmath.exp(2j * math.pi * (1.0 - t)) - 1.0
 
@@ -368,7 +368,7 @@ def invertible_path(family: str, *, operator: EquivariantOperator | None = None,
         psq = convolve(p, p)
         defects = {}
         for t in grid:
-            c = _loop_coefficient(t)
+            c = loop_coefficient(t)
             defect = p * (c + c.conjugate()) + psq * (c * c.conjugate())
             defects[float(t)] = float(sum(defect.trace_norms().values()))
         worst = max(defects.values(), default=0.0)
@@ -844,7 +844,7 @@ def tau_pair(phi: CyclicCochain, path: InvertiblePath, *,
         dot = pe * (-2j * math.pi)
 
         def integrand(t: float) -> complex:
-            c = _loop_coefficient(t)
+            c = loop_coefficient(t)
             ws = [dot] + [pe * c, pe * c.conjugate()] * m
             return prefactor * pair_phi_tr(phi, ws)
 

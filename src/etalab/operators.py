@@ -13,10 +13,11 @@ operators ``D`` acting on ``l^2(G) (x) C^m``:
   matrix on the cover with a free deck representation; the calculus is an
   exact eigendecomposition.
 * :class:`FreeConvolutionOperator` — free ``G``; ``D`` is a finitely
-  supported Hermitian convolution kernel; ``f(D)`` is computed by adaptive
-  Chebyshev approximation driven through sparse truncations of the
-  convolution action, certified by the Chebyshev sup error plus agreement
-  between successive truncation radii.
+  supported Hermitian convolution kernel.  A weighted Schur test puts spec D
+  within ``b`` of the eigenvalues ``mu`` of ``A_e``: the gap certificate is
+  ``min |mu| - b``, and ``f(D)`` is an adaptive Chebyshev series on the hull
+  run through a sparse truncation, certified by the sup error plus a
+  finite-propagation bound on the truncation.
 
 :class:`SchwartzFunction` carries the fixed catalogue of spectral functions
 used by the eta integrands (Gaussian family, unitary-loop family, Cayley
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,6 +59,11 @@ from .groups import (
 HERMITIAN_TOL = 1e-12
 DEFAULT_MU = 1.1
 _GRID_CAPS = {1: 1 << 16, 2: 1 << 10, 3: 1 << 7}  # symbol gap grid, by rank
+# free-kernel Schur enclosure: log rho bracket, steps, rounding allowance
+_SCHUR_LOG_RHO_MIN = -16.0
+_SCHUR_STEPS = 80
+_SCHUR_ROUNDING = 1e-12
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +279,8 @@ class CalculusResult:
 
 @dataclass
 class GapCertificate:
-    """A certified lower bound on dist(0, spectrum \\ {0})."""
+    """A certified lower bound on dist(0, spec D); the finite-cover
+    certificate leaves out eigenvalues within ``zero_tol`` of 0."""
 
     value: float
     method: str
@@ -685,11 +692,13 @@ def _chebyshev_nodes(n: int) -> np.ndarray:
     return np.cos(np.pi * (k + 0.5) / n)
 
 
-def chebyshev_fit(f: SchwartzFunction, M: float, degree: int):
-    """Interpolate f on [-M, M] at first-kind Chebyshev nodes; returns the
-    coefficient vector and the sup error measured on a dense grid."""
+def chebyshev_fit(f: SchwartzFunction, lo: float, hi: float, degree: int):
+    """Interpolate f on [lo, hi] at first-kind Chebyshev nodes; returns the
+    coefficient vector in ``y = (x - mid) / half`` (midpoint and half-width
+    of the interval) and the sup error measured on a dense grid."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     nodes = _chebyshev_nodes(degree + 1)
-    vals = f(M * nodes)
+    vals = f(mid + half * nodes)
     j = np.arange(degree + 1)
     k = np.arange(degree + 1)
     cosines = np.cos(np.pi * np.outer(k, (j + 0.5)) / (degree + 1))
@@ -697,7 +706,7 @@ def chebyshev_fit(f: SchwartzFunction, M: float, degree: int):
     coeffs[0] *= 0.5
     dense = np.linspace(-1.0, 1.0, 4001)
     approx = np.polynomial.chebyshev.chebval(dense, coeffs)
-    sup_err = float(np.abs(approx - f(M * dense)).max())
+    sup_err = float(np.abs(approx - f(mid + half * dense)).max())
     return coeffs, sup_err
 
 
@@ -714,56 +723,62 @@ class FreeConvolutionOperator(EquivariantOperator):
         super().__init__(element)
         self._trunc_cache = {}
 
+    @cached_property
+    def enclosure(self) -> tuple:
+        """``(mu, b, rho)``: spec D lies within ``b`` of the eigenvalues
+        ``mu`` of ``A_e`` (Weyl), ``b`` bounding the kernel off the identity
+        by the Schur test with weight ``rho^|x|``.  Its row sums
+        ``sum_{g != e} ||A_g|| rho^(|gx| - |x|)`` depend on the first ``|g|``
+        letters of ``x`` only, so ``ball(band)`` holds every row.  Rows are
+        convex in ``log rho`` and equal at ``rho = 1``, past which the row
+        of ``e`` grows: golden section over ``[e^-16, 1]`` picks ``rho``."""
+        group, band = self.group, self.band
+        rows = np.zeros((len(group.ball(band)), 2 * band + 1))
+        for i, x in enumerate(group.ball(band)):
+            for g, A in self.element.coeffs.items():
+                if g != group.identity:
+                    k = (group.word_length(group.multiply(g, x))
+                         - group.word_length(x))
+                    rows[i, k + band] += np.linalg.norm(A, 2)
+        exps = np.arange(-band, band + 1)
+
+        def schur(s):
+            return float((rows @ np.exp(s * exps)).max())
+
+        lo, hi = _SCHUR_LOG_RHO_MIN, 0.0
+        for _ in range(_SCHUR_STEPS):
+            a, c = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+            lo, hi = (lo, c) if schur(a) <= schur(c) else (a, hi)
+        b, s = min((schur(s), s) for s in (lo, hi, 0.0))
+        mu = np.linalg.eigvalsh(self.element.coeffs.get(
+            group.identity, np.zeros((self.dim, self.dim))))
+        b += _SCHUR_ROUNDING * (b + float(np.abs(mu).max()))
+        return mu, b, math.exp(s)
+
     def truncated_matrix(self, radius: int, budget: int = 4_000_000):
         """(sparse matrix, ball, index) for D acting on the span of the
         ball, kernel M[x, y] = A(x y^-1)."""
         from scipy import sparse
 
-        key = radius
-        if key in self._trunc_cache:
-            return self._trunc_cache[key]
-        group = self.group
+        if radius in self._trunc_cache:
+            return self._trunc_cache[radius]
+        group, m = self.group, self.dim
         ball = group.ball(radius, budget=budget)
         index = {g: i for i, g in enumerate(ball)}
-        m = self.dim
-        rows, cols, data = [], [], []
+        rows, cols, data = [np.arange(0)], [np.arange(0)], [np.zeros(0)]
         for g, A in self.element.coeffs.items():
-            for b, y in enumerate(ball):
-                x = group.multiply(g, y)
-                a = index.get(x)
-                if a is None:
-                    continue
-                for i in range(m):
-                    for j in range(m):
-                        v = A[i, j]
-                        if v != 0:
-                            rows.append(a * m + i)
-                            cols.append(b * m + j)
-                            data.append(v)
-        mat = sparse.csr_matrix(
-            (np.asarray(data, dtype=complex),
-             (np.asarray(rows), np.asarray(cols))),
-            shape=(len(ball) * m, len(ball) * m))
-        self._trunc_cache[key] = (mat, ball, index)
-        return self._trunc_cache[key]
-
-    def _clenshaw_columns(self, coeffs: np.ndarray, radius: int) -> np.ndarray:
-        """p(D) applied to the fiber basis columns at the identity, through
-        the Clenshaw recurrence on the radius-truncated sparse action."""
-        mat, ball, index = self.truncated_matrix(radius)
-        m = self.dim
-        M_scale = self.operator_norm_bound()
-        X = mat / M_scale
-        e = np.zeros((mat.shape[0], m), dtype=complex)
-        e_idx = index[self.group.identity]
-        for j in range(m):
-            e[e_idx * m + j, j] = 1.0
-        b_next = np.zeros_like(e)
-        b_cur = np.zeros_like(e)
-        for c in coeffs[:0:-1]:
-            b_prev = 2.0 * (X @ b_cur) - b_next + c * e
-            b_next, b_cur = b_cur, b_prev
-        return (X @ b_cur) - b_next + coeffs[0] * e
+            a, b = np.array([(index[x], j) for j, y in enumerate(ball)
+                             if (x := group.multiply(g, y)) in index],
+                            dtype=int).reshape(-1, 2).T
+            i, j = np.nonzero(A)
+            rows.append((a[:, None] * m + i).ravel())
+            cols.append((b[:, None] * m + j).ravel())
+            data.append(np.tile(A[i, j], len(a)))
+        n = len(ball) * m
+        mat = sparse.csr_matrix((np.concatenate(data).astype(complex), (
+            np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+        self._trunc_cache[radius] = (mat, ball, index)
+        return self._trunc_cache[radius]
 
     def functional_calculus(self, f: SchwartzFunction, R: int,
                             tol: float = 1e-10, *,
@@ -772,87 +787,60 @@ class FreeConvolutionOperator(EquivariantOperator):
                             max_degree: int = 512,
                             truncation_pad: int = 8,
                             max_truncation: int = 12) -> CalculusResult:
+        """Chebyshev series of ``f`` on the hull of :attr:`enclosure`, run
+        by Clenshaw on the radius-truncated action.  Compressions keep their
+        spectrum in that hull, so truncation moves ``T_k`` by at most 2, and
+        not at all for ``k <= K``: no path of ``K`` steps from e to
+        ``ball(R)`` leaves the ball.  The error adds ``2 sum_{k>K} |c_k|``."""
+        from scipy import sparse
+
         self._check_radius(R)
         if max_truncation < R + 4:
             raise PreconditionError(
                 "free-convolution calculus needs truncation headroom "
                 f"max_truncation >= R + 4 (R={R}, got {max_truncation})")
-        M = self.operator_norm_bound()
+        mu, b, _ = self.enclosure
+        lo, hi = float(mu.min()) - b, float(mu.max()) + b
         degree = start_degree
         while True:
-            coeffs, sup_err = chebyshev_fit(f, M, degree)
+            coeffs, sup_err = chebyshev_fit(f, lo, hi, degree)
             if sup_err <= 0.05 * tol or degree >= max_degree:
                 break
             degree = int(math.ceil(degree * 1.5))
         pad = max(truncation_pad, 4)
         radius = min(max(R + pad, R + self.band), max_truncation)
-        radius_lo = radius - 2
-        cols = self._clenshaw_columns(coeffs, radius)
-        cols_lo = self._clenshaw_columns(coeffs, radius_lo)
-        _, ball, index = self.truncated_matrix(radius)
-        _, ball_lo, index_lo = self.truncated_matrix(radius_lo)
+        mat, _, index = self.truncated_matrix(radius)
+        X = (mat - 0.5 * (lo + hi) * sparse.identity(mat.shape[0])) \
+            / (0.5 * (hi - lo))
         m = self.dim
-        coeffs_out = {}
-        trunc_err = 0.0
-        for g in self.group.ball(R):
-            a = index[g]
-            block = cols[a * m:(a + 1) * m, :]
-            a_lo = index_lo.get(g)
-            if a_lo is not None:
-                block_lo = cols_lo[a_lo * m:(a_lo + 1) * m, :]
-                trunc_err = max(trunc_err,
-                                float(np.abs(block - block_lo).max()))
-            coeffs_out[g] = block
-        element = AlgebraElement(self.group, m, coeffs_out)
+        e = np.zeros((mat.shape[0], m), dtype=complex)
+        e[index[self.group.identity] * m + np.arange(m), np.arange(m)] = 1.0
+        b_next = np.zeros_like(e)
+        b_cur = np.zeros_like(e)
+        for c in coeffs[:0:-1]:
+            b_prev = 2.0 * (X @ b_cur) - b_next + c * e
+            b_next, b_cur = b_cur, b_prev
+        cols = (X @ b_cur) - b_next + coeffs[0] * e
+        element = AlgebraElement(self.group, m, {
+            g: cols[index[g] * m:(index[g] + 1) * m, :]
+            for g in self.group.ball(R)})
+        K = (2 * radius + 1 - R) // self.band if self.band else degree
+        trunc_err = 2.0 * float(np.abs(coeffs[K + 1:]).sum())
         error = sup_err + trunc_err
         result = CalculusResult(
             element, error, tol, error <= tol, self.backend,
             {"degree": degree, "cheb_sup_error": sup_err,
-             "truncation_radius": radius, "truncation_agreement": trunc_err,
-             "norm_bound": M})
+             "truncation_radius": radius, "truncation_bound": trunc_err,
+             "hull": [lo, hi]})
         return self._finish(result, strict)
 
-    def gap_certificate(self, declared: float | None = None, *,
-                        radii: tuple = (3, 4, 5, 6),
-                        safety: float = 1.05) -> GapCertificate:
-        """Declared-and-checked bound from truncation eigenvalues.
-
-        Compressions of D to nested balls have spectra inside the convex
-        hull of spectrum(D), so their minimal |eigenvalue| decreases towards
-        the true edge as the radius grows. The declared gap is accepted when
-        it stays below a safety margin under the geometrically extrapolated
-        limit of that decreasing sequence; otherwise the certificate is 0
-        with diagnostics.
-        """
-        mins = []
-        for r in radii:
-            mat, ball, _ = self.truncated_matrix(r)
-            n = mat.shape[0]
-            if n <= 2000:
-                lam = np.linalg.eigvalsh(mat.toarray())
-                mins.append(float(np.abs(lam).min()))
-            else:
-                from scipy.sparse.linalg import eigsh
-
-                lam = eigsh(mat, k=2, sigma=0.0, which="LM",
-                            return_eigenvectors=False)
-                mins.append(float(np.abs(lam).min()))
-        drops = [mins[i] - mins[i + 1] for i in range(len(mins) - 1)]
-        limit = mins[-1]
-        if len(drops) >= 2 and drops[-2] > 1e-15 and drops[-1] >= 0:
-            rho = min(0.99, max(0.0, drops[-1] / drops[-2]))
-            limit = mins[-1] - drops[-1] * rho / max(1e-12, 1.0 - rho)
-        diagnostics = {"truncation_minima": mins, "extrapolated": limit,
-                       "radii": list(radii)}
-        if declared is None:
-            value = max(0.0, limit / safety)
-            return GapCertificate(value, "truncation-extrapolation",
-                                  diagnostics)
-        if declared * safety <= limit:
-            return GapCertificate(declared, "declared-and-checked",
-                                  diagnostics)
-        return GapCertificate(0.0, "declared-and-checked",
-                              {**diagnostics, "rejected": declared})
+    def gap_certificate(self) -> GapCertificate:
+        """``min |mu| - b`` from :attr:`enclosure`, or 0 if it reaches 0."""
+        mu, b, rho = self.enclosure
+        min_mu = float(np.abs(mu).min())
+        return GapCertificate(max(0.0, min_mu - b), "weighted-schur",
+                              {"min_abs_mu": min_mu, "schur_bound": b,
+                               "rho": rho})
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ factor two in the identity.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -39,15 +38,10 @@ from .cyclic import (
     periodicity,
 )
 from .errors import PreconditionError
-from .eta import InvertiblePath, invertible_path, tau_pair
+from .eta import InvertiblePath, invertible_path, loop_coefficient, tau_pair
 from .group_algebra import AlgebraElement
 from .groups import CyclicGroup, FreeAbelianGroup
 from .operators import FourierSymbolOperator, two_band_chern_symbol
-
-
-def loop_coefficient(t: float) -> complex:
-    """``c(t) = e^{2 pi i (1 - t)} - 1`` with ``c(1) = 0`` exactly."""
-    return cmath.exp(2j * math.pi * (1.0 - t)) - 1.0
 
 
 def scalar_loop_integral(m: int) -> float:
