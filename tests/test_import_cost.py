@@ -66,8 +66,17 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_commands_that_never_integrate_load_no_scipy():
-    assert loaded_scipy("gap", "gap operator.kind=free",
-                        "norms operator.kind=two_band", "cocycle-check") == []
+    assert loaded_scipy("gap", "norms operator.kind=two_band",
+                        "cocycle-check") == []
+
+
+def test_free_gap_loads_only_the_sparse_package():
+    # The weighted Schur enclosure needs no sparse matrix either, so the
+    # free-group certificate now loads no scipy package at all.
+    mods = loaded_scipy("gap operator.kind=free")
+    subpackages = {m.split(".")[1] for m in mods if "." in m}
+    assert not subpackages - {"sparse"}
+    assert mods == []
 
 
 def test_scalar_lattice_pairing_loads_no_signal_package():
