@@ -607,7 +607,9 @@ def run_gap(cfg: RunConfig, provided: set) -> Outcome:
     result = {"sigma": sigma, "lower_bound": lower, "method": cert.method}
     certification = {
         "sigma": sigma_certificate,
-        "lower_bound": "certified lower bound on dist(0, nonzero spectrum)",
+        "lower_bound": "certified lower bound on " + (
+            "dist(0, nonzero spectrum)" if cert.method == "exact-eigenvalues"
+            else "dist(0, spec D)"),
         "diagnostics": _gap_diag_summary(cert.diagnostics),
     }
     failures = []

@@ -171,9 +171,6 @@ class CyclicCochain:
                                           for a in arg_arrays))
         return out
 
-    def is_separable(self) -> bool:
-        return isinstance(self, SeparableClassCochain)
-
     def __repr__(self):
         return f"CyclicCochain({self.name!r}, degree={self.degree})"
 
@@ -479,7 +476,7 @@ def pair_phi_tr(phi: CyclicCochain, ws, *, use_reduction: bool = True,
                                         _box_cache=cache)
         return total
 
-    if phi.is_separable() and isinstance(phi.group, FreeAbelianGroup):
+    if isinstance(phi, SeparableClassCochain):
         return phi.pair_separable(ws, box_cache=_box_cache)
 
     return _pair_tuple_sum(phi, ws, tuple_budget)

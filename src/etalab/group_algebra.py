@@ -15,11 +15,20 @@ and the norm family used throughout the package:
 block. All norms are unconditional: they only see the trace norms of the
 coefficients, so they agree on ``A`` and on its absolute value
 ``|A| = sum_g |A_g|_1 g``.
+
+Layout, for every group: a tuple ``keys`` of N distinct points and one
+read-only, C-contiguous complex array ``blocks`` of shape ``(N, d, d)``,
+``blocks[i]`` being the coefficient at ``keys[i]``; ``TensorElement`` keys
+pairs ``(g1, g2)``. The shape is checked once, when an element is built.
+Arithmetic, cleanup, norms and the dense Z^d box (``_dense_block_box``) act
+on ``blocks`` whole; ``coeffs`` is a read-only ``{g: block}`` view for
+point lookups, made on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,27 +46,70 @@ def trace_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
-def _trace_norms(blocks: dict, dim: int) -> dict:
-    """``{key: trace_norm(M)}`` over a dict of blocks, with one stacked SVD
-    for matrix blocks."""
-    if dim == 1 or not blocks:
-        return {key: trace_norm(M) for key, M in blocks.items()}
-    sums = np.linalg.svd(np.stack(list(blocks.values())),
-                         compute_uv=False).sum(axis=1)
-    return dict(zip(blocks, sums.tolist()))
-
-
-def _as_block(value, dim: int) -> np.ndarray:
-    block = np.asarray(value, dtype=complex)
-    if block.ndim == 0:
-        block = block.reshape(1, 1)
-    if block.shape != (dim, dim):
+def _stack_blocks(values: list, dim: int) -> np.ndarray:
+    """The ``(N, dim, dim)`` complex stack of N blocks (scalars for
+    ``dim == 1``), or a :class:`RepresentationError`."""
+    if not values:
+        return np.zeros((0, dim, dim), dtype=complex)
+    if dim == 1:
+        values = [[[v]] if np.ndim(v) == 0 else v for v in values]
+    try:
+        blocks = np.array(values, dtype=complex)
+    except (TypeError, ValueError):
+        raise RepresentationError("coefficient blocks differ in shape")
+    if blocks.shape[1:] != (dim, dim):
         raise RepresentationError(
-            f"coefficient block has shape {block.shape}, expected ({dim}, {dim})")
-    return block
+            f"coefficient block has shape {blocks.shape[1:]}, "
+            f"expected ({dim}, {dim})")
+    return blocks
 
 
-class AlgebraElement:
+def _significant(blocks: np.ndarray) -> np.ndarray:
+    """Indices of the blocks whose largest entry exceeds ``ZERO_THRESHOLD``
+    times the largest entry of all (none if that is 0 or not a number)."""
+    mags = np.abs(blocks).max(axis=(1, 2))
+    return np.flatnonzero(mags > mags.max(initial=0.0) * ZERO_THRESHOLD)
+
+
+class _BlockStack:
+    """``keys`` and ``blocks`` of the module layout, with the ``coeffs``
+    view."""
+
+    __slots__ = ("group", "dim", "keys", "blocks", "_coeffs")
+
+    def _adopt(self, group: GroupModel, dim: int, keys, blocks: np.ndarray):
+        blocks = np.ascontiguousarray(blocks, dtype=complex)
+        if blocks.shape != (len(keys), dim, dim):
+            raise RepresentationError(
+                f"{len(keys)} keys need blocks of shape "
+                f"({len(keys)}, {dim}, {dim}), got {blocks.shape}")
+        blocks.flags.writeable = False
+        self.group, self.dim = group, dim
+        self.keys, self.blocks = tuple(keys), blocks
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only ``{key: block}`` view, in key order."""
+        if self._coeffs is None:
+            self._coeffs = MappingProxyType(dict(zip(self.keys, self.blocks)))
+        return self._coeffs
+
+    def _trace_norms(self) -> dict:
+        """``{key: |block|_1}`` in key order: Python ``abs`` for 1x1 blocks,
+        one stacked SVD otherwise."""
+        if self.dim == 1:
+            return {g: abs(z)
+                    for g, z in zip(self.keys, self.blocks[:, 0, 0].tolist())}
+        sums = np.linalg.svd(self.blocks, compute_uv=False).sum(axis=1)
+        return dict(zip(self.keys, sums.tolist()))
+
+    def __repr__(self):
+        return (f"{type(self).__name__}({self.group!r}, dim={self.dim}, "
+                f"support={len(self.keys)})")
+
+
+class AlgebraElement(_BlockStack):
     """A finitely supported element of M_d(CG).
 
     Parameters
@@ -67,22 +119,34 @@ class AlgebraElement:
     dim:
         Coefficient block dimension d.
     coeffs:
-        Map from group elements to (d, d) complex blocks. Entries of
-        negligible relative magnitude are dropped on construction.
+        Map from group elements to (d, d) complex blocks (scalars if
+        ``d == 1``). Entries of negligible relative magnitude are dropped
+        on construction.
     """
 
-    __slots__ = ("group", "dim", "coeffs")
+    __slots__ = ()
 
     def __init__(self, group: GroupModel, dim: int, coeffs: dict | None = None,
                  cleanup: bool = True):
-        self.group = group
-        self.dim = int(dim)
-        raw = coeffs or {}
-        self.coeffs = {g: _as_block(M, self.dim) for g, M in raw.items()}
+        coeffs = coeffs or {}
+        self._adopt(group, int(dim), list(coeffs),
+                    _stack_blocks(list(coeffs.values()), int(dim)))
         if cleanup:
             self.cleanup()
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _from_stack(cls, group: GroupModel, dim: int, keys,
+                    blocks: np.ndarray, cleanup: bool = True):
+        """The element ``sum_i blocks[i] keys[i]`` for distinct ``keys``;
+        ``blocks`` is adopted without a copy when it already has the
+        layout."""
+        element = cls.__new__(cls)
+        element._adopt(group, int(dim), keys, blocks)
+        if cleanup:
+            element.cleanup()
+        return element
 
     @staticmethod
     def zero(group: GroupModel, dim: int = 1) -> "AlgebraElement":
@@ -110,39 +174,30 @@ class AlgebraElement:
     def from_terms(group: GroupModel, terms, dim: int = 1) -> "AlgebraElement":
         """Build from an iterable of (element, coefficient) pairs, summing
         repeated elements."""
+        terms = list(terms)
+        blocks = _stack_blocks(
+            [np.asarray(c, dtype=complex) * np.eye(dim) if np.ndim(c) == 0
+             else c for _, c in terms], dim)
         acc: dict = {}
-        for g, c in terms:
+        for (g, _), block in zip(terms, blocks):
             g = group.validate(g)
-            block = _as_block(np.asarray(c, dtype=complex) * np.eye(dim)
-                              if np.ndim(c) == 0 else c, dim)
-            if g in acc:
-                acc[g] = acc[g] + block
-            else:
-                acc[g] = block
+            acc[g] = acc[g] + block if g in acc else block
         return AlgebraElement(group, dim, acc)
 
     # -- structure ----------------------------------------------------------
 
-    def cleanup(self, threshold: float = ZERO_THRESHOLD) -> "AlgebraElement":
+    def cleanup(self) -> "AlgebraElement":
         """Drop coefficients of negligible relative magnitude, in place."""
-        if not self.coeffs:
-            return self
-        keys = list(self.coeffs)
-        mags = np.abs(np.stack([self.coeffs[g] for g in keys])) \
-            .reshape(len(keys), -1).max(axis=1)
-        peak = float(mags.max())
-        if peak == 0.0:
-            self.coeffs = {}
-            return self
-        cut = peak * threshold
-        self.coeffs = {g: self.coeffs[g]
-                       for g, m in zip(keys, mags) if m > cut}
+        keep = _significant(self.blocks)
+        if len(keep) < len(self.keys):
+            self._adopt(self.group, self.dim, [self.keys[i] for i in keep],
+                        self.blocks[keep])
         return self
 
     @property
     def support(self) -> list:
         """Support elements, deterministically ordered."""
-        return sorted(self.coeffs,
+        return sorted(self.keys,
                       key=lambda g: (self.group.word_length(g),
                                      self.group.sort_key(g)))
 
@@ -150,25 +205,21 @@ class AlgebraElement:
         return self.coeffs.get(g, np.zeros((self.dim, self.dim), dtype=complex))
 
     def trace_norms(self) -> dict:
-        return _trace_norms(self.coeffs, self.dim)
+        return self._trace_norms()
 
     def propagation_radius(self) -> int:
         """Largest word length in the support (0 for the zero element)."""
-        if not self.coeffs:
-            return 0
-        return max(self.group.word_length(g) for g in self.coeffs)
+        return max(map(self.group.word_length, self.keys), default=0)
 
     def max_abs(self) -> float:
         """Largest entrywise magnitude over all coefficients."""
-        if not self.coeffs:
-            return 0.0
-        return float(max(np.abs(M).max() for M in self.coeffs.values()))
+        return float(np.abs(self.blocks).max(initial=0.0))
 
     def absolute(self) -> "AlgebraElement":
         """The scalar element ``|A| = sum_g |A_g|_1 g``."""
-        return AlgebraElement(self.group, 1,
-                              {g: np.array([[v]], dtype=complex)
-                               for g, v in self.trace_norms().items()})
+        norms = list(self.trace_norms().values())
+        return AlgebraElement._from_stack(self.group, 1, self.keys,
+                                          np.reshape(norms, (-1, 1, 1)))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -181,22 +232,26 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
-        out = {g: M.copy() for g, M in self.coeffs.items()}
-        for g, M in other.coeffs.items():
-            out[g] = out[g] + M if g in out else M.copy()
-        return AlgebraElement(self.group, self.dim, out)
+        pos = {g: i for i, g in enumerate(self.keys)}
+        rows = np.array([pos.setdefault(g, len(pos)) for g in other.keys],
+                        dtype=np.int64)
+        shared = rows < len(self.keys)
+        blocks = np.empty((len(pos), self.dim, self.dim), dtype=complex)
+        blocks[:len(self.keys)] = self.blocks
+        blocks[rows[shared]] += other.blocks[shared]
+        blocks[rows[~shared]] = other.blocks[~shared]
+        return AlgebraElement._from_stack(self.group, self.dim, pos, blocks)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.group, self.dim,
-                              {g: -M for g, M in self.coeffs.items()},
-                              cleanup=False)
+        return AlgebraElement._from_stack(self.group, self.dim, self.keys,
+                                          -self.blocks, cleanup=False)
 
     def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(self.group, self.dim,
-                              {g: c * M for g, M in self.coeffs.items()})
+        return AlgebraElement._from_stack(self.group, self.dim, self.keys,
+                                          c * self.blocks)
 
     def __rmul__(self, c) -> "AlgebraElement":
         if np.ndim(c) == 0:
@@ -212,10 +267,9 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         """Involution: ``(A*)_g = (A_{g^-1})^dagger``."""
-        return AlgebraElement(
-            self.group, self.dim,
-            {self.group.inverse(g): M.conj().T for g, M in self.coeffs.items()},
-            cleanup=False)
+        return AlgebraElement._from_stack(
+            self.group, self.dim, [self.group.inverse(g) for g in self.keys],
+            self.blocks.conj().transpose(0, 2, 1), cleanup=False)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return (self - self.star()).max_abs() <= tol
@@ -223,12 +277,10 @@ class AlgebraElement:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        entries = []
-        for g in self.support:
-            M = self.coeffs[g]
-            flat = [[float(z.real), float(z.imag)] for z in M.reshape(-1)]
-            entries.append({"element": self.group.element_to_json(g),
-                            "matrix": flat})
+        entries = [{"element": self.group.element_to_json(g),
+                    "matrix": [[z.real, z.imag]
+                               for z in self.coeffs[g].reshape(-1).tolist()]}
+                   for g in self.support]
         return {"group": group_to_json(self.group), "dim": self.dim,
                 "entries": entries}
 
@@ -237,24 +289,13 @@ class AlgebraElement:
         try:
             group = group_from_json(obj["group"])
             dim = int(obj.get("dim", 1))
-            coeffs = {}
-            for entry in obj["entries"]:
-                g = group.element_from_json(entry["element"])
-                flat = entry["matrix"]
-                if len(flat) != dim * dim:
-                    raise RepresentationError(
-                        f"matrix for {entry['element']} has {len(flat)} entries, "
-                        f"expected {dim * dim}")
-                M = np.array([complex(re, im) for re, im in flat],
-                             dtype=complex).reshape(dim, dim)
-                coeffs[g] = coeffs[g] + M if g in coeffs else M
-            return AlgebraElement(group, dim, coeffs)
+            return AlgebraElement.from_terms(group, [
+                (group.element_from_json(entry["element"]),
+                 np.reshape([complex(re, im) for re, im in entry["matrix"]],
+                            (dim, dim)))
+                for entry in obj["entries"]], dim)
         except (KeyError, TypeError, ValueError) as exc:
             raise RepresentationError(f"bad algebra element document: {exc}")
-
-    def __repr__(self):
-        return (f"AlgebraElement({self.group!r}, dim={self.dim}, "
-                f"support={len(self.coeffs)})")
 
 
 #: support-size product above which Z^d convolution switches to the FFT
@@ -267,25 +308,22 @@ def _dense_block_box(A: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
     origin for an element over Z^d (a single zero block at the origin for
     the zero element)."""
     rank = A.group.rank
-    if not A.coeffs:
+    if not A.keys:
         return (np.zeros((1,) * rank + (A.dim, A.dim), dtype=complex),
                 np.zeros(rank, dtype=np.int64))
-    pts = np.array(list(A.coeffs), dtype=np.int64)
+    pts = np.array(A.keys, dtype=np.int64).reshape(-1, rank)
     lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    shape = tuple(int(h - l + 1) for l, h in zip(lo, hi)) + (A.dim, A.dim)
+    shape = tuple((pts.max(axis=0) - lo + 1).tolist()) + (A.dim, A.dim)
     arr = np.zeros(shape, dtype=complex)
-    rel = pts - lo[None, :]
-    arr[tuple(rel[:, k] for k in range(pts.shape[1]))] = np.stack(
-        list(A.coeffs.values()))
+    arr[tuple((pts - lo).T)] = A.blocks
     return arr, lo
 
 
 def _convolve_lattice_fft(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
     """Blockwise FFT convolution over Z^d: transform the spatial axes,
-    matrix-multiply the blocks in frequency, transform back. The relative
-    cleanup threshold is applied in-routine (it also strips FFT roundoff
-    noise), and the result is assembled without re-validating each block."""
+    matrix-multiply the blocks in frequency, transform back. The cleanup
+    rule also strips the FFT roundoff noise; keys are made only for the
+    blocks it keeps."""
     a, alo = _dense_block_box(A)
     b, blo = _dense_block_box(B)
     rank = A.group.rank
@@ -294,23 +332,12 @@ def _convolve_lattice_fft(A: AlgebraElement, B: AlgebraElement) -> AlgebraElemen
     fa = np.fft.fftn(a, s=full, axes=axes)
     fb = np.fft.fftn(b, s=full, axes=axes)
     out = np.fft.ifftn(np.einsum("...ik,...kj->...ij", fa, fb), axes=axes)
-    lo = alo + blo
     flat = out.reshape(-1, A.dim, A.dim)
-    mags = np.abs(flat).max(axis=(1, 2))
-    peak = float(mags.max()) if mags.size else 0.0
-    keep = np.flatnonzero(mags > peak * ZERO_THRESHOLD) if peak > 0.0 \
-        else np.zeros(0, dtype=np.int64)
-    grid = np.stack(np.meshgrid(*[np.arange(n) for n in full],
-                                indexing="ij"), axis=-1).reshape(-1, rank)
-    pts = grid[keep] + lo[None, :]
-    blocks = flat[keep]
-    coeffs = {tuple(int(c) for c in pt): blocks[i]
-              for i, pt in enumerate(pts)}
-    result = AlgebraElement.__new__(AlgebraElement)
-    result.group = A.group
-    result.dim = A.dim
-    result.coeffs = coeffs
-    return result
+    keep = _significant(flat)
+    pts = np.indices(full).reshape(rank, -1).T[keep] + (alo + blo)
+    return AlgebraElement._from_stack(A.group, A.dim,
+                                      list(map(tuple, pts.tolist())),
+                                      flat[keep], cleanup=False)
 
 
 def convolve(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
@@ -325,15 +352,15 @@ def convolve(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
     A._check_compatible(B)
     group = A.group
     if (isinstance(group, FreeAbelianGroup)
-            and len(A.coeffs) * len(B.coeffs) > FFT_CROSSOVER
-            and A.coeffs and B.coeffs):
+            and len(A.keys) * len(B.keys) > FFT_CROSSOVER):
         return _convolve_lattice_fft(A, B)
+    right = [(g2, B.coeffs[g2]) for g2 in B.support]
     out: dict = {}
     for g1 in A.support:
         M1 = A.coeffs[g1]
-        for g2 in B.support:
+        for g2, M2 in right:
             g = group.multiply(g1, g2)
-            prod = M1 @ B.coeffs[g2]
+            prod = M1 @ M2
             out[g] = out[g] + prod if g in out else prod
     return AlgebraElement(group, A.dim, out)
 
@@ -343,33 +370,21 @@ def convolve(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-class TensorElement:
-    """A finitely supported element of M_d(CG) (x) CG over pairs (g1, g2)."""
+class TensorElement(_BlockStack):
+    """A finitely supported element of M_d(CG) (x) CG over pairs (g1, g2);
+    exactly zero blocks are dropped."""
 
-    __slots__ = ("group", "dim", "coeffs")
+    __slots__ = ()
 
     def __init__(self, group: GroupModel, dim: int, coeffs: dict | None = None):
-        self.group = group
-        self.dim = int(dim)
-        self.coeffs = {pair: _as_block(M, self.dim)
-                       for pair, M in (coeffs or {}).items()}
-        self.coeffs = {pair: M for pair, M in self.coeffs.items()
-                       if np.abs(M).max() > 0.0}
-
-    @property
-    def support(self) -> list:
-        def key(pair):
-            g1, g2 = pair
-            return (self.group.word_length(g1), self.group.sort_key(g1),
-                    self.group.word_length(g2), self.group.sort_key(g2))
-        return sorted(self.coeffs, key=key)
+        coeffs = coeffs or {}
+        keys = list(coeffs)
+        blocks = _stack_blocks(list(coeffs.values()), int(dim))
+        keep = np.flatnonzero(np.abs(blocks).max(axis=(1, 2)) > 0.0)
+        self._adopt(group, int(dim), [keys[i] for i in keep], blocks[keep])
 
     def trace_norms(self) -> dict:
-        return _trace_norms(self.coeffs, self.dim)
-
-    def __repr__(self):
-        return (f"TensorElement({self.group!r}, dim={self.dim}, "
-                f"support={len(self.coeffs)})")
+        return self._trace_norms()
 
 
 def quasiderivation(A: AlgebraElement, q: int = 0) -> TensorElement:

@@ -127,14 +127,6 @@ class GroupModel:
         """Return ``x^-1 g x``."""
         return self.multiply(self.multiply(self.inverse(x), g), x)
 
-    def power(self, g, n: int):
-        if n < 0:
-            return self.power(self.inverse(g), -n)
-        out = self.identity
-        for _ in range(n):
-            out = self.multiply(out, g)
-        return out
-
     def ball(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> list:
         """Deterministically ordered list of all elements of length <= radius."""
         if radius < 0:
@@ -290,9 +282,6 @@ class FreeAbelianGroup(GroupModel):
     def array_add(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return A + B
 
-    def array_neg(self, A: np.ndarray) -> np.ndarray:
-        return -A
-
     def array_length(self, A: np.ndarray) -> np.ndarray:
         return np.abs(A).sum(axis=-1)
 
@@ -382,9 +371,6 @@ class CyclicGroup(GroupModel):
 
     def array_add(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return (A + B) % self.order
-
-    def array_neg(self, A: np.ndarray) -> np.ndarray:
-        return (-A) % self.order
 
     def array_length(self, A: np.ndarray) -> np.ndarray:
         r = A[..., 0] % self.order
@@ -655,11 +641,6 @@ class ProductGroup(GroupModel):
 
     def array_add(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         parts = [f.array_add(A[..., sl], B[..., sl])
-                 for f, sl in zip(self.factors, self._slices())]
-        return np.concatenate(parts, axis=-1)
-
-    def array_neg(self, A: np.ndarray) -> np.ndarray:
-        parts = [f.array_neg(A[..., sl])
                  for f, sl in zip(self.factors, self._slices())]
         return np.concatenate(parts, axis=-1)
 

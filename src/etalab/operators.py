@@ -291,7 +291,8 @@ class GapCertificate:
 
 
 def _block_norms(element: AlgebraElement) -> dict:
-    return {g: float(np.linalg.norm(M, 2)) for g, M in element.coeffs.items()}
+    return dict(zip(element.keys,
+                    np.linalg.norm(element.blocks, 2, axis=(1, 2)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +381,20 @@ class FourierSymbolOperator(EquivariantOperator):
         self.rank = element.group.rank
         self._spectra = {}
 
+    def symbol_grid(self, theta: np.ndarray) -> np.ndarray:
+        """``D(theta)`` on the tensor grid of the nodes ``theta`` per axis,
+        summed point by point."""
+        n = len(theta)
+        D = np.zeros((n,) * self.rank + (self.dim, self.dim), dtype=complex)
+        for g, A in zip(self.element.keys, self.element.blocks):
+            phase = np.ones((n,) * self.rank, dtype=complex)
+            for k in range(self.rank):
+                shape = [1] * self.rank
+                shape[k] = n
+                phase = phase * np.exp(1j * g[k] * theta).reshape(shape)
+            D += phase[..., None, None] * A
+        return D
+
     def _grid_spectrum(self, nodes: int):
         """The f-independent part of f(D(theta)) on the tensor grid of
         ``nodes`` Gauss-Legendre nodes per axis, built once per node count:
@@ -387,17 +402,7 @@ class FourierSymbolOperator(EquivariantOperator):
         closed form for ``dim == 2`` and ``eigh`` otherwise."""
         if nodes in self._spectra:
             return self._spectra[nodes]
-        theta, _ = _leggauss(nodes)
-        shape = (nodes,) * self.rank
-        D = np.zeros(shape + (self.dim, self.dim), dtype=complex)
-        for g, A in self.element.coeffs.items():
-            phase = np.ones(shape, dtype=complex)
-            for k in range(self.rank):
-                axis_phase = np.exp(1j * g[k] * theta)
-                reshape = [1] * self.rank
-                reshape[k] = nodes
-                phase = phase * axis_phase.reshape(reshape)
-            D += phase[..., None, None] * A
+        D = self.symbol_grid(_leggauss(nodes)[0])
         if self.dim == 1:
             spectrum = D[..., 0, 0].real
         elif self.dim == 2:
@@ -468,10 +473,11 @@ class FourierSymbolOperator(EquivariantOperator):
                 converged = True
                 break
         # the ball |g| <= R of the box, in the C order of np.ndindex
-        box = np.indices((2 * R + 1,) * self.rank).reshape(self.rank, -1).T
-        ball = box[group.array_length(box - R) <= R].tolist()
-        coeffs = {tuple(i - R for i in idx): prev[tuple(idx)] for idx in ball}
-        element = AlgebraElement(group, self.dim, coeffs)
+        box = np.indices((2 * R + 1,) * self.rank).reshape(self.rank, -1).T - R
+        ball = group.array_length(box) <= R
+        element = AlgebraElement._from_stack(
+            group, self.dim, list(map(tuple, box[ball].tolist())),
+            prev.reshape(-1, self.dim, self.dim)[ball])
         result = CalculusResult(element, err, tol, converged, self.backend,
                                 {"levels": levels, "f": f.tag, "t": f.t})
         return self._finish(result, strict)
@@ -521,7 +527,7 @@ class FourierSymbolOperator(EquivariantOperator):
         over ``g_0`` and ``eigvalsh`` in first-axis slabs of ~2M entries."""
         def grid(i, k):
             box = np.zeros((n,) * self.rank, dtype=complex)
-            for g, A in self.element.coeffs.items():
+            for g, A in zip(self.element.keys, self.element.blocks):
                 box[tuple(x % n for x in g)] += A[i, k]
             return np.fft.ifftn(box, norm="forward")
         if self.dim == 1:
@@ -532,7 +538,7 @@ class FourierSymbolOperator(EquivariantOperator):
             return float(np.abs(np.abs(mu) - r).min())
         rest = tuple(range(self.rank - 1))
         parts = {}
-        for g, A in self.element.coeffs.items():
+        for g, A in zip(self.element.keys, self.element.blocks):
             box = parts.setdefault(g[0] % n, np.zeros((n,) * len(rest)
                                                       + A.shape, complex))
             box[tuple(x % n for x in g[1:])] += A
@@ -735,7 +741,7 @@ class FreeConvolutionOperator(EquivariantOperator):
         group, band = self.group, self.band
         rows = np.zeros((len(group.ball(band)), 2 * band + 1))
         for i, x in enumerate(group.ball(band)):
-            for g, A in self.element.coeffs.items():
+            for g, A in zip(self.element.keys, self.element.blocks):
                 if g != group.identity:
                     k = (group.word_length(group.multiply(g, x))
                          - group.word_length(x))
@@ -750,8 +756,7 @@ class FreeConvolutionOperator(EquivariantOperator):
             a, c = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
             lo, hi = (lo, c) if schur(a) <= schur(c) else (a, hi)
         b, s = min((schur(s), s) for s in (lo, hi, 0.0))
-        mu = np.linalg.eigvalsh(self.element.coeffs.get(
-            group.identity, np.zeros((self.dim, self.dim))))
+        mu = np.linalg.eigvalsh(self.element.coefficient(group.identity))
         b += _SCHUR_ROUNDING * (b + float(np.abs(mu).max()))
         return mu, b, math.exp(s)
 
@@ -766,7 +771,7 @@ class FreeConvolutionOperator(EquivariantOperator):
         ball = group.ball(radius, budget=budget)
         index = {g: i for i, g in enumerate(ball)}
         rows, cols, data = [np.arange(0)], [np.arange(0)], [np.zeros(0)]
-        for g, A in self.element.coeffs.items():
+        for g, A in zip(self.element.keys, self.element.blocks):
             a, b = np.array([(index[x], j) for j, y in enumerate(ball)
                              if (x := group.multiply(g, y)) in index],
                             dtype=int).reshape(-1, 2).T
@@ -821,9 +826,10 @@ class FreeConvolutionOperator(EquivariantOperator):
             b_prev = 2.0 * (X @ b_cur) - b_next + c * e
             b_next, b_cur = b_cur, b_prev
         cols = (X @ b_cur) - b_next + coeffs[0] * e
-        element = AlgebraElement(self.group, m, {
-            g: cols[index[g] * m:(index[g] + 1) * m, :]
-            for g in self.group.ball(R)})
+        ball = self.group.ball(R)
+        element = AlgebraElement._from_stack(
+            self.group, m, ball,
+            cols.reshape(-1, m, m)[[index[g] for g in ball]])
         K = (2 * radius + 1 - R) // self.band if self.band else degree
         trunc_err = 2.0 * float(np.abs(coeffs[K + 1:]).sum())
         error = sup_err + trunc_err
@@ -859,7 +865,7 @@ def _dense_truncation_eig(element: AlgebraElement, truncation_radius: int,
             f"dense truncation needs a {n} x {n} matrix")
     index = {g: i for i, g in enumerate(ball)}
     H = np.zeros((n, n), dtype=complex)
-    for g, A in element.coeffs.items():
+    for g, A in zip(element.keys, element.blocks):
         for b, y in enumerate(ball):
             a = index.get(group.multiply(g, y))
             if a is not None:
@@ -930,7 +936,7 @@ def kernel_decay_constant(result_element: AlgebraElement, f: SchwartzFunction,
     the computed coefficients (optionally only those within fit_radius)."""
     group = result_element.group
     best = 0.0
-    for g, M in result_element.coeffs.items():
+    for g, M in zip(result_element.keys, result_element.blocks):
         l = group.word_length(g)
         if fit_radius is not None and l > fit_radius:
             continue
@@ -1027,7 +1033,7 @@ def kernel_decay_report(op: EquivariantOperator, f: SchwartzFunction, R: int,
                               fit_radius=fit_radius)
     holds = True
     worst = 0.0
-    for g, M in calc.element.coeffs.items():
+    for g, M in zip(calc.element.keys, calc.element.blocks):
         env = decay_envelope(f, group.word_length(g) / (mu * op.c_d), 0)
         bound = C * env + calc.error + 1e-15
         mass = float(np.abs(M).sum())
@@ -1158,5 +1164,6 @@ def functional_calculus(op: EquivariantOperator, f: SchwartzFunction, R: int,
 
 
 def gap_certificate(op: EquivariantOperator, **kwargs) -> GapCertificate:
-    """Certified lower bound on the distance from 0 to the nonzero spectrum."""
+    """Certified lower bound on dist(0, spec D); the finite-cover
+    certificate leaves out eigenvalues within its ``zero_tol`` of 0."""
     return op.gap_certificate(**kwargs)

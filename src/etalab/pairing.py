@@ -224,16 +224,8 @@ def fermi_projection(symbol: FourierSymbolOperator, *, grid: int = 128,
     if not isinstance(group, FreeAbelianGroup):
         raise PreconditionError("Fermi projection needs a lattice symbol")
     rank, dim = group.rank, el.dim
-    theta = 2.0 * np.pi * np.arange(grid) / grid
     axes = tuple(range(rank))
-    H = np.zeros((grid,) * rank + (dim, dim), dtype=complex)
-    for g, A in el.coeffs.items():
-        phase = np.ones((grid,) * rank, dtype=complex)
-        for k in range(rank):
-            shape = [1] * rank
-            shape[k] = grid
-            phase = phase * np.exp(1j * g[k] * theta).reshape(shape)
-        H += phase[..., None, None] * A
+    H = symbol.symbol_grid(2.0 * np.pi * np.arange(grid) / grid)
     lam, V = np.linalg.eigh(H)
     closest = float(np.abs(lam).min())
     if closest <= 1e-8:
@@ -247,9 +239,9 @@ def fermi_projection(symbol: FourierSymbolOperator, *, grid: int = 128,
     mags = np.abs(coeff_grid).max(axis=(-2, -1))
     keep = np.argwhere(mags > prune * mags.max())
     signed = (keep + grid // 2) % grid - grid // 2
-    coeffs = {tuple(int(x) for x in s): coeff_grid[tuple(idx)]
-              for idx, s in zip(keep, signed)}
-    return Idempotent(AlgebraElement(group, dim, coeffs), tol=tol)
+    return Idempotent(AlgebraElement._from_stack(
+        group, dim, list(map(tuple, signed.tolist())),
+        coeff_grid[tuple(keep.T)]), tol=tol)
 
 
 @functools.lru_cache(maxsize=1)

@@ -165,6 +165,12 @@ class TestExitCodes:
         assert code == 2
         assert "odd" in err
 
+    def test_over_budget_free_ball_exits_3(self):
+        code, _, err = run_cli("eta", "operator.kind=free", "class.element=a",
+                               "truncation.radius=30")
+        assert code == 3
+        assert "resource/io failure" in err
+
 
 class TestGapCommand:
     def test_wilson_gap_reports_one_half(self, tmp_path):
@@ -176,6 +182,20 @@ class TestGapCommand:
         assert doc["result"]["sigma"] == 0.5
         assert 0.49 < doc["result"]["lower_bound"] <= 0.5
         assert doc["schema"] == "etalab-report/1"
+
+    @pytest.mark.parametrize("kind, method, bounded", [
+        ("laplace", "symbol-grid-lipschitz", "dist(0, spec D)"),
+        ("free", "weighted-schur", "dist(0, spec D)"),
+        ("cover", "exact-eigenvalues", "dist(0, nonzero spectrum)"),
+    ])
+    def test_lower_bound_names_what_its_method_bounds(self, kind, method,
+                                                      bounded):
+        code, out, _ = run_cli("gap", f"operator.kind={kind}")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["result"]["method"] == method
+        assert doc["certification"]["lower_bound"] == \
+            f"certified lower bound on {bounded}"
 
     def test_class_spec_adds_a_threshold_block(self):
         code, out, _ = run_cli("gap", "operator.kind=laplace",
