@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# scipy is imported at its call sites so that commands which never
-# integrate do not load it.
+# scipy.special (erfc and erfcinv for the Gaussian tail cuts) is imported
+# at its call sites so that commands which never cut a tail do not load it.
 from .cyclic import CyclicCochain, Idempotent, certify_cyclic_cocycle, pair_phi_tr
 from .errors import CertificateError, PreconditionError
 from .group_algebra import AlgebraElement, convolve
@@ -46,6 +45,7 @@ from .operators import (
     functional_calculus,
     gap_certificate,
 )
+from .quadpack import quad
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -217,8 +217,6 @@ def _complex_quad(func, a: float, b: float, *, epsabs: float,
     pass fills a memo keyed by the exact float ``t`` and the imaginary pass
     reads it, so both returned parts come from the same samples.
     """
-    from scipy import integrate
-
     if b <= a:
         return 0.0 + 0.0j, 0.0
     memo: dict = {}
@@ -228,14 +226,10 @@ def _complex_quad(func, a: float, b: float, *, epsabs: float,
             memo[t] = func(t)
         return memo[t]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        re_val, re_err = integrate.quad(lambda t: sample(t).real, a, b,
-                                        epsabs=epsabs, epsrel=epsrel,
-                                        limit=limit)
-        im_val, im_err = integrate.quad(lambda t: sample(t).imag, a, b,
-                                        epsabs=epsabs, epsrel=epsrel,
-                                        limit=limit)
+    re_val, re_err = quad(lambda t: sample(t).real, a, b, epsabs=epsabs,
+                          epsrel=epsrel, limit=limit)
+    im_val, im_err = quad(lambda t: sample(t).imag, a, b, epsabs=epsabs,
+                          epsrel=epsrel, limit=limit)
     return complex(re_val, im_val), float(re_err + im_err)
 
 

@@ -64,11 +64,18 @@ def _stack_blocks(values: list, dim: int) -> np.ndarray:
     return blocks
 
 
-def _significant(blocks: np.ndarray) -> np.ndarray:
+def _significant(blocks: np.ndarray, point) -> np.ndarray:
     """Indices of the blocks whose largest entry exceeds ``ZERO_THRESHOLD``
-    times the largest entry of all (none if that is 0 or not a number)."""
+    times the largest entry of all (none if that is 0).  A NaN or infinite
+    entry raises a :class:`RepresentationError` naming ``point(i)``, the
+    group point of its block ``i``."""
     mags = np.abs(blocks).max(axis=(1, 2))
-    return np.flatnonzero(mags > mags.max(initial=0.0) * ZERO_THRESHOLD)
+    peak = mags.max(initial=0.0)
+    if not np.isfinite(peak):
+        bad = int(np.flatnonzero(~np.isfinite(mags))[0])
+        raise RepresentationError(
+            f"coefficient at {point(bad)!r} is not finite")
+    return np.flatnonzero(mags > peak * ZERO_THRESHOLD)
 
 
 class _BlockStack:
@@ -188,7 +195,7 @@ class AlgebraElement(_BlockStack):
 
     def cleanup(self) -> "AlgebraElement":
         """Drop coefficients of negligible relative magnitude, in place."""
-        keep = _significant(self.blocks)
+        keep = _significant(self.blocks, self.keys.__getitem__)
         if len(keep) < len(self.keys):
             self._adopt(self.group, self.dim, [self.keys[i] for i in keep],
                         self.blocks[keep])
@@ -333,7 +340,8 @@ def _convolve_lattice_fft(A: AlgebraElement, B: AlgebraElement) -> AlgebraElemen
     fb = np.fft.fftn(b, s=full, axes=axes)
     out = np.fft.ifftn(np.einsum("...ik,...kj->...ij", fa, fb), axes=axes)
     flat = out.reshape(-1, A.dim, A.dim)
-    keep = _significant(flat)
+    keep = _significant(flat, lambda i: tuple(
+        (np.unravel_index(i, full) + alo + blo).tolist()))
     pts = np.indices(full).reshape(rank, -1).T[keep] + (alo + blo)
     return AlgebraElement._from_stack(A.group, A.dim,
                                       list(map(tuple, pts.tolist())),

@@ -38,8 +38,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# scipy is imported at its call sites so that commands which never
-# integrate do not load it.
+# scipy.special (erf for the loop unitary) and scipy.sparse (the free-group
+# truncation) are imported at their call sites so that commands which never
+# use them do not load them.
 from .errors import (
     CertificateError,
     PreconditionError,
@@ -55,6 +56,7 @@ from .groups import (
     GroupModel,
     growth_constants,
 )
+from .quadpack import quad
 
 HERMITIAN_TOL = 1e-12
 DEFAULT_MU = 1.1
@@ -156,14 +158,13 @@ def _gaussian_derivative_polys(base: str, max_order: int):
 @lru_cache(maxsize=None)
 def _gaussian_tail_integral(base: str, n: int, sigma: float) -> float:
     """E_n(sigma) = 2 int_sigma^inf |p_n(xi)| exp(-xi^2/4) dxi."""
-    from scipy import integrate
-
     poly = _gaussian_derivative_polys(base, n)[n]
 
     def integrand(xi):
         return abs(poly(xi)) * math.exp(-xi * xi / 4.0)
 
-    val, _ = integrate.quad(integrand, sigma, np.inf, limit=200)
+    val, _ = quad(integrand, sigma, math.inf, epsabs=1.49e-8, epsrel=1.49e-8,
+                  limit=200)
     return 2.0 * val
 
 

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy is imported at its call sites so that commands which never
-# integrate do not load it.
 from .cyclic import (
     CyclicCochain,
     Idempotent,
@@ -42,6 +40,7 @@ from .eta import InvertiblePath, invertible_path, loop_coefficient, tau_pair
 from .group_algebra import AlgebraElement
 from .groups import CyclicGroup, FreeAbelianGroup
 from .operators import FourierSymbolOperator, two_band_chern_symbol
+from .quadpack import quad
 
 
 def scalar_loop_integral(m: int) -> float:
@@ -54,13 +53,10 @@ def scalar_loop_integral(m: int) -> float:
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise PreconditionError(f"loop power must be a nonnegative integer, "
                                 f"got {m!r}")
-    from scipy import integrate
-
     def f(s: float) -> float:
         return (2.0 - 2.0 * math.cos(2.0 * math.pi * s)) ** m
 
-    val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-13,
-                            limit=200)
+    val, _ = quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-13, limit=200)
     return float(val)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,25 @@ def test_cleanup_drops_noise():
     zero = AlgebraElement(Z, 1, {(0,): np.array([[0.0]])})
     assert zero.support == []
     assert zero.max_abs() == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan),
+                                 complex(-np.inf, 0.0)])
+def test_non_finite_coefficient_is_a_representation_error(bad):
+    # A non-finite peak makes every block fail the relative drop rule, which
+    # would erase the element; the offending point is named instead.
+    with pytest.raises(RepresentationError, match=r"\(1,\)"):
+        AlgebraElement(Z, 1, {(0,): 1.0, (1,): bad})
+    with pytest.raises(RepresentationError, match=r"\(0, 2\)"):
+        AlgebraElement(Z2, 2, {(0, 0): np.eye(2),
+                               (0, 2): np.array([[1.0, bad], [0.0, 1.0]])})
+    ab = F2.element_from_text("ab")
+    with pytest.raises(RepresentationError, match=re.escape(repr(ab))), \
+            np.errstate(invalid="ignore"):
+        AlgebraElement.from_terms(F2, [(F2.identity, 1.0), (ab, bad)])
+    # without cleanup the element is kept as given
+    kept = AlgebraElement(Z, 1, {(0,): 1.0, (1,): bad}, cleanup=False)
+    assert kept.keys == ((0,), (1,))
 
 
 def test_serialization_roundtrip():
