@@ -145,7 +145,10 @@ class RunConfig:
     """Every tunable of a run, resolved from defaults, file, and overrides.
 
     ``operator_mass = None`` means "use the model's own default"; a
-    truncation ``radius`` of 0 requests the automatic choice.
+    truncation ``radius`` of 0 requests the automatic choice; an empty
+    ``class_element`` means the group's first generator ("1" on Z and Z/k,
+    "a" on F_r, "1,0" on Z^2), and so does an empty ``cocycle_element``
+    when ``class_element`` is empty too.
     """
 
     group_kind: str = "lattice"
@@ -154,7 +157,7 @@ class RunConfig:
     operator_kind: str = "laplace"
     operator_mass: float | None = None
     operator_seed: int = 0
-    class_element: str = "1"
+    class_element: str = ""
     cocycle_kind: str = "class_trace"
     cocycle_element: str = ""
     cocycle_plane: str = "0,1"
@@ -373,6 +376,13 @@ def _parse_element(group: GroupModel, text: str, key: str):
         raise ConfigError(f"{key}: {exc}")
 
 
+def _class_element(group: GroupModel, text: str, key: str):
+    """``text`` as an element of ``group``; "" is its first generator (the
+    identity of a trivial group)."""
+    first = (group.generators() or [group.identity])[0]
+    return _parse_element(group, text or group.element_to_text(first), key)
+
+
 def _read_json_file(path: str, key: str) -> dict:
     if not path:
         raise ConfigError(f"{key}: a file path is required")
@@ -422,7 +432,7 @@ def build_cocycle(group: GroupModel, cfg: RunConfig) -> CyclicCochain:
     if kind == "table":
         return _table_from_file(group, cfg)
     el_text = cfg.cocycle_element or cfg.class_element
-    el = _parse_element(group, el_text, "cocycle.element")
+    el = _class_element(group, el_text, "cocycle.element")
     if kind == "class_trace":
         return class_trace_cochain(group.conjugacy_class(el))
     if kind == "shifted_class_trace":
@@ -564,7 +574,7 @@ def _eta_outcome(report) -> Outcome:
 def run_eta(cfg: RunConfig, provided: set) -> Outcome:
     op = build_operator(cfg)
     group = op.element.group
-    el = _parse_element(group, cfg.class_element, "class.element")
+    el = _class_element(group, cfg.class_element, "class.element")
     report = eta_class(op, group.conjugacy_class(el), tol=cfg.tol,
                        radius=cfg.radius or None,
                        growth_radius=cfg.growth_radius,
@@ -618,7 +628,7 @@ def run_gap(cfg: RunConfig, provided: set) -> Outcome:
                                 "certified)"))
     if "class.element" in provided or "cocycle.kind" in provided:
         group = op.element.group
-        el = _parse_element(group, cfg.class_element, "class.element")
+        el = _class_element(group, cfg.class_element, "class.element")
         phi = build_cocycle(group, cfg) if "cocycle.kind" in provided else None
         th = gap_thresholds(op, group.conjugacy_class(el), phi,
                             radius=cfg.growth_radius)

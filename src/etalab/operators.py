@@ -4,11 +4,12 @@ Three backends realize self-adjoint, translation-equivariant, finite-band
 operators ``D`` acting on ``l^2(G) (x) C^m``:
 
 * :class:`FourierSymbolOperator` — ``G = Z^d``, ``D`` given by a matrix-valued
-  trigonometric polynomial ``theta -> D(theta)``; ``f(D)`` coefficients are
-  Fourier integrals evaluated by tensor Gauss-Legendre quadrature with
-  successive-level agreement as the error certificate.  The gap certificate
-  is the min |eigenvalue| over uniform grids, each evaluated by inverse FFT,
-  less the Weyl/Lipschitz slack ``(pi/n) sum_k L_k``.
+  trigonometric polynomial ``theta -> D(theta)``, evaluated on uniform grids
+  ``theta_j = 2 pi j / n`` by inverse FFT.  ``f(D)`` coefficients are the
+  forward FFT of ``f(D(theta_j))`` (the trapezoid rule), with the agreement
+  of successive 5-smooth ``n`` as the error certificate.  The gap
+  certificate is the min |eigenvalue| over the same grids less the
+  Weyl/Lipschitz slack ``(pi/n) sum_k L_k``.
 * :class:`FiniteCoverOperator` — finite ``G``; ``D`` is an explicit Hermitian
   matrix on the cover with a free deck representation; the calculus is an
   exact eigendecomposition.
@@ -41,6 +42,7 @@ import numpy as np
 # scipy.special (erf for the loop unitary) and scipy.sparse (the free-group
 # truncation) are imported at their call sites so that commands which never
 # use them do not load them.
+from .cyclic import _fast_len
 from .errors import (
     CertificateError,
     PreconditionError,
@@ -61,6 +63,7 @@ from .quadpack import quad
 HERMITIAN_TOL = 1e-12
 DEFAULT_MU = 1.1
 _GRID_CAPS = {1: 1 << 16, 2: 1 << 10, 3: 1 << 7}  # symbol gap grid, by rank
+_CALCULUS_MAX_NODES = 400  # symbol calculus grid, per axis
 # free-kernel Schur enclosure: log rho bracket, steps, rounding allowance
 _SCHUR_LOG_RHO_MIN = -16.0
 _SCHUR_STEPS = 80
@@ -251,11 +254,6 @@ def decay_envelope(f: SchwartzFunction, s: float, N: int = 0) -> float:
     raise PreconditionError(f"{f.tag} carries no decay envelope")
 
 
-def schwartz_norm(f: SchwartzFunction, N: int = 0) -> float:
-    """The analytic-family norm used in trace-tail constants: F_f(0)."""
-    return decay_envelope(f, 0.0, N)
-
-
 # ---------------------------------------------------------------------------
 # calculus results and gap certificates
 # ---------------------------------------------------------------------------
@@ -356,12 +354,6 @@ class EquivariantOperator:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return np.pi * (x + 1.0), np.pi * w  # nodes/weights on [0, 2 pi]
-
-
 def _hermitian_2x2(d00, d11, d01):
     """(mu, delta, b, r) of Hermitian 2x2 blocks, with eigenvalues mu +- r."""
     mu = 0.5 * (d00 + d11).real
@@ -371,7 +363,12 @@ def _hermitian_2x2(d00, d11, d01):
 
 class FourierSymbolOperator(EquivariantOperator):
     """Matrix trigonometric polynomial ``D(theta) = sum_g A_g e^{i g.theta}``
-    acting by convolution on ``l^2(Z^d) (x) C^m``."""
+    acting by convolution on ``l^2(Z^d) (x) C^m``.
+
+    Every evaluation of ``D`` is on a uniform grid ``theta_j = 2 pi j / n``
+    (:meth:`_symbol_channel`), and every read-out of ``f(D)`` is the forward
+    FFT of ``f(D(theta_j))`` (:meth:`_coefficient_grid`): the trapezoid rule
+    for the Fourier integral of a periodic integrand."""
 
     backend = "fourier_symbol"
 
@@ -382,40 +379,40 @@ class FourierSymbolOperator(EquivariantOperator):
         self.rank = element.group.rank
         self._spectra = {}
 
-    def symbol_grid(self, theta: np.ndarray) -> np.ndarray:
-        """``D(theta)`` on the tensor grid of the nodes ``theta`` per axis,
-        summed point by point."""
-        n = len(theta)
-        D = np.zeros((n,) * self.rank + (self.dim, self.dim), dtype=complex)
+    def _symbol_channel(self, n: int, i: int, k: int) -> np.ndarray:
+        """``D_ik`` on the grid ``theta_j = 2 pi j / n``: one inverse FFT of
+        ``A_g[i, k]`` added at ``g mod n`` (exact aliasing)."""
+        box = np.zeros((n,) * self.rank, dtype=complex)
         for g, A in zip(self.element.keys, self.element.blocks):
-            phase = np.ones((n,) * self.rank, dtype=complex)
-            for k in range(self.rank):
-                shape = [1] * self.rank
-                shape[k] = n
-                phase = phase * np.exp(1j * g[k] * theta).reshape(shape)
-            D += phase[..., None, None] * A
-        return D
+            box[tuple(x % n for x in g)] += A[i, k]
+        return np.fft.ifftn(box, norm="forward")
 
-    def _grid_spectrum(self, nodes: int):
-        """The f-independent part of f(D(theta)) on the tensor grid of
-        ``nodes`` Gauss-Legendre nodes per axis, built once per node count:
+    def _spectrum(self, n: int):
+        """The f-independent part of f(D(theta)) on the n^d uniform grid:
         the real symbol for ``dim == 1``, ``(mu, delta, b, r)`` of the 2x2
-        closed form for ``dim == 2`` and ``eigh`` otherwise."""
-        if nodes in self._spectra:
-            return self._spectra[nodes]
-        D = self.symbol_grid(_leggauss(nodes)[0])
-        if self.dim == 1:
-            spectrum = D[..., 0, 0].real
-        elif self.dim == 2:
-            spectrum = _hermitian_2x2(D[..., 0, 0], D[..., 1, 1], D[..., 0, 1])
-        else:
-            spectrum = np.linalg.eigh(D)
-        self._spectra[nodes] = spectrum
-        return spectrum
+        closed form (from real copies of the diagonals) for ``dim == 2`` and
+        ``eigh`` otherwise."""
+        m = self.dim
+        if m == 1:
+            return self._symbol_channel(n, 0, 0).real.copy()
+        if m == 2:
+            return _hermitian_2x2(self._symbol_channel(n, 0, 0).real.copy(),
+                                  self._symbol_channel(n, 1, 1).real.copy(),
+                                  self._symbol_channel(n, 0, 1))
+        return np.linalg.eigh(np.stack(
+            [np.stack([self._symbol_channel(n, i, k) for k in range(m)], -1)
+             for i in range(m)], -2))
 
-    def _apply_on_grid(self, f: SchwartzFunction, nodes: int) -> np.ndarray:
-        """f(D(theta)) on the tensor grid of ``nodes`` nodes per axis."""
-        spectrum = self._grid_spectrum(nodes)
+    def _grid_spectrum(self, n: int):
+        """:meth:`_spectrum`, built once per calculus node count ``n``."""
+        if n not in self._spectra:
+            self._spectra[n] = self._spectrum(n)
+        return self._spectra[n]
+
+    def _apply_on_grid(self, f, n: int) -> np.ndarray:
+        """f(D(theta)) on the n^d uniform grid, for a callable ``f`` acting
+        elementwise on real arrays."""
+        spectrum = self._grid_spectrum(n)
         if self.dim == 1:
             return f(spectrum)[..., None, None]
         if self.dim == 2:
@@ -434,36 +431,35 @@ class FourierSymbolOperator(EquivariantOperator):
         fl = f(lam)
         return np.einsum("...ij,...j,...kj->...ik", U, fl, np.conj(U))
 
+    def _coefficient_grid(self, f, n: int) -> np.ndarray:
+        """Trapezoid coefficients of f(D): entry ``a mod n`` approximates
+        ``c_a`` up to the aliasing ``sum_{b != 0} c_{a + b n}``."""
+        return np.fft.fftn(self._apply_on_grid(f, n),
+                           axes=tuple(range(self.rank)), norm="forward")
+
     def _coefficient_box(self, f: SchwartzFunction, R: int,
-                         nodes: int) -> np.ndarray:
-        """All coefficients c_a, a in [-R, R]^d, at one quadrature level."""
-        theta, w = _leggauss(nodes)
-        F = self._apply_on_grid(f, nodes)
-        a_range = np.arange(-R, R + 1)
-        # per-axis contraction matrices E[a, j] = w_j exp(-i a theta_j) / 2pi
-        E = (w[None, :] * np.exp(-1j * np.outer(a_range, theta))
-             / (2.0 * np.pi))
-        out = F
-        for _ in range(self.rank):
-            # contract the leading grid axis against E, append result axis last
-            out = np.tensordot(E, out, axes=([1], [0]))
-            out = np.moveaxis(out, 0, self.rank - 1)
-        return out  # shape (2R+1,)*d + (m, m)
+                         n: int) -> np.ndarray:
+        """All coefficients c_a, a in [-R, R]^d, on the n^d grid."""
+        idx = np.arange(-R, R + 1) % n
+        return self._coefficient_grid(f, n)[np.ix_(*[idx] * self.rank)]
 
     def functional_calculus(self, f: SchwartzFunction, R: int,
                             tol: float = 1e-10, *,
-                            strict: bool = True,
-                            start_nodes: int = 24,
-                            max_nodes: int = 400) -> CalculusResult:
+                            strict: bool = True) -> CalculusResult:
+        """Coefficients of f(D) on the ball of radius ``R``, by the
+        trapezoid rule on 5-smooth grids ``n`` from ``_fast_len(max(24,
+        2R + 1))`` (so the read box never aliases onto itself) growing by
+        about 1.5 up to ``_CALCULUS_MAX_NODES``; ``error`` is the agreement
+        of the last two levels."""
         self._check_radius(R)
         group: FreeAbelianGroup = self.group
-        nodes = start_nodes
+        nodes = _fast_len(max(24, 2 * R + 1))
         prev = self._coefficient_box(f, R, nodes)
         err = math.inf
         levels = [nodes]
         while True:
-            nodes = int(math.ceil(nodes * 1.5))
-            if nodes > max_nodes:
+            nodes = _fast_len(math.ceil(nodes * 1.5))
+            if nodes > _CALCULUS_MAX_NODES:
                 converged = False
                 break
             cur = self._coefficient_box(f, R, nodes)
@@ -520,22 +516,15 @@ class FourierSymbolOperator(EquivariantOperator):
                               {"history": history})
 
     def _uniform_grid_min(self, n: int) -> float:
-        """min |eigenvalue| of ``D`` on the grid ``theta_j = 2 pi j / n``.
-        ``grid(i, k)`` is ``D_ik``: one inverse FFT of ``A_g`` added at
-        ``g mod n`` (exact aliasing).  For ``dim == 2``: ``||mu| - r|``, from
-        real copies of the diagonals.  For ``dim >= 3``: one block inverse
-        FFT over the other axes per first offset ``g_0 mod n``, then the sum
-        over ``g_0`` and ``eigvalsh`` in first-axis slabs of ~2M entries."""
-        def grid(i, k):
-            box = np.zeros((n,) * self.rank, dtype=complex)
-            for g, A in zip(self.element.keys, self.element.blocks):
-                box[tuple(x % n for x in g)] += A[i, k]
-            return np.fft.ifftn(box, norm="forward")
+        """min |eigenvalue| of ``D`` on the grid ``theta_j = 2 pi j / n``,
+        uncached.  For ``dim <= 2``: from :meth:`_spectrum`, ``||mu| - r|``
+        for 2x2 blocks.  For ``dim >= 3``: one block inverse FFT over the
+        other axes per first offset ``g_0 mod n``, then the sum over ``g_0``
+        and ``eigvalsh`` in first-axis slabs of ~2M entries."""
         if self.dim == 1:
-            return float(np.abs(grid(0, 0).real).min())
+            return float(np.abs(self._spectrum(n)).min())
         if self.dim == 2:
-            mu, _, _, r = _hermitian_2x2(grid(0, 0).real.copy(),
-                                         grid(1, 1).real.copy(), grid(0, 1))
+            mu, _, _, r = self._spectrum(n)
             return float(np.abs(np.abs(mu) - r).min())
         rest = tuple(range(self.rank - 1))
         parts = {}

@@ -209,34 +209,28 @@ def fermi_projection(symbol: FourierSymbolOperator, *, grid: int = 128,
                      tol: float = 1e-12) -> Idempotent:
     """Projection onto the negative spectrum of a gapped Fourier symbol.
 
-    Diagonalizes the symbol on a uniform frequency grid, transforms the
-    spectral projector back to convolution coefficients, and prunes
-    relative magnitudes below ``prune``; idempotency of the result is
-    validated within ``tol``.  Refuses symbols whose sampled spectrum
-    touches zero.
+    Applies the step ``x < 0`` to the symbol on the uniform frequency grid
+    of ``grid`` points per axis, reads all convolution coefficients off by
+    one forward FFT, and prunes relative magnitudes below ``prune``;
+    idempotency of the result is validated within ``tol``.  Refuses
+    symbols whose sampled spectrum touches zero.
     """
     el = symbol.element
     group = el.group
     if not isinstance(group, FreeAbelianGroup):
         raise PreconditionError("Fermi projection needs a lattice symbol")
-    rank, dim = group.rank, el.dim
-    axes = tuple(range(rank))
-    H = symbol.symbol_grid(2.0 * np.pi * np.arange(grid) / grid)
-    lam, V = np.linalg.eigh(H)
-    closest = float(np.abs(lam).min())
+    closest = symbol._uniform_grid_min(grid)
     if closest <= 1e-8:
         raise PreconditionError(
             f"symbol spectrum touches zero on the sampled grid (closest "
             f"eigenvalue {closest:.3e}); the Fermi projection needs a "
             "gapped symbol")
-    below = (lam < 0).astype(float)
-    P = np.einsum("...ik,...k,...jk->...ij", V, below, V.conj())
-    coeff_grid = np.fft.fftn(P, axes=axes) / float(grid) ** rank
+    coeff_grid = symbol._coefficient_grid(lambda x: (x < 0) + 0.0, grid)
     mags = np.abs(coeff_grid).max(axis=(-2, -1))
     keep = np.argwhere(mags > prune * mags.max())
     signed = (keep + grid // 2) % grid - grid // 2
     return Idempotent(AlgebraElement._from_stack(
-        group, dim, list(map(tuple, signed.tolist())),
+        group, el.dim, list(map(tuple, signed.tolist())),
         coeff_grid[tuple(keep.T)]), tol=tol)
 
 

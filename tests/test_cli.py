@@ -249,6 +249,12 @@ class TestEtaCommand:
         assert set(cert["interval_errors"]) == {"small_t", "mid_t",
                                                 "calculus"}
 
+    def test_default_class_is_the_first_generator_of_any_lattice(self):
+        # an empty class.element means (1, 0) on Z^2, not the text "1"
+        code, out, _ = run_cli("eta", "operator.kind=two_band")
+        assert code == 0
+        assert json.loads(out)["config"]["class.element"] == ""
+
     def test_seed_flag_lands_in_the_echo(self, tmp_path):
         out_path = tmp_path / "r.json"
         code, _, _ = run_cli("gap", "operator.kind=wilson", "--seed", "11",

@@ -5,7 +5,7 @@ Oracles used here are independent of the production routes:
 * dense eigendecomposition of full cover matrices with deck-translate
   sign sums (production integrates certified class traces in time);
 * QUADPACK integration of explicit Fourier-side formulas in theta
-  (production evaluates symbols on Gauss-Legendre ladders);
+  (production evaluates symbols on uniform FFT grids);
 * closed forms: constant-signature vanishing, Taylor coefficients of
   the small-time limit, the unit pairing 2i/pi of the twisted two-band
   model, and the exact loop pairing -2 tr(p) of character projectors;

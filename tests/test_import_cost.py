@@ -4,7 +4,7 @@ scipy is imported where it is called, so the commands that never integrate
 (``gap``, ``norms``, ``cocycle-check``) run without loading it, and
 ``ETALAB_THREADS`` reaches the environment before NumPy's BLAS reads it.
 ``FourierSymbolOperator`` builds the f-independent spectral data of its
-symbol once per quadrature node count, and cuts the word-length ball out of
+symbol once per grid size, and cuts the word-length ball out of
 the coefficient box in one array operation.  The cached and vectorised
 routes are checked bit for bit against the straightforward code they
 replace.
@@ -25,7 +25,6 @@ from etalab.groups import FreeAbelianGroup
 from etalab.operators import (
     FourierSymbolOperator,
     SchwartzFunction,
-    _leggauss,
     anisotropic_symbol_3d,
     lattice_laplace_symbol,
     two_band_chern_symbol,
@@ -123,16 +122,9 @@ OPERATORS = {
 
 def uncached_apply_on_grid(op, f, nodes):
     """f(D(theta)) built from scratch for one f, as before the cache."""
-    theta, _ = _leggauss(nodes)
-    shape = (nodes,) * op.rank
-    D = np.zeros(shape + (op.dim, op.dim), dtype=complex)
-    for g, A in op.element.coeffs.items():
-        phase = np.ones(shape, dtype=complex)
-        for k in range(op.rank):
-            reshape = [1] * op.rank
-            reshape[k] = nodes
-            phase = phase * np.exp(1j * g[k] * theta).reshape(reshape)
-        D += phase[..., None, None] * A
+    D = np.stack([np.stack([op._symbol_channel(nodes, i, k)
+                            for k in range(op.dim)], -1)
+                  for i in range(op.dim)], -2)
     if op.dim == 1:
         return f(D[..., 0, 0].real)[..., None, None]
     if op.dim == 2:
@@ -174,14 +166,13 @@ def test_grid_values_match_the_uncached_route(name):
 def test_warm_cache_gives_the_fresh_result(name):
     make = OPERATORS[name]
     R = 2 if name == "anisotropic3d" else 3
-    kwargs = {"max_nodes": 60} if name == "anisotropic3d" else {}
     f = SchwartzFunction("xgauss", 0.8)
-    fresh = make().functional_calculus(f, R, 1e-8, strict=False, **kwargs)
+    fresh = make().functional_calculus(f, R, 1e-8, strict=False)
     warm = make()
     warm.functional_calculus(SchwartzFunction("gauss", 1.7), R, 1e-8,
-                             strict=False, **kwargs)
+                             strict=False)
     cached = dict(warm._spectra)
-    again = warm.functional_calculus(f, R, 1e-8, strict=False, **kwargs)
+    again = warm.functional_calculus(f, R, 1e-8, strict=False)
     assert again.error == fresh.error
     assert again.diagnostics == fresh.diagnostics
     assert_same_element(again.element, fresh.element)
@@ -233,7 +224,7 @@ def test_ball_cut_keeps_the_keys_and_order_of_the_loop(rank):
     R = 3 if rank < 3 else 2
     op = scalar_lattice_symbol(rank)
     f = SchwartzFunction("gauss", 0.9)
-    res = op.functional_calculus(f, R, 1e-8, strict=False, max_nodes=60)
+    res = op.functional_calculus(f, R, 1e-8, strict=False)
     box = op._coefficient_box(f, R, res.diagnostics["levels"][-1])
     loop = {}
     for idx in np.ndindex(*(2 * R + 1,) * rank):

@@ -3,7 +3,7 @@
 Oracles used here are independent of the production routes:
 
 * adaptive QUADPACK integration of explicit Fourier/transform formulas
-  (production uses Gauss-Legendre ladders and closed-form tables);
+  (production uses trapezoid ladders on FFT grids and closed-form tables);
 * dense eigendecomposition of truncated convolution matrices
   (production uses symbol quadrature or sparse Chebyshev recurrences);
 * the spectral measure of the 4-regular tree in closed form
@@ -48,7 +48,6 @@ from etalab.operators import (
     gap_certificate,
     kernel_decay_report,
     lattice_laplace_symbol,
-    schwartz_norm,
     wilson_symbol,
 )
 
@@ -246,10 +245,6 @@ class TestDecayEnvelopes:
             assert abs(decay_envelope(f2, s, 0)
                        - decay_envelope(f1, s / 2.0, 0)) < 1e-12
 
-    def test_schwartz_norm_is_envelope_at_zero(self):
-        f = SchwartzFunction("gauss", 1.3)
-        assert schwartz_norm(f) == decay_envelope(f, 0.0, 0)
-
     def test_negative_arguments_rejected(self):
         f = SchwartzFunction("gauss", 1.0)
         with pytest.raises(PreconditionError):
@@ -360,12 +355,11 @@ class TestFourierSymbol:
         op = lattice_laplace_symbol()
         f = SchwartzFunction("gauss", 3.0)
         with pytest.raises(CertificateError) as err:
-            op.functional_calculus(f, 6, 1e-12, start_nodes=4, max_nodes=6)
+            op.functional_calculus(f, 6, 1e-30)
         assert err.value.invariant == "calculus-error-target"
-        res = op.functional_calculus(f, 6, 1e-12, start_nodes=4, max_nodes=6,
-                                     strict=False)
+        res = op.functional_calculus(f, 6, 1e-30, strict=False)
         assert not res.converged
-        assert res.error > 1e-12
+        assert res.error > 1e-30
 
     def test_gap_certificate_scalar_laplace(self):
         cert = lattice_laplace_symbol().gap_certificate()
