@@ -147,8 +147,8 @@ class RunConfig:
     ``operator_mass = None`` means "use the model's own default"; a
     truncation ``radius`` of 0 requests the automatic choice; an empty
     ``class_element`` means the group's first generator ("1" on Z and Z/k,
-    "a" on F_r, "1,0" on Z^2), and so does an empty ``cocycle_element``
-    when ``class_element`` is empty too.
+    "a" on F_r, "1,0" on Z^2), and a command that uses the class writes
+    that text back; an empty ``cocycle_element`` means ``class_element``.
     """
 
     group_kind: str = "lattice"
@@ -376,11 +376,14 @@ def _parse_element(group: GroupModel, text: str, key: str):
         raise ConfigError(f"{key}: {exc}")
 
 
-def _class_element(group: GroupModel, text: str, key: str):
-    """``text`` as an element of ``group``; "" is its first generator (the
-    identity of a trivial group)."""
-    first = (group.generators() or [group.identity])[0]
-    return _parse_element(group, text or group.element_to_text(first), key)
+def _class_element(group: GroupModel, cfg: RunConfig):
+    """``class.element`` as an element of ``group``. An empty one is the
+    first generator (the identity of a trivial group), and its text is
+    written back into ``cfg`` so that the config echo names the class."""
+    if not cfg.class_element:
+        first = (group.generators() or [group.identity])[0]
+        cfg.class_element = group.element_to_text(first)
+    return _parse_element(group, cfg.class_element, "class.element")
 
 
 def _read_json_file(path: str, key: str) -> dict:
@@ -431,8 +434,8 @@ def build_cocycle(group: GroupModel, cfg: RunConfig) -> CyclicCochain:
     kind = cfg.cocycle_kind
     if kind == "table":
         return _table_from_file(group, cfg)
-    el_text = cfg.cocycle_element or cfg.class_element
-    el = _class_element(group, el_text, "cocycle.element")
+    el = (_parse_element(group, cfg.cocycle_element, "cocycle.element")
+          if cfg.cocycle_element else _class_element(group, cfg))
     if kind == "class_trace":
         return class_trace_cochain(group.conjugacy_class(el))
     if kind == "shifted_class_trace":
@@ -574,7 +577,7 @@ def _eta_outcome(report) -> Outcome:
 def run_eta(cfg: RunConfig, provided: set) -> Outcome:
     op = build_operator(cfg)
     group = op.element.group
-    el = _class_element(group, cfg.class_element, "class.element")
+    el = _class_element(group, cfg)
     report = eta_class(op, group.conjugacy_class(el), tol=cfg.tol,
                        radius=cfg.radius or None,
                        growth_radius=cfg.growth_radius,
@@ -628,7 +631,7 @@ def run_gap(cfg: RunConfig, provided: set) -> Outcome:
                                 "certified)"))
     if "class.element" in provided or "cocycle.kind" in provided:
         group = op.element.group
-        el = _class_element(group, cfg.class_element, "class.element")
+        el = _class_element(group, cfg)
         phi = build_cocycle(group, cfg) if "cocycle.kind" in provided else None
         th = gap_thresholds(op, group.conjugacy_class(el), phi,
                             radius=cfg.growth_radius)

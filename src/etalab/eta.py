@@ -10,11 +10,12 @@ for a gapped equivariant operator ``D`` and a nontrivial conjugacy class
     eta_phi = (m!/(pi i)) * int_0^inf
               phi # tr( u'_t u_t^{-1} (x) ((u_t - 1)(x)(u_t^{-1} - 1))^{(x)m} ) dt
 
-driven by the spectral-flow unitary ``u_t = -exp(i pi erf(t D))``.  Every
-report splits the integral at t = 1, integrates each finite leg adaptively,
-cuts the tail at a certified point T where a closed-form envelope built from
-the gap certificate and the cochain growth constants drops below a tenth of
-the tolerance, and records the per-leg error budget next to the value.
+driven by the spectral-flow unitary ``u_t = -exp(i pi erf(t D))``.  Both go
+through one driver, ``_certified_integral``: it cuts the tail at the first
+point T of a half-integer ladder where a closed-form envelope built from the
+gap certificate (and the cochain growth constants) drops below a tenth of
+the tolerance, integrates [0, 1] and [1, T] adaptively, and records the
+per-leg error budget next to the value.
 
 The same machinery evaluates the pairing of a cocycle with an invertible
 path (``tau_pair``); for the spectral-flow families the path is traversed
@@ -30,8 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# scipy.special (erfc and erfcinv for the Gaussian tail cuts) is imported
-# at its call sites so that commands which never cut a tail do not load it.
 from .cyclic import CyclicCochain, Idempotent, certify_cyclic_cocycle, pair_phi_tr
 from .errors import CertificateError, PreconditionError
 from .group_algebra import AlgebraElement, convolve
@@ -171,8 +170,9 @@ class EtaReport:
     """A certified eta value with its full error budget.
 
     The integral is split at ``split_points = (0, 1, T)``: the two finite
-    legs carry adaptive-quadrature error estimates plus the integrated
-    per-evaluation calculus certificates, and everything beyond ``T`` is
+    legs carry adaptive-quadrature error estimates (``small_t``, ``mid_t``)
+    plus the integrated per-evaluation certificates (``calculus``, and for
+    the class trace ``class_tail``), and everything beyond ``T`` is
     covered by the closed-form ``tail_bound`` whose ingredients are echoed
     in ``tail_constants``. ``samples`` holds every evaluated integrand point
     as ``(t, value, certified_abs_bound)``.
@@ -208,7 +208,6 @@ class EtaReport:
 
 
 def _complex_quad(func, a: float, b: float, *, epsabs: float,
-                  limit: int = 200,
                   epsrel: float = 1e-10) -> tuple[complex, float]:
     """Adaptive quadrature of a complex integrand; returns (value, error).
 
@@ -227,10 +226,61 @@ def _complex_quad(func, a: float, b: float, *, epsabs: float,
         return memo[t]
 
     re_val, re_err = quad(lambda t: sample(t).real, a, b, epsabs=epsabs,
-                          epsrel=epsrel, limit=limit)
+                          epsrel=epsrel, limit=200)
     im_val, im_err = quad(lambda t: sample(t).imag, a, b, epsabs=epsabs,
-                          epsrel=epsrel, limit=limit)
+                          epsrel=epsrel, limit=200)
     return complex(re_val, im_val), float(re_err + im_err)
+
+
+def _tail_cut(tail_at, g0: float, target: float) -> float:
+    """First T on the half-integer ladder from ``max(1, 1/(g0 sqrt 2))``
+    with ``tail_at(T) <= target``; the ladder stops at 40."""
+    t_cut = max(1.0, 1.0 / (g0 * math.sqrt(2.0)))
+    while tail_at(t_cut) > target and t_cut < 40.0:
+        t_cut += 0.5
+    return t_cut
+
+
+def _certified_integral(sample, tail_at, g0: float, *, tol: float,
+                        quad_rel: float = 1e-10,
+                        tail_frac: float = 0.1) -> dict:
+    """``int_0^inf`` of a sampled integrand with its full error budget.
+
+    ``sample(t)`` returns ``(value, {leg: certified error of the value})``
+    and ``tail_at(T)`` bounds ``int_T^inf |integrand|`` in closed form. The
+    cut T comes from :func:`_tail_cut` at ``tol * tail_frac``; [0, 1] and
+    [1, T] are integrated adaptively, and each named per-sample error is
+    folded as its maximum over the samples times T. Returns the
+    :class:`EtaReport` fields ``value``, ``split_points``,
+    ``interval_errors``, ``tail_bound`` and ``converged``.
+    """
+    if not 0.0 < tail_frac < 1.0:
+        raise PreconditionError(
+            f"tail fraction must lie in (0, 1), got {tail_frac}")
+    t_cut = _tail_cut(tail_at, g0, tol * tail_frac)
+    worst: dict = {}
+
+    def integrand(t: float) -> complex:
+        val, errs = sample(t)
+        for leg, err in errs.items():
+            worst[leg] = max(worst.get(leg, 0.0), err)
+        return val
+
+    small_val, small_err = _complex_quad(integrand, 0.0, 1.0,
+                                         epsabs=tol * 0.3, epsrel=quad_rel)
+    mid_val, mid_err = _complex_quad(integrand, 1.0, t_cut,
+                                     epsabs=tol * 0.3, epsrel=quad_rel)
+    interval_errors = {"small_t": small_err, "mid_t": mid_err}
+    for leg, err in worst.items():
+        interval_errors[leg] = err * t_cut
+    tail = tail_at(t_cut)
+    return {
+        "value": small_val + mid_val,
+        "split_points": (0.0, 1.0, t_cut),
+        "interval_errors": interval_errors,
+        "tail_bound": tail,
+        "converged": bool(sum(interval_errors.values()) + tail <= tol),
+    }
 
 
 def _gapped_abs_sup(g0: float, norm: float, t: float) -> float:
@@ -436,8 +486,10 @@ class _HigherIntegrand:
 
     ``value(t)`` returns the prefactored integrand
     ``(m!/(pi i)) phi # tr(dot (x) (leg (x) leg_inv)^(x)m)`` at scale t in
-    the natural parametrization, tracking a certified per-evaluation error
-    through the multilinearity of the pairing.
+    the natural parametrization with its certified per-evaluation error,
+    tracked through the multilinearity of the pairing, as
+    ``(value, {"calculus": error})``: the sample form of
+    :func:`_certified_integral`.
     """
 
     def __init__(self, op: EquivariantOperator, phi: CyclicCochain, m: int,
@@ -465,15 +517,18 @@ class _HigherIntegrand:
         key = float(t)
         if key in self.memo:
             return self.memo[key]
-        results = {}
-        for tag in dict.fromkeys(self._slot_tags()):
+        tags = self._slot_tags()
+        results, norms = {}, {}
+        for tag in dict.fromkeys(tags):
             results[tag] = functional_calculus(
                 self.op, SchwartzFunction(tag, t), self.radius,
                 tol=self.per_eval_tol, strict=False)
-        ws = [results[tag].element for tag in self._slot_tags()]
-        errs = [results[tag].error for tag in self._slot_tags()]
+            norms[tag] = _weighted_slot_norm(results[tag].element,
+                                             self.phi.growth)
+        ws = [results[tag].element for tag in tags]
+        errs = [results[tag].error for tag in tags]
         val = self.prefactor * pair_phi_tr(self.phi, ws)
-        slot_norms = [_weighted_slot_norm(w, self.phi.growth) for w in ws]
+        slot_norms = [norms[tag] for tag in tags]
         fold = 0.0
         for i, err in enumerate(errs):
             others = 1.0
@@ -482,7 +537,7 @@ class _HigherIntegrand:
                     others *= norm
             fold += err * self.ball_weight * others
         fold *= self.fold_scale
-        out = (complex(val), float(fold))
+        out = (complex(val), {"calculus": float(fold)})
         self.memo[key] = out
         return out
 
@@ -499,6 +554,19 @@ class _HigherIntegrand:
             leg_sup = 2.0
         return (self.fold_scale * self.ball_weight ** (2 * self.m + 1)
                 * dot_sup * leg_sup ** (2 * self.m))
+
+    def tail_at(self, t_cut: float, g0: float) -> float:
+        """Closed-form bound on ``int_T^inf |integrand|`` for ``ut``: the
+        slot sups of :meth:`abs_bound` past the gap, with the Gaussian tail
+        ``int_T^inf exp(-(2m+1) g0^2 t^2) dt`` in ``math.erfc``."""
+        m = self.m
+        a = (2 * m + 1) * g0 * g0
+        dot = 2.0 * math.sqrt(math.pi) * g0
+        legs = (math.sqrt(math.pi) / (t_cut * g0)) ** (2 * m)
+        gauss = (math.sqrt(math.pi) / (2.0 * math.sqrt(a))
+                 * math.erfc(math.sqrt(a) * t_cut))
+        return (self.fold_scale * self.ball_weight ** (2 * m + 1)
+                * dot * legs * gauss)
 
 
 def _auto_radius(op: EquivariantOperator, min_radius: int) -> int:
@@ -521,9 +589,13 @@ def _radius_cap(group: GroupModel) -> int:
     return 140
 
 
+# times at which successive truncation radii must agree
+_PROBE_TIMES = (0.5, 1.0, 2.0)
+
+
 def _build_integrand(op: EquivariantOperator, phi: CyclicCochain, m: int,
-                     family: str, tol: float, radius: int | None,
-                     probe_times=(0.5, 1.0, 2.0)) -> _HigherIntegrand:
+                     family: str, tol: float,
+                     radius: int | None) -> _HigherIntegrand:
     """Fix the truncation radius by a stability ladder, then freeze the
     memoized integrand engine at that radius."""
     per_eval_tol = max(1e-13, tol * 1e-7)
@@ -541,7 +613,7 @@ def _build_integrand(op: EquivariantOperator, phi: CyclicCochain, m: int,
     while True:
         probe = _HigherIntegrand(op, phi, m, r + step, family, per_eval_tol)
         diff = max(abs(engine.value(t)[0] - probe.value(t)[0])
-                   for t in probe_times)
+                   for t in _PROBE_TIMES)
         if diff <= tol / 20.0:
             engine.probe_diff = diff
             return engine
@@ -562,19 +634,16 @@ def _build_integrand(op: EquivariantOperator, phi: CyclicCochain, m: int,
 def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
               tol: float = 1e-8, gap: float | None = None,
               radius: int | None = None, growth_radius: int = 8,
-              quad_limit: int = 200, quad_rel: float = 1e-10,
-              tail_frac: float = 0.1) -> EtaReport:
+              quad_rel: float = 1e-10, tail_frac: float = 0.1) -> EtaReport:
     """The delocalized eta of a gapped operator at a nontrivial class.
 
     ``(2/sqrt(pi)) int_0^inf tr_<h>(D exp(-t^2 D^2)) dt`` with the class
     trace evaluated through the certified functional calculus at every
     quadrature node. Preconditions: the class is nontrivial and the gap
-    certificate is positive. The tail beyond the certified cut T is bounded
-    by ``n_class * dim * erfc(gap * T)``; the cut targets ``tol * tail_frac``
-    and the finite legs integrate at relative tolerance ``quad_rel``.
+    certificate is positive. The tail beyond the cut T is bounded by
+    ``n_class * dim * erfc(gap * T)``; the class trace's own truncation
+    tail is folded as the ``class_tail`` leg, apart from ``calculus``.
     """
-    from scipy.special import erfc, erfcinv
-
     group = op.element.group
     if cls.group != group:
         raise PreconditionError("class does not live on the operator's group")
@@ -595,65 +664,37 @@ def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
             f"no class members within truncation radius {r_used}")
     n_cls = len(members)
     fdim = op.element.dim
-
-    if not 0.0 < tail_frac < 1.0:
-        raise PreconditionError(
-            f"tail fraction must lie in (0, 1), got {tail_frac}")
-    t_cut = max(1.0, 1.0 / (g0 * math.sqrt(2.0)))
-    target = tol * tail_frac
-    need = target / (n_cls * fdim)
-    if need < 2.0:
-        t_cut = max(t_cut, float(erfcinv(need)) / g0)
-    tail = float(n_cls * fdim * erfc(g0 * t_cut))
-
+    norm = op.operator_norm_bound()
     per_eval_tol = max(1e-13, tol * 1e-3)
     samples: dict = {}
-    eval_errors: list = []
 
-    def integrand(t: float) -> complex:
-        key = float(t)
-        if key in samples:
-            return samples[key][0]
+    def sample(t: float) -> tuple[complex, dict]:
         res = class_trace(op, SchwartzFunction("xgauss", t), cls, r_used,
                           tol=per_eval_tol, strict=False)
         val = TWO_OVER_SQRT_PI * complex(res.value)
-        err = TWO_OVER_SQRT_PI * (res.tail_bound + res.calculus_error)
-        bound = (TWO_OVER_SQRT_PI * n_cls * fdim
-                 * _gapped_abs_sup(g0, op.operator_norm_bound(), t))
-        samples[key] = (val, err, bound)
-        eval_errors.append(err)
-        return val
+        samples[float(t)] = (val, TWO_OVER_SQRT_PI * n_cls * fdim
+                             * _gapped_abs_sup(g0, norm, t))
+        return val, {"calculus": TWO_OVER_SQRT_PI * res.calculus_error,
+                     "class_tail": TWO_OVER_SQRT_PI * res.tail_bound}
 
-    small_val, small_err = _complex_quad(integrand, 0.0, 1.0,
-                                         epsabs=tol * 0.3, limit=quad_limit,
-                                         epsrel=quad_rel)
-    mid_val, mid_err = _complex_quad(integrand, 1.0, t_cut,
-                                     epsabs=tol * 0.3, limit=quad_limit,
-                                     epsrel=quad_rel)
-    calc_fold = max(eval_errors, default=0.0) * t_cut
+    def tail_at(t_cut: float) -> float:
+        return n_cls * fdim * math.erfc(g0 * t_cut)
+
+    parts = _certified_integral(sample, tail_at, g0, tol=tol,
+                                quad_rel=quad_rel, tail_frac=tail_frac)
     thresholds = gap_thresholds(op, cls, None, radius=growth_radius, gap=g0)
-    interval_errors = {
-        "small_t": small_err,
-        "mid_t": mid_err,
-        "calculus": calc_fold,
-    }
-    total = small_err + mid_err + calc_fold + tail
     return EtaReport(
-        value=small_val + mid_val,
-        split_points=(0.0, 1.0, t_cut),
-        interval_errors=interval_errors,
-        tail_bound=tail,
+        **parts,
         tail_constants={
             "gap": g0,
             "class_members": n_cls,
             "fiber_dim": fdim,
-            "T": t_cut,
+            "T": parts["split_points"][-1],
             "formula": "n_class * dim * erfc(gap * T)",
         },
         threshold=thresholds,
         verdict=thresholds.class_ok,
-        samples=sorted((t, v, b) for t, (v, e, b) in samples.items()),
-        converged=bool(total <= tol),
+        samples=sorted((t, v, b) for t, (v, b) in samples.items()),
         diagnostics={
             "radius": r_used,
             "evaluations": len(samples),
@@ -664,64 +705,6 @@ def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
 # ---------------------------------------------------------------------------
 # higher eta
 # ---------------------------------------------------------------------------
-
-
-def _tail_cut_higher(engine: _HigherIntegrand, g0: float,
-                     target: float) -> tuple[float, float]:
-    """Smallest T (on a half-integer ladder) with
-    ``int_T^inf |integrand| <= target`` by the closed-form envelope."""
-    from scipy.special import erfc
-
-    m = engine.m
-    a = (2 * m + 1) * g0 * g0
-
-    def tail_at(t_cut: float) -> float:
-        dot = 2.0 * math.sqrt(math.pi) * g0
-        legs = (math.sqrt(math.pi) / (t_cut * g0)) ** (2 * m)
-        gauss = math.sqrt(math.pi) / (2.0 * math.sqrt(a)) * float(
-            erfc(math.sqrt(a) * t_cut))
-        return (engine.fold_scale * engine.ball_weight ** (2 * m + 1)
-                * dot * legs * gauss)
-
-    t_cut = max(1.0, 1.0 / (g0 * math.sqrt(2.0)))
-    while tail_at(t_cut) > target and t_cut < 40.0:
-        t_cut += 0.5
-    return t_cut, tail_at(t_cut)
-
-
-def _integrate_engine(engine: _HigherIntegrand, g0: float, tol: float,
-                      quad_limit: int, quad_rel: float = 1e-10,
-                      tail_frac: float = 0.1) -> dict:
-    """Split quadrature of the engine's integrand with full error budget."""
-    if not 0.0 < tail_frac < 1.0:
-        raise PreconditionError(
-            f"tail fraction must lie in (0, 1), got {tail_frac}")
-    t_cut, tail = _tail_cut_higher(engine, g0, tol * tail_frac)
-    eval_errors: list = []
-
-    def integrand(t: float) -> complex:
-        val, err = engine.value(t)
-        eval_errors.append(err)
-        return val
-
-    small_val, small_err = _complex_quad(integrand, 0.0, 1.0,
-                                         epsabs=tol * 0.3, limit=quad_limit,
-                                         epsrel=quad_rel)
-    mid_val, mid_err = _complex_quad(integrand, 1.0, t_cut,
-                                     epsabs=tol * 0.3, limit=quad_limit,
-                                     epsrel=quad_rel)
-    fold = max(eval_errors, default=0.0) * t_cut
-    samples = sorted((t, v, engine.abs_bound(t, g0))
-                     for t, (v, e) in engine.memo.items())
-    return {
-        "value": small_val + mid_val,
-        "small_err": small_err,
-        "mid_err": mid_err,
-        "fold": fold,
-        "tail": tail,
-        "t_cut": t_cut,
-        "samples": samples,
-    }
 
 
 def _require_even_cocycle(phi: CyclicCochain) -> int:
@@ -737,8 +720,7 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
                tol: float = 1e-8, gap: float | None = None,
                radius: int | None = None, growth_radius: int = 8,
                check_cocycle: bool = True, seed: int = 0,
-               quad_limit: int = 200, quad_rel: float = 1e-10,
-               tail_frac: float = 0.1) -> EtaReport:
+               quad_rel: float = 1e-10, tail_frac: float = 0.1) -> EtaReport:
     """The cocycle-weighted eta driven by the spectral-flow unitaries.
 
     ``(m!/(pi i)) int_0^inf phi#tr(u'_t u_t^{-1} (x) ((u_t-1)(x)(u_t^{-1}-1))^(x)m) dt``
@@ -759,35 +741,28 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
             f"gap certificate {g0} is not positive; eta needs an invertible "
             "operator")
     engine = _build_integrand(op, phi, m, "ut", tol, radius)
-    parts = _integrate_engine(engine, g0, tol, quad_limit,
-                              quad_rel=quad_rel, tail_frac=tail_frac)
+    parts = _certified_integral(engine.value,
+                                lambda t_cut: engine.tail_at(t_cut, g0), g0,
+                                tol=tol, quad_rel=quad_rel,
+                                tail_frac=tail_frac)
     cls = phi.support_class if phi.support_class is not None \
         else ConjugacyClass(group, group.identity)
     thresholds = gap_thresholds(op, cls, phi, radius=growth_radius, gap=g0)
-    interval_errors = {
-        "small_t": parts["small_err"],
-        "mid_t": parts["mid_err"],
-        "calculus": parts["fold"],
-    }
-    total = sum(interval_errors.values()) + parts["tail"]
     return EtaReport(
-        value=parts["value"],
-        split_points=(0.0, 1.0, parts["t_cut"]),
-        interval_errors=interval_errors,
-        tail_bound=parts["tail"],
+        **parts,
         tail_constants={
             "gap": g0,
             "degree": phi.degree,
             "ball_weight": engine.ball_weight,
             "envelope_C": phi.growth.C,
-            "T": parts["t_cut"],
+            "T": parts["split_points"][-1],
             "formula": "fold_scale * W^(2m+1) * dot_sup * leg_sup^(2m) "
                        "* gaussian_tail",
         },
         threshold=thresholds,
         verdict=thresholds.cocycle_ok,
-        samples=parts["samples"],
-        converged=bool(total <= tol),
+        samples=sorted((t, v, engine.abs_bound(t, g0))
+                       for t, (v, e) in engine.memo.items()),
         diagnostics={
             "radius": engine.radius,
             "evaluations": len(engine.memo),
@@ -796,23 +771,13 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
         })
 
 
-def eta_integrand(op: EquivariantOperator, phi: CyclicCochain, t: float, *,
-                  radius: int | None = None, tol: float = 1e-8,
-                  family: str = "ut") -> complex:
-    """One prefactored integrand sample (diagnostics and cross-checks)."""
-    m = _require_even_cocycle(phi)
-    engine = _build_integrand(op, phi, m, family, tol, radius)
-    return engine.value(t)[0]
-
-
 # ---------------------------------------------------------------------------
 # pairing with invertible paths
 # ---------------------------------------------------------------------------
 
 
 def tau_pair(phi: CyclicCochain, path: InvertiblePath, *,
-             tol: float = 1e-8, radius: int | None = None,
-             quad_limit: int = 200) -> complex:
+             tol: float = 1e-8, radius: int | None = None) -> complex:
     """Pair an even cocycle with an invertible path:
 
     ``tau_phi = (m!/(pi i)) int_0^inf phi#tr(x' x^{-1} (x) ((x-1)(x)(x^{-1}-1))^(x)m) dt``
@@ -842,8 +807,7 @@ def tau_pair(phi: CyclicCochain, path: InvertiblePath, *,
             ws = [dot] + [pe * c, pe * c.conjugate()] * m
             return prefactor * pair_phi_tr(phi, ws)
 
-        val, _ = _complex_quad(integrand, 0.0, 1.0, epsabs=tol / 4.0,
-                               limit=quad_limit)
+        val, _ = _complex_quad(integrand, 0.0, 1.0, epsabs=tol / 4.0)
         return val
 
     op = path.operator
@@ -856,7 +820,9 @@ def tau_pair(phi: CyclicCochain, path: InvertiblePath, *,
     if path.family == "ut":
         engine = _build_integrand(op, phi, m, "ut", tol,
                                   radius if radius is not None else path.radius)
-        parts = _integrate_engine(engine, g0, tol, quad_limit)
+        parts = _certified_integral(engine.value,
+                                    lambda t_cut: engine.tail_at(t_cut, g0),
+                                    g0, tol=tol)
         return -parts["value"]
 
     # Cayley family: the integrand decays only polynomially in time, so the
@@ -876,8 +842,6 @@ def tau_pair(phi: CyclicCochain, path: InvertiblePath, *,
     def far(sigma: float) -> complex:
         return engine.value(1.0 / sigma)[0] / (sigma * sigma)
 
-    near_val, _ = _complex_quad(near, 0.0, 1.0, epsabs=tol / 4.0,
-                                limit=quad_limit)
-    far_val, _ = _complex_quad(far, 0.0, 1.0, epsabs=tol / 4.0,
-                               limit=quad_limit)
+    near_val, _ = _complex_quad(near, 0.0, 1.0, epsabs=tol / 4.0)
+    far_val, _ = _complex_quad(far, 0.0, 1.0, epsabs=tol / 4.0)
     return -(near_val + far_val)

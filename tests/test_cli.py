@@ -247,13 +247,13 @@ class TestEtaCommand:
         assert cert["split_points"][0] == 0.0
         assert cert["tail_constants"]["gap"] > 0.49
         assert set(cert["interval_errors"]) == {"small_t", "mid_t",
-                                                "calculus"}
+                                                "calculus", "class_tail"}
 
     def test_default_class_is_the_first_generator_of_any_lattice(self):
         # an empty class.element means (1, 0) on Z^2, not the text "1"
         code, out, _ = run_cli("eta", "operator.kind=two_band")
         assert code == 0
-        assert json.loads(out)["config"]["class.element"] == ""
+        assert json.loads(out)["config"]["class.element"] == "1,0"
 
     def test_seed_flag_lands_in_the_echo(self, tmp_path):
         out_path = tmp_path / "r.json"

@@ -33,9 +33,9 @@ from etalab.cyclic import (
 from etalab.errors import PreconditionError
 from etalab.eta import (
     GapThreshold,
+    _build_integrand,
     eta_class,
     eta_higher,
-    eta_integrand,
     fit_gaussian_decay,
     gap_thresholds,
     invertible_path,
@@ -254,7 +254,8 @@ class TestHigherEta:
 
         for t in (0.6, 1.0, 1.4):
             diff = (two_legs(t + h) - two_legs(t - h)) / (2.0 * h)
-            engine = eta_integrand(op, bpsi, t, radius=radius, tol=1e-10)
+            engine = _build_integrand(op, bpsi, 1, "ut", 1e-10,
+                                      radius).value(t)[0]
             assert abs(diff / (1j * math.pi * engine) - 1.0) <= 1e-4
 
     def test_odd_degree_rejected(self):

@@ -1,9 +1,10 @@
-"""The quadrature needs no scipy.integrate.
+"""The quadrature and the tail cuts need no scipy.
 
 etalab integrates with its own QUADPACK port (``etalab.quadpack``), so no
-command loads ``scipy.integrate`` or the ``scipy.optimize`` behind it.  The
-commands whose only scipy use was the quadrature load no scipy at all; the
-eta commands still load ``scipy.special`` for the Gaussian tail cuts.
+command loads ``scipy.integrate`` or the ``scipy.optimize`` behind it, and
+it cuts the Gaussian tails with ``math.erfc``, so the class eta commands
+load no scipy at all.  Only the spectral-flow unitary of the higher eta
+still loads ``scipy.special``, for its grid ``erf``.
 """
 
 from __future__ import annotations
@@ -43,15 +44,16 @@ def test_default_oracle_compare_loads_no_scipy():
     assert loaded_scipy("oracle-compare") == set()
 
 
-def test_eta_commands_load_special_but_not_integrate():
+def test_class_eta_loads_no_scipy_and_higher_eta_only_special():
     for command in ("eta", "eta operator.kind=cover",
-                    "higher-eta operator.kind=two_band cocycle.kind=area "
-                    "class.element=0,0 --tol 1e-6"):
-        mods = loaded_scipy(command)
-        assert "scipy.special" in mods, command
-        assert not {m for m in mods
-                    if m.startswith(("scipy.integrate", "scipy.optimize"))}, \
-            command
+                    "eta operator.kind=wilson",
+                    "oracle-compare oracle.kind=sign_sum"):
+        assert loaded_scipy(command) == set(), command
+    mods = loaded_scipy("higher-eta operator.kind=two_band cocycle.kind=area "
+                        "class.element=0,0 --tol 1e-6")
+    assert "scipy.special" in mods
+    assert not {m for m in mods
+                if m.startswith(("scipy.integrate", "scipy.optimize"))}
 
 
 def test_no_source_file_imports_scipy_integrate():
