@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -320,47 +321,74 @@ def periodicity(phi: CyclicCochain, *, check: bool = True, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
+class _Sample:
+    """A deterministic tuple sample, kept as rows of indices into the ball
+    B_radius: exhaustive over B_radius^arity when small enough, otherwise
+    all B_1 tuples (a prefix of the ball, which is sorted by length) plus
+    seeded draws from B_radius. Over a group with an integer-array codec
+    each slot is a gather from the encoded ball; otherwise the tuples are
+    evaluated one by one."""
+
+    def __init__(self, group, arity, radius, samples, seed,
+                 exhaustive_budget=300_000):
+        self.group = group
+        self.ball = ball = group.ball(radius)
+        if len(ball) ** arity <= exhaustive_budget:
+            self.rows = np.indices((len(ball),) * arity).reshape(arity, -1).T
+        else:
+            small = len(group.ball(1))
+            rows = [np.indices((small,) * arity).reshape(arity, -1).T] \
+                if small ** arity <= exhaustive_budget else []
+            rng = np.random.default_rng(seed)
+            rows.append(rng.integers(0, len(ball), size=(samples, arity)))
+            self.rows = np.concatenate(rows)
+        if group.has_array_codec:
+            enc = group.array_encode(ball)
+            self.slots = [enc[col] for col in self.rows.T]
+
+    @cached_property
+    def tuples(self) -> list:
+        return [tuple(self.ball[i] for i in row) for row in self.rows.tolist()]
+
+    def values(self, phi: CyclicCochain, rotate: int = 0) -> np.ndarray:
+        """``phi`` on every tuple, its slots rotated left by ``rotate``."""
+        if self.group.has_array_codec:
+            return phi.batch(self.slots[rotate:] + self.slots[:rotate])
+        return np.array([phi(t[rotate:] + t[:rotate]) for t in self.tuples],
+                        dtype=complex)
+
+    def lengths(self) -> np.ndarray:
+        """The word length of every slot of every tuple, one row per tuple."""
+        if self.group.has_array_codec:
+            return np.stack([self.group.array_length(a) for a in self.slots],
+                            axis=1)
+        return np.array([[self.group.word_length(g) for g in t]
+                         for t in self.tuples], dtype=float)
+
+    def witness(self, k: int) -> tuple:
+        return tuple(self.ball[i] for i in self.rows[k])
+
+
 def sample_tuples(group: GroupModel, arity: int, radius: int, samples: int,
                   seed: int, exhaustive_budget: int = 300_000) -> list:
     """Deterministic tuple sample: exhaustive over B_radius^arity when small
     enough, otherwise all B_1 tuples plus seeded draws from B_radius."""
-    ball = group.ball(radius)
-    if len(ball) ** arity <= exhaustive_budget:
-        return list(itertools.product(ball, repeat=arity))
-    small = group.ball(1)
-    out = list(itertools.product(small, repeat=arity)) \
-        if len(small) ** arity <= exhaustive_budget else []
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(ball), size=(samples, arity))
-    out.extend(tuple(ball[i] for i in row) for row in idx)
-    return out
-
-
-def eval_on_tuples(phi: CyclicCochain, tuples) -> np.ndarray:
-    """Evaluate a cochain on a list of tuples, vectorized when the group
-    carries an integer-array encoding."""
-    if not tuples:
-        return np.zeros(0, dtype=complex)
-    group = phi.group
-    if group.has_array_codec:
-        arrays = [group.array_encode([t[k] for t in tuples])
-                  for k in range(phi.arity)]
-        return phi.batch(arrays)
-    return np.array([phi(t) for t in tuples], dtype=complex)
+    return _Sample(group, arity, radius, samples, seed,
+                   exhaustive_budget).tuples
 
 
 def max_cyclicity_violation(phi: CyclicCochain, radius: int = 2,
                             samples: int = 200, seed: int = 0):
     """Largest |phi(g1..gn,g0) - (-1)^n phi(g0..gn)| over sampled tuples,
     normalized by the largest sampled |phi|; returns (violation, witness)."""
-    tuples = sample_tuples(phi.group, phi.arity, radius, samples, seed)
+    sample = _Sample(phi.group, phi.arity, radius, samples, seed)
     sign = (-1) ** phi.degree
-    vals = eval_on_tuples(phi, tuples)
-    rot_vals = eval_on_tuples(phi, [t[1:] + t[:1] for t in tuples])
+    vals = sample.values(phi)
+    rot_vals = sample.values(phi, rotate=1)
     scale = max(float(np.abs(vals).max(initial=0.0)), 1e-30)
     diffs = np.abs(rot_vals - sign * vals) / scale
     k = int(np.argmax(diffs))
-    return float(diffs[k]), tuples[k]
+    return float(diffs[k]), sample.witness(k)
 
 
 def max_cocycle_violation(phi: CyclicCochain, radius: int = 2,
@@ -368,13 +396,12 @@ def max_cocycle_violation(phi: CyclicCochain, radius: int = 2,
     """Largest |(b phi)(tuple)| over sampled tuples, normalized by the
     largest sampled |phi| on its own tuples; returns (violation, witness)."""
     b = coboundary(phi)
-    tuples = sample_tuples(phi.group, b.arity, radius, samples, seed)
-    own = sample_tuples(phi.group, phi.arity, radius, samples, seed)
-    scale = max(float(np.abs(eval_on_tuples(phi, own)).max(initial=0.0)),
-                1e-30)
-    vals = np.abs(eval_on_tuples(b, tuples)) / scale
+    sample = _Sample(phi.group, b.arity, radius, samples, seed)
+    own = _Sample(phi.group, phi.arity, radius, samples, seed)
+    scale = max(float(np.abs(own.values(phi)).max(initial=0.0)), 1e-30)
+    vals = np.abs(sample.values(b)) / scale
     k = int(np.argmax(vals))
-    return float(vals[k]), tuples[k]
+    return float(vals[k]), sample.witness(k)
 
 
 def certify_cyclic_cocycle(phi: CyclicCochain, radius: int = 2,
@@ -404,29 +431,23 @@ def growth_certify(phi: CyclicCochain, radius: int, *, samples: int = 20_000,
     if phi.growth is None:
         raise PreconditionError(f"{phi.name} carries no growth certificate")
     group = phi.group
-    tuples = sample_tuples(group, phi.arity, radius, samples, seed,
-                           exhaustive_budget)
-    vals = np.abs(eval_on_tuples(phi, tuples))
-    if group.has_array_codec:
-        lengths = np.stack(
-            [group.array_length(group.array_encode([t[k] for t in tuples]))
-             for k in range(phi.arity)], axis=1)
-    else:
-        lengths = np.array([[group.word_length(g) for g in t]
-                            for t in tuples], dtype=float)
+    sample = _Sample(group, phi.arity, radius, samples, seed,
+                     exhaustive_budget)
+    vals = np.abs(sample.values(phi))
+    lengths = sample.lengths()
     envs = phi.growth.envelope_rows(lengths)
     excess = vals - envs * (1.0 + 1e-9) - 1e-30
     if np.any(excess > 0):
         k = int(np.argmax(excess))
         raise CertificateError(
             "growth", f"|phi|={vals[k]:.3e} exceeds envelope {envs[k]:.3e} "
-            f"on {phi.name}", witness=tuples[k])
+            f"on {phi.name}", witness=sample.witness(k))
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(envs > 0, vals / np.maximum(envs, 1e-300), 0.0)
     worst_ratio = float(ratios.max(initial=0.0))
     exhaustive = len(group.ball(radius)) ** phi.arity <= exhaustive_budget
     return {"kind": phi.growth.kind, "C": phi.growth.C, "k": phi.growth.k,
-            "radius": radius, "tuples_checked": len(tuples),
+            "radius": radius, "tuples_checked": len(sample.rows),
             "exhaustive": exhaustive, "max_ratio": worst_ratio, "seed": seed}
 
 
@@ -606,14 +627,21 @@ class SeparableClassCochain(CyclicCochain):
         super().__init__(group, degree, ev, batch_evaluator=batch, **kwargs)
 
     def pair_separable(self, ws, box_cache: dict | None = None) -> complex:
-        """FFT route for slots of any block dimension. Each weighted slot is
-        transformed once onto the 5-smooth grid ``_fast_len(L_k)`` per axis,
-        where the circular convolution equals the linear one of exact length
-        ``L_k``; the chain is multiplied entry plane by entry plane, traced,
-        and read off at the class point by a single-point inverse DFT. A
-        point outside the exact ``L_k`` box pairs to an exact zero.
-        ``box_cache`` (one top-level pairing) shares boxes and transforms
-        across a face reduction by slot id; the reduction keeps slots alive."""
+        """FFT route for slots of any block dimension. The pairing reads one
+        entry of the linear convolution of the slots, whose support is
+        ``[0, L_k)`` per axis, at the class point ``i_k``. A circular
+        convolution on ``N_k`` points gives at ``i_k mod N_k`` the sum of the
+        linear one over every point ``= i_k (mod N_k)``; ``i_k`` is the only
+        one in the support once ``N_k > max(i_k, L_k - 1 - i_k)``, so the
+        smallest such 5-smooth ``N_k`` reads it off exactly. A slot longer
+        than ``N_k`` is cropped by ``fftn``, which is exact too: every tuple
+        that reaches ``i_k`` has each slot coordinate in ``[0, i_k]``. Each
+        weighted slot is transformed once onto that grid; the chain is
+        multiplied entry plane by entry plane, traced, and read off by a
+        single-point inverse DFT. A point outside the ``L_k`` box pairs to
+        an exact zero. ``box_cache`` (one top-level pairing) shares boxes
+        and transforms across a face reduction by slot id; the reduction
+        keeps slots alive."""
         rank = self.group.rank
         dims = range(ws[0].dim)
         cache = {} if box_cache is None else box_cache
@@ -631,8 +659,9 @@ class SeparableClassCochain(CyclicCochain):
         idx = tuple(int(h - o) for h, o in zip(self.class_h, origin))
         if not all(0 <= i < s for i, s in zip(idx, out_shape)):
             return 0.0 + 0.0j
-        fft_shape = tuple(_fast_len(n) for n in out_shape)
-        phases = [np.exp(2j * np.pi * np.arange(n) * i / n) / n
+        fft_shape = tuple(
+            _fast_len(max(i, n - 1 - i) + 1) for i, n in zip(idx, out_shape))
+        phases = [np.exp(2j * np.pi * np.arange(n) * (i % n) / n) / n
                   for n, i in zip(fft_shape, idx)]
 
         def slot_fft(k, fn):

@@ -25,9 +25,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etalab.cli import (
+    COCYCLE_KINDS,
+    GROUP_KINDS,
+    HANDLERS,
+    KEYS,
+    OPERATOR_KINDS,
+    ORACLE_KINDS,
     RunConfig,
+    _conv_float,
+    _conv_int,
     main,
     parse_config_text,
     parse_overrides,
@@ -170,6 +180,85 @@ class TestExitCodes:
                                "truncation.radius=30")
         assert code == 3
         assert "resource/io failure" in err
+
+
+EXIT_CODES = dict(derandomize=True, deadline=None, database=None)
+
+WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1,
+                max_size=8)
+
+CHOICES = {"group.kind": GROUP_KINDS, "operator.kind": OPERATOR_KINDS,
+           "cocycle.kind": COCYCLE_KINDS, "oracle.kind": ORACLE_KINDS}
+
+#: keys whose value must lie in a range, with values outside it
+OUT_OF_RANGE = {
+    "tolerances.tail_frac": st.floats(max_value=0.0) | st.floats(min_value=1.0),
+    **{key: st.floats(max_value=0.0) for key in (
+        "tolerances.tol", "tolerances.quad_rel", "pairing.tol", "oracle.tol")},
+    **{key: st.integers(max_value=-1) for key in (
+        "truncation.radius", "truncation.growth_radius", "cocycle.degree",
+        "norms.q")},
+    "oracle.count": st.integers(max_value=0),
+}
+
+
+@st.composite
+def malformed_override(draw):
+    """One malformed override and a text its error message must name: no
+    ``=``, an unknown key, a word for a number, a word that is not one of
+    the choices, or a number outside its key's range."""
+    kind = draw(st.sampled_from(["no_equals", "unknown_key", "not_a_number",
+                                 "not_a_choice", "out_of_range"]))
+    if kind == "no_equals":
+        word = draw(st.text(alphabet="abcdefghijklmnopqrstuvwxyz._",
+                            min_size=1, max_size=12))
+        return word, word
+    if kind == "unknown_key":
+        key = draw(st.text(alphabet="abcdefghijklmnopqrstuvwxyz._",
+                           min_size=1, max_size=12).filter(
+                               lambda k: k not in KEYS))
+        return f"{key}={draw(WORDS)}", key
+    if kind == "not_a_number":
+        key = draw(st.sampled_from(sorted(
+            k for k, (_, conv) in KEYS.items()
+            if conv in (_conv_int, _conv_float))))
+        return f"{key}={draw(WORDS)}", key
+    if kind == "not_a_choice":
+        key = draw(st.sampled_from(sorted(CHOICES)))
+        word = draw(WORDS.filter(lambda w: w not in CHOICES[key]))
+        return f"{key}={word}", key
+    key = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+    return f"{key}={draw(OUT_OF_RANGE[key])!r}", key
+
+
+class TestExitCodeProperties:
+    @settings(max_examples=60, **EXIT_CODES)
+    @given(command=st.sampled_from(sorted(HANDLERS)),
+           bad=malformed_override(), position=st.integers(0, 2))
+    def test_any_malformed_override_exits_2(self, command, bad, position):
+        text, named = bad
+        key = text.partition("=")[0]
+        good = [o for o in ("seed=3", "operator.seed=1")
+                if o.partition("=")[0] != key]
+        overrides = good[:position] + [text] + good[position:]
+        code, out, err = run_cli(command, *overrides)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error") and named in err
+
+    @settings(max_examples=4, **EXIT_CODES)
+    @given(radius=st.integers(12, 60),
+           word=st.sampled_from(["a", "b", "A", "B", "ab", "aB", "bA", "aab"]),
+           seed=st.integers(0, 3))
+    def test_any_over_budget_free_ball_exits_3(self, radius, word, seed):
+        # the ball of F_2 of radius 12 already holds 1,062,881 words, above
+        # the enumeration budget of 10^6
+        code, out, err = run_cli("eta", "operator.kind=free",
+                                 f"class.element={word}",
+                                 f"truncation.radius={radius}", f"seed={seed}")
+        assert code == 3
+        assert out == ""
+        assert "resource/io failure" in err and "exceeded budget" in err
 
 
 class TestGapCommand:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etalab.cyclic import (
+    _Sample,
     area_cocycle,
     certify_cyclic_cocycle,
     class_trace_cochain,
@@ -27,6 +28,7 @@ from etalab.cyclic import (
     max_cocycle_violation,
     periodicity,
     random_delocalized_cochain,
+    sample_tuples,
     table_cochain,
 )
 from etalab.groups import CyclicGroup, FreeAbelianGroup, FreeGroup
@@ -110,3 +112,36 @@ def test_periodicity_of_a_class_trace_is_a_cocycle(name, draw, seed):
     assert s.degree == 2
     certify_cyclic_cocycle(s, radius=1 if group is F2 else 2, samples=200,
                            seed=seed)
+
+
+def reference_sample(group, arity, radius, samples, seed, budget):
+    """The tuple sample built from tuples: every tuple of the ball when at
+    most ``budget``, otherwise every tuple of B_1 (when at most ``budget``)
+    and then the seeded draws of ball indices."""
+    ball = group.ball(radius)
+    if len(ball) ** arity <= budget:
+        return list(itertools.product(ball, repeat=arity))
+    small = group.ball(1)
+    out = list(itertools.product(small, repeat=arity)) \
+        if len(small) ** arity <= budget else []
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, len(ball), size=(samples, arity))
+    return out + [tuple(ball[i] for i in row) for row in rows]
+
+
+@settings(max_examples=24, **SETTINGS)
+@given(name=st.sampled_from(sorted(GROUPS)), arity=st.integers(1, 4),
+       radius=st.integers(0, 3), seed=seeds,
+       budget=st.sampled_from([20, 300_000]))
+def test_index_sample_keeps_the_tuple_order(name, arity, radius, seed, budget):
+    # the cocycle checks gather their slots from the encoded ball by index;
+    # the gathered rows must be the sampled tuples, in the same order
+    group = GROUPS[name]
+    expected = reference_sample(group, arity, radius, 30, seed, budget)
+    sample = _Sample(group, arity, radius, 30, seed, budget)
+    assert sample_tuples(group, arity, radius, 30, seed, budget) == expected
+    assert [sample.witness(k) for k in range(len(expected))] == expected
+    if group.has_array_codec:
+        for k, slot in enumerate(sample.slots):
+            assert np.array_equal(
+                slot, group.array_encode([t[k] for t in expected]))

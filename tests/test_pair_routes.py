@@ -9,11 +9,17 @@ convolution box, and compare both routes with a brute oracle.  The oracle
 shares no code with either route: it evaluates each cochain from its
 closed-form definition and sums over every tuple of support points.
 
-The FFT route transforms onto the 5-smooth grid of ``_fast_len``, which is
-checked against a brute search; a class point in the padding beyond the
-exact convolution box must still pair to an exact zero.  Two further
-properties need no oracle: the pairing is linear in each slot and has the
-cyclic sign of a cyclic cocycle.
+The FFT route reads the class point off the smallest 5-smooth grid of
+``_fast_len`` on which no other point of the convolution box aliases onto
+it; ``_fast_len`` is checked against a brute search, and a class point
+beyond the box must still pair to an exact zero.  A third property draws
+slots of unequal widths and a class point anywhere in the support, both
+ends included, and compares the pairing with the oracle.  Two pinned cases
+count the grid through a patched ``np.fft.fftn``: a wide slot beside two
+point slots is cropped by the grid and still pairs exactly, and three
+slots of radius R paired at the centre transform on ``_fast_len(3R + 1)``
+points per axis.  Two further properties need no oracle: the pairing is
+linear in each slot and has the cyclic sign of a cyclic cocycle.
 """
 
 from __future__ import annotations
@@ -270,6 +276,125 @@ def test_class_point_in_the_padding_pairs_to_exact_zero():
     assert pair_phi_tr(phi(7), ws) == 0j
     assert pair_phi_tr(periodicity(class_trace_cochain(Z1.conjugacy_class((7,)))),
                        ws) == 0j
+
+
+# ---------------------------------------------------------------------------
+# the alias-free single-point grid
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def boxed_slots(draw, group, arity):
+    """``arity`` elements of one block dimension, each spanning a box of its
+    own width (1 to 9 per axis) at its own offset: both corners of the box
+    and up to four points inside it carry a block.  Returns the slots and the
+    class point, drawn anywhere in the support of their convolution, both
+    ends included."""
+    rank = group.rank
+    dim = draw(st.sampled_from([1, 2]))
+    ws, lo, hi = [], [0] * rank, [0] * rank
+    for _ in range(arity):
+        start = draw(st.tuples(*[st.integers(-4, 4)] * rank))
+        width = draw(st.tuples(*[st.integers(1, 9)] * rank))
+        end = tuple(a + n - 1 for a, n in zip(start, width))
+        inner = draw(st.lists(st.tuples(*[st.integers(a, b)
+                                          for a, b in zip(start, end)]),
+                              max_size=4))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        coeffs = {pt: rng.normal(size=(dim, dim))
+                  + 1j * rng.normal(size=(dim, dim))
+                  for pt in {start, end, *inner}}
+        ws.append(AlgebraElement(group, dim, coeffs))
+        lo = [x + a for x, a in zip(lo, start)]
+        hi = [x + b for x, b in zip(hi, end)]
+    h = tuple(draw(st.one_of(st.just(a), st.just(b), st.integers(a, b)))
+              for a, b in zip(lo, hi))
+    return ws, h
+
+
+def weight(c):
+    return 1.0 + 0.5 * c[0] - 0.25j * c[-1]
+
+
+def weighted_cochain(group, arity, h):
+    """``[g_0 + ... + g_n = h] (prod_{k>0} w(g_k) + (0.3 - 0.2i) w(g_0))``
+    as a separable cochain, and its value from that definition."""
+    second = 0.3 - 0.2j
+    phi = SeparableClassCochain(group, arity - 1, h, [
+        (1.0, [None] + [weight] * (arity - 1)),
+        (second, [weight] + [None] * (arity - 1))])
+
+    def value(args):
+        if tuple(map(sum, zip(*args))) != h:
+            return 0.0
+        return np.prod([weight(g) for g in args[1:]]) + second * weight(args[0])
+    return phi, value
+
+
+@ROUTES
+@given(data=st.data(), group=GROUPS, arity=st.integers(1, 3),
+       face=st.booleans(), seed=st.integers(0, 1000))
+def test_class_point_anywhere_in_the_support_pairs_exactly(data, group, arity,
+                                                           face, seed):
+    # unequal slot widths and an off-centre class point: the grid must
+    # still leave the class point the only one of its residue class
+    if face:
+        ws, h = data.draw(boxed_slots(group, 3))
+        phi = coboundary(random_delocalized_cochain(group, h, rate=0.2,
+                                                    seed=seed))
+        value = coboundary_value(delocalized_value(group.rank, h, 0.2, seed))
+    else:
+        ws, h = data.draw(boxed_slots(group, arity))
+        phi, value = weighted_cochain(group, arity, h)
+    expected, scale = oracle_pair(value, ws)
+    assert abs(pair_phi_tr(phi, ws) - expected) <= 1e-9 * (1.0 + scale)
+
+
+@pytest.fixture
+def fft_lengths(monkeypatch):
+    """The grid shape ``s`` of every ``np.fft.fftn`` call."""
+    lengths = []
+    fftn = np.fft.fftn
+
+    def counting_fftn(a, s=None, axes=None, **kwargs):
+        lengths.append(tuple(s))
+        return fftn(a, s=s, axes=axes, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    return lengths
+
+
+def test_wide_slot_is_cropped_exactly(fft_lengths):
+    # one slot of width 21 and two point slots, the class point at the
+    # centre of the 21-point support: the grid holds 12 points, so fftn
+    # crops the wide slot, and only entries that cannot reach h are lost
+    rng = np.random.default_rng(3)
+    wide = AlgebraElement(Z1, 2, {(g,): rng.normal(size=(2, 2))
+                                  + 1j * rng.normal(size=(2, 2))
+                                  for g in range(-10, 11)})
+    points = [AlgebraElement(Z1, 2, {(g,): rng.normal(size=(2, 2))})
+              for g in (2, -1)]
+    ws = [wide] + points
+    phi, value = weighted_cochain(Z1, 3, (1,))
+    expected, scale = oracle_pair(value, ws)
+    assert abs(pair_phi_tr(phi, ws) - expected) <= 1e-12 * scale
+    assert set(fft_lengths) == {(_fast_len(11),)} and _fast_len(11) < 21
+
+
+@pytest.mark.parametrize("group, radius", [(Z1, 7), (Z2, 3)])
+def test_symmetric_pairing_transforms_on_half_the_support(fft_lengths, group,
+                                                          radius):
+    # three slots on the ball of radius R around 0, paired at h = 0: the
+    # support spans 6R + 1 points per axis and h sits at its centre, so
+    # every transform runs on _fast_len(3R + 1) points per axis
+    rng = np.random.default_rng(radius)
+    ws = [AlgebraElement(group, 1, {g: rng.normal(size=(1, 1))
+                                    for g in group.ball(radius)})
+          for _ in range(3)]
+    phi, value = weighted_cochain(group, 3, (0,) * group.rank)
+    expected, scale = oracle_pair(value, ws)
+    assert abs(pair_phi_tr(phi, ws) - expected) <= 1e-12 * scale
+    assert set(fft_lengths) == {(_fast_len(3 * radius + 1),) * group.rank}
 
 
 # ---------------------------------------------------------------------------
