@@ -353,20 +353,23 @@ def build_group(cfg: RunConfig) -> GroupModel:
 
 
 def build_operator(cfg: RunConfig):
-    kind = cfg.operator_kind
-    if kind == "laplace":
-        return lattice_laplace_symbol()
-    if kind == "wilson":
-        return wilson_symbol() if cfg.operator_mass is None \
-            else wilson_symbol(mass=cfg.operator_mass)
-    if kind == "two_band":
-        return two_band_chern_symbol() if cfg.operator_mass is None \
-            else two_band_chern_symbol(mass=cfg.operator_mass)
-    if kind == "anisotropic3d":
-        return anisotropic_symbol_3d()
-    if kind == "free":
-        return free_group_model()
-    return gapped_cover_model(cfg.operator_seed)
+    """The configured operator. Its group's kind, and rank or order, are
+    written back into ``cfg``, so that the config echo names that group."""
+    mass = {} if cfg.operator_mass is None else {"mass": cfg.operator_mass}
+    op = {"laplace": lattice_laplace_symbol,
+          "wilson": lambda: wilson_symbol(**mass),
+          "two_band": lambda: two_band_chern_symbol(**mass),
+          "anisotropic3d": anisotropic_symbol_3d,
+          "free": free_group_model,
+          "cover": lambda: gapped_cover_model(cfg.operator_seed),
+          }[cfg.operator_kind]()
+    group = op.element.group
+    if isinstance(group, CyclicGroup):
+        cfg.group_kind, cfg.group_order = "cyclic", group.order
+    else:
+        cfg.group_kind = "free" if isinstance(group, FreeGroup) else "lattice"
+        cfg.group_rank = group.rank
+    return op
 
 
 def _parse_element(group: GroupModel, text: str, key: str):

@@ -49,10 +49,11 @@ from .quadpack import quad
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 # slot functions for the two spectral-flow path families, in the natural
-# parametrization (dot = x' x^{-1}, then the two legs x - 1, x^{-1} - 1)
+# parametrization (dot = x' x^{-1}, then the leg x - 1); x is a unitary
+# function of the self-adjoint D, so the other leg x^{-1} - 1 is (x - 1)^*
 _FAMILY_TAGS = {
-    "ut": ("udot_uinv", "ut_minus_1", "ut_inv_minus_1"),
-    "wt": ("wdot_winv", "wt_minus_1", "wt_inv_minus_1"),
+    "ut": ("udot_uinv", "ut_minus_1"),
+    "wt": ("wdot_winv", "wt_minus_1"),
 }
 
 PATH_FAMILIES = ("ut", "wt", "exp_loop", "constant")
@@ -378,13 +379,12 @@ def _certification_radius(op: EquivariantOperator, s: float) -> int:
 
 def _sample_defect(op: EquivariantOperator, family: str, s: float,
                    radius: int) -> float:
-    """l1 norm of ``x x^{-1} - 1`` for the sampled path value at scale s."""
-    _, leg_tag, leg_inv_tag = _FAMILY_TAGS[family]
-    a = functional_calculus(op, SchwartzFunction(leg_tag, s), radius,
-                            tol=1e-12, strict=False).element
-    b = functional_calculus(op, SchwartzFunction(leg_inv_tag, s), radius,
-                            tol=1e-12, strict=False).element
-    defect = a + b + convolve(a, b)
+    """l1 norm of ``x x^{-1} - 1 = a + a^* + a a^*`` for the sampled path
+    value at scale s, with ``a = x - 1`` from one calculus."""
+    a = functional_calculus(op, SchwartzFunction(_FAMILY_TAGS[family][1], s),
+                            radius, tol=1e-12, strict=False).element
+    a_star = a.star()
+    defect = a + a_star + convolve(a, a_star)
     return float(sum(defect.trace_norms().values()))
 
 
@@ -490,6 +490,13 @@ class _HigherIntegrand:
     tracked through the multilinearity of the pairing, as
     ``(value, {"calculus": error})``: the sample form of
     :func:`_certified_integral`.
+
+    Only ``dot`` and ``leg`` run through the functional calculus. The path
+    value x is a unitary function of the self-adjoint D, and conj(f)(D) =
+    f(D)^*, so ``leg_inv = x^{-1} - 1 = leg.star()``. The inverse leg
+    inherits the leg's certificate: ``star`` keeps every entry's magnitude
+    and every block's singular values, and |g^{-1}| = |g|, so its entrywise
+    error and its weighted slot norm are the leg's.
     """
 
     def __init__(self, op: EquivariantOperator, phi: CyclicCochain, m: int,
@@ -509,33 +516,28 @@ class _HigherIntegrand:
         self.ball_weight = (_ball_weight_sum(group, radius, phi.growth)
                             * op.element.dim ** 2)
 
-    def _slot_tags(self) -> list:
-        dot, leg, leg_inv = _FAMILY_TAGS[self.family]
-        return [dot] + [leg, leg_inv] * self.m
+    def _slot(self, tag: str, t: float) -> tuple:
+        """(element, certified error, weighted norm) of one calculus."""
+        res = functional_calculus(self.op, SchwartzFunction(tag, t),
+                                  self.radius, tol=self.per_eval_tol,
+                                  strict=False)
+        return (res.element, res.error,
+                _weighted_slot_norm(res.element, self.phi.growth))
 
-    def value(self, t: float) -> tuple[complex, float]:
+    def value(self, t: float) -> tuple[complex, dict]:
         key = float(t)
         if key in self.memo:
             return self.memo[key]
-        tags = self._slot_tags()
-        results, norms = {}, {}
-        for tag in dict.fromkeys(tags):
-            results[tag] = functional_calculus(
-                self.op, SchwartzFunction(tag, t), self.radius,
-                tol=self.per_eval_tol, strict=False)
-            norms[tag] = _weighted_slot_norm(results[tag].element,
-                                             self.phi.growth)
-        ws = [results[tag].element for tag in tags]
-        errs = [results[tag].error for tag in tags]
-        val = self.prefactor * pair_phi_tr(self.phi, ws)
-        slot_norms = [norms[tag] for tag in tags]
-        fold = 0.0
-        for i, err in enumerate(errs):
-            others = 1.0
-            for j, norm in enumerate(slot_norms):
-                if j != i:
-                    others *= norm
-            fold += err * self.ball_weight * others
+        dot_tag, leg_tag = _FAMILY_TAGS[self.family]
+        slots = [self._slot(dot_tag, t)]
+        if self.m:
+            leg, err, norm = self._slot(leg_tag, t)
+            slots += [(leg, err, norm), (leg.star(), err, norm)] * self.m
+        val = self.prefactor * pair_phi_tr(self.phi, [w for w, _, _ in slots])
+        norms = [norm for _, _, norm in slots]
+        fold = sum(err * self.ball_weight
+                   * math.prod(norms[:i] + norms[i + 1:])
+                   for i, (_, err, _) in enumerate(slots))
         fold *= self.fold_scale
         out = (complex(val), {"calculus": float(fold)})
         self.memo[key] = out

@@ -24,7 +24,10 @@ operators ``D`` acting on ``l^2(G) (x) C^m``:
 used by the eta integrands (Gaussian family, unitary-loop family, Cayley
 family), each with an analytic or numerically tabulated decay envelope
 ``F_f(s) = sup_{n<=N} int_{|xi|>s} |d^n/dxi^n f^(xi)| dxi`` for the kernel
-decay and trace-tail bounds.
+decay and trace-tail bounds.  The inverse legs ``ut_inv_minus_1`` and
+``wt_inv_minus_1`` are oracle-only: production takes ``x^{-1} - 1`` as the
+adjoint ``(x - 1)^*`` of the leg it computed, and tests check that adjoint
+against these independent calculi.
 
 :func:`dense_truncation_calculus` is a deliberately naive oracle (dense
 eigendecomposition of a truncated convolution matrix); production routes
@@ -64,6 +67,9 @@ HERMITIAN_TOL = 1e-12
 DEFAULT_MU = 1.1
 _GRID_CAPS = {1: 1 << 16, 2: 1 << 10, 3: 1 << 7}  # symbol gap grid, by rank
 _CALCULUS_MAX_NODES = 400  # symbol calculus grid, per axis
+_CHEB_START_DEGREE = 16  # free-kernel Chebyshev degree ladder
+_CHEB_MAX_DEGREE = 512
+_COVER_ZERO_TOL = 1e-10  # cover gap: |eigenvalue| / scale counted as 0
 # free-kernel Schur enclosure: log rho bracket, steps, rounding allowance
 _SCHUR_LOG_RHO_MIN = -16.0
 _SCHUR_STEPS = 80
@@ -279,7 +285,7 @@ class CalculusResult:
 @dataclass
 class GapCertificate:
     """A certified lower bound on dist(0, spec D); the finite-cover
-    certificate leaves out eigenvalues within ``zero_tol`` of 0."""
+    certificate leaves out eigenvalues within ``_COVER_ZERO_TOL`` of 0."""
 
     value: float
     method: str
@@ -610,10 +616,6 @@ class FiniteCoverOperator(EquivariantOperator):
             coeffs[g] = avg
         return FiniteCoverOperator(AlgebraElement(group, m, coeffs))
 
-    @property
-    def cover_dim(self) -> int:
-        return len(self.elements) * self.dim
-
     def cover_matrix(self) -> np.ndarray:
         m = self.dim
         n = len(self.elements)
@@ -668,10 +670,10 @@ class FiniteCoverOperator(EquivariantOperator):
                                 self.backend, {"cover_dim": n * m})
         return self._finish(result, strict)
 
-    def gap_certificate(self, zero_tol: float = 1e-10) -> GapCertificate:
+    def gap_certificate(self) -> GapCertificate:
         lam, _ = self.eigensystem()
         scale = max(1.0, float(np.abs(lam).max()))
-        nonzero = np.abs(lam)[np.abs(lam) > zero_tol * scale]
+        nonzero = np.abs(lam)[np.abs(lam) > _COVER_ZERO_TOL * scale]
         value = float(nonzero.min()) if len(nonzero) else math.inf
         return GapCertificate(value, "exact-eigenvalues",
                               {"eigenvalues": lam.tolist()})
@@ -778,8 +780,6 @@ class FreeConvolutionOperator(EquivariantOperator):
     def functional_calculus(self, f: SchwartzFunction, R: int,
                             tol: float = 1e-10, *,
                             strict: bool = True,
-                            start_degree: int = 16,
-                            max_degree: int = 512,
                             truncation_pad: int = 8,
                             max_truncation: int = 12) -> CalculusResult:
         """Chebyshev series of ``f`` on the hull of :attr:`enclosure`, run
@@ -796,10 +796,10 @@ class FreeConvolutionOperator(EquivariantOperator):
                 f"max_truncation >= R + 4 (R={R}, got {max_truncation})")
         mu, b, _ = self.enclosure
         lo, hi = float(mu.min()) - b, float(mu.max()) + b
-        degree = start_degree
+        degree = _CHEB_START_DEGREE
         while True:
             coeffs, sup_err = chebyshev_fit(f, lo, hi, degree)
-            if sup_err <= 0.05 * tol or degree >= max_degree:
+            if sup_err <= 0.05 * tol or degree >= _CHEB_MAX_DEGREE:
                 break
             degree = int(math.ceil(degree * 1.5))
         pad = max(truncation_pad, 4)
@@ -919,18 +919,17 @@ class ClassTraceResult:
 
 
 def kernel_decay_constant(result_element: AlgebraElement, f: SchwartzFunction,
-                          c_d: float, mu: float = DEFAULT_MU,
-                          envelope_order: int = 0,
-                          fit_radius: int | None = None) -> float:
-    """Fitted prefactor C with |f(D)_g|_1 <= C * F_f(l(g) / (mu c_D)) over
-    the computed coefficients (optionally only those within fit_radius)."""
+                          c_d: float, fit_radius: int | None = None) -> float:
+    """Fitted prefactor C with |f(D)_g|_1 <= C * F_f(l(g) / (mu c_D)),
+    ``mu = DEFAULT_MU``, over the computed coefficients (optionally only
+    those within fit_radius)."""
     group = result_element.group
     best = 0.0
     for g, M in zip(result_element.keys, result_element.blocks):
         l = group.word_length(g)
         if fit_radius is not None and l > fit_radius:
             continue
-        env = decay_envelope(f, l / (mu * c_d), envelope_order)
+        env = decay_envelope(f, l / (DEFAULT_MU * c_d))
         if env <= 0:
             continue
         best = max(best, float(np.abs(M).sum()) / env)
@@ -939,7 +938,6 @@ def kernel_decay_constant(result_element: AlgebraElement, f: SchwartzFunction,
 
 def class_trace(op: EquivariantOperator, f: SchwartzFunction,
                 cls: ConjugacyClass, R: int, tol: float = 1e-10, *,
-                mu: float = DEFAULT_MU, envelope_order: int = 0,
                 calculus: CalculusResult | None = None,
                 growth_radius: int = 8,
                 strict: bool = False) -> ClassTraceResult:
@@ -947,8 +945,8 @@ def class_trace(op: EquivariantOperator, f: SchwartzFunction,
 
     The tail bound combines the class-growth envelope (shell counts of the
     class fitted up to ``growth_radius``) with the kernel-decay envelope
-    ``C F_f(n / (mu c_D))`` at shell n; for finite groups exhausted by the
-    ball the tail is exactly zero.
+    ``C F_f(n / (mu c_D))`` at shell n, ``mu = DEFAULT_MU``; for finite
+    groups exhausted by the ball the tail is exactly zero.
     """
     if cls.group != op.group:
         raise PreconditionError("class and operator live over different groups")
@@ -973,21 +971,18 @@ def class_trace(op: EquivariantOperator, f: SchwartzFunction,
         if l_h <= R:
             tail = 0.0
         else:
-            C_ker = kernel_decay_constant(element, f, op.c_d, mu,
-                                          envelope_order)
-            tail = C_ker * decay_envelope(f, l_h / (mu * op.c_d),
-                                          envelope_order)
+            C_ker = kernel_decay_constant(element, f, op.c_d)
+            tail = C_ker * decay_envelope(f, l_h / (DEFAULT_MU * op.c_d))
         diagnostics = {"exhausted": False, "class_exhausted": l_h <= R}
     else:
         gc = growth_constants(op.group, cls, growth_radius)
-        C_ker = kernel_decay_constant(element, f, op.c_d, mu, envelope_order)
+        C_ker = kernel_decay_constant(element, f, op.c_d)
         tail = 0.0
         n = R + 1
         prev_term = math.inf
         while True:
             shell = gc.class_prefactor * math.exp(gc.class_rate * n)
-            term = shell * C_ker * decay_envelope(
-                f, n / (mu * op.c_d), envelope_order)
+            term = shell * C_ker * decay_envelope(f, n / (DEFAULT_MU * op.c_d))
             tail += term
             if term > prev_term and term > tol:
                 tail = math.inf
@@ -1013,24 +1008,24 @@ def class_trace(op: EquivariantOperator, f: SchwartzFunction,
 
 
 def kernel_decay_report(op: EquivariantOperator, f: SchwartzFunction, R: int,
-                        mu: float = DEFAULT_MU, tol: float = 1e-10) -> dict:
+                        tol: float = 1e-10) -> dict:
     """Fit the decay prefactor on the inner half-ball and verify the bound
-    |f(D)_g|_1 <= C * F_f(l(g)/(mu c_D)) on the whole computed ball."""
+    |f(D)_g|_1 <= C * F_f(l(g)/(mu c_D)), ``mu = DEFAULT_MU``, on the whole
+    computed ball."""
     calc = op.functional_calculus(f, R, tol, strict=False)
     group = op.group
     fit_radius = max(op.band, R // 2)
-    C = kernel_decay_constant(calc.element, f, op.c_d, mu,
-                              fit_radius=fit_radius)
+    C = kernel_decay_constant(calc.element, f, op.c_d, fit_radius=fit_radius)
     holds = True
     worst = 0.0
     for g, M in zip(calc.element.keys, calc.element.blocks):
-        env = decay_envelope(f, group.word_length(g) / (mu * op.c_d), 0)
+        env = decay_envelope(f, group.word_length(g) / (DEFAULT_MU * op.c_d))
         bound = C * env + calc.error + 1e-15
         mass = float(np.abs(M).sum())
         worst = max(worst, mass - bound)
         if mass > bound:
             holds = False
-    return {"C": C, "mu": mu, "c_d": op.c_d, "fit_radius": fit_radius,
+    return {"C": C, "mu": DEFAULT_MU, "c_d": op.c_d, "fit_radius": fit_radius,
             "radius": R, "holds": holds, "worst_excess": worst,
             "calculus_error": calc.error}
 
@@ -1155,5 +1150,5 @@ def functional_calculus(op: EquivariantOperator, f: SchwartzFunction, R: int,
 
 def gap_certificate(op: EquivariantOperator, **kwargs) -> GapCertificate:
     """Certified lower bound on dist(0, spec D); the finite-cover
-    certificate leaves out eigenvalues within its ``zero_tol`` of 0."""
+    certificate leaves out eigenvalues within ``_COVER_ZERO_TOL`` of 0."""
     return op.gap_certificate(**kwargs)

@@ -126,8 +126,7 @@ class BoundaryLoop:
 # ---------------------------------------------------------------------------
 
 
-def boundary_identity(phi: CyclicCochain, p, *, tol: float = 1e-6,
-                      loop_grid=None) -> dict:
+def boundary_identity(phi: CyclicCochain, p, *, tol: float = 1e-6) -> dict:
     """Evaluate ``tau_phi(boundary loop of p)`` against ``-2 ch_phi(p)``.
 
     The left side integrates the loop pairing along the certified path;

@@ -136,6 +136,24 @@ class TestConfigParsing:
         assert echo["tolerances.tol"] == 1e-9
 
 
+    @pytest.mark.parametrize("argv, group", [
+        (("gap", "operator.kind=free"),
+         {"group.kind": "free", "group.rank": 2}),
+        (("gap", "operator.kind=two_band"),
+         {"group.kind": "lattice", "group.rank": 2}),
+        (("gap", "operator.kind=cover", "operator.seed=2"),
+         {"group.kind": "cyclic", "group.order": 6}),
+        (("cocycle-check", "group.kind=lattice", "group.rank=2",
+          "cocycle.kind=area", "cocycle.element=0,0"),
+         {"group.kind": "lattice", "group.rank": 2}),
+    ])
+    def test_echo_names_the_group_the_run_used(self, argv, group):
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        echo = json.loads(out)["config"]
+        assert {key: echo[key] for key in group} == group
+
+
 class TestExitCodes:
     def test_unknown_key_exits_2(self):
         code, _, err = run_cli("eta", "bogus.key=3")

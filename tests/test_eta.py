@@ -258,6 +258,34 @@ class TestHigherEta:
                                       radius).value(t)[0]
             assert abs(diff / (1j * math.pi * engine) - 1.0) <= 1e-4
 
+    def test_inverse_leg_runs_no_calculus_of_its_own(self, monkeypatch):
+        # the inverse leg is the adjoint of the leg, so one node costs one
+        # calculus for dot and one for the leg, and a path sample one
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].tag)
+            return functional_calculus(*args, **kwargs)
+
+        monkeypatch.setattr("etalab.eta.functional_calculus", counted)
+        area = _build_integrand(two_band_chern_symbol(),
+                                area_cocycle(FreeAbelianGroup(2), (0, 0)),
+                                1, "ut", 1e-6, 6)
+        area.value(0.7)
+        assert calls == ["udot_uinv", "ut_minus_1"]
+        calls.clear()
+        area.value(0.7)
+        assert calls == []
+        trace = _build_integrand(lattice_laplace_symbol(),
+                                 class_trace_cochain(z_class(1)), 0, "ut",
+                                 1e-8, 10)
+        trace.value(0.7)
+        assert calls == ["udot_uinv"]
+        calls.clear()
+        invertible_path("ut", operator=lattice_laplace_symbol(),
+                        grid=(1.0,))
+        assert calls == ["ut_minus_1"]
+
     def test_odd_degree_rejected(self):
         psi = random_delocalized_cochain(FreeAbelianGroup(1), (3,),
                                          rate=0.1, seed=0)

@@ -46,8 +46,10 @@ from etalab.operators import (
     free_group_model,
     functional_calculus,
     gap_certificate,
+    gapped_cover_model,
     kernel_decay_report,
     lattice_laplace_symbol,
+    two_band_chern_symbol,
     wilson_symbol,
 )
 
@@ -323,16 +325,28 @@ class TestFourierSymbol:
         res = op.functional_calculus(SchwartzFunction("gauss", 1.1), 8, 1e-10)
         assert res.element.is_hermitian(1e-12)
 
-    def test_loop_adjoint_is_inverse_loop(self):
-        # (u(D) - 1)^* = u(D)^{-1} - 1 because u is unimodular and D
-        # self-adjoint: the two calculi must produce adjoint elements
-        op = lattice_laplace_symbol()
-        a = op.functional_calculus(SchwartzFunction("ut_minus_1", 1.0),
-                                   10, 1e-10)
-        b = op.functional_calculus(SchwartzFunction("ut_inv_minus_1", 1.0),
-                                   10, 1e-10)
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    @pytest.mark.parametrize("family", ["ut", "wt"])
+    @pytest.mark.parametrize("model", ["laplace", "two_band", "cover",
+                                       "free"])
+    def test_loop_adjoint_is_inverse_loop(self, model, family, t):
+        # (x(D) - 1)^* = x(D)^{-1} - 1 because u_t and w_t are unimodular
+        # and D self-adjoint: on every backend the leg's adjoint and the
+        # independent inverse-leg calculus agree within their certificates
+        op, R, kwargs = {
+            "laplace": lambda: (lattice_laplace_symbol(), 10, {}),
+            "two_band": lambda: (two_band_chern_symbol(), 6, {}),
+            "cover": lambda: (gapped_cover_model(0), 3, {}),
+            "free": lambda: (light_free_model(), 2,
+                             {"truncation_pad": 4, "max_truncation": 8}),
+        }[model]()
+        a = op.functional_calculus(SchwartzFunction(f"{family}_minus_1", t),
+                                   R, 1e-10, strict=False, **kwargs)
+        b = op.functional_calculus(
+            SchwartzFunction(f"{family}_inv_minus_1", t), R, 1e-10,
+            strict=False, **kwargs)
         diff = (a.element.star() - b.element).max_abs()
-        assert diff < 1e-9
+        assert diff <= a.error + b.error + 1e-13
 
     def test_heat_semigroup_property(self):
         # e^{-t^2 D^2} e^{-s^2 D^2} = e^{-(t^2+s^2) D^2}; compare well
