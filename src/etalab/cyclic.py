@@ -204,13 +204,20 @@ def _merge_arrays(group: GroupModel, arrays: list, i: int) -> list:
     return [group.array_add(arrays[-1], arrays[0])] + arrays[1:-1]
 
 
+def _slot_product(x, y):
+    """Pointwise product of grid slots, convolution of algebra elements."""
+    if isinstance(x, np.ndarray):
+        return np.einsum("ik...,kj...->ij...", x, y)
+    return convolve(x, y)
+
+
 def _merge_slots(ws: list, i: int) -> list:
     """The slot-list counterpart of a face: the trace pairing of a merged
     cochain equals the pairing of the base cochain against the slot list with
     the two merged slots multiplied (trace cyclicity handles the wrap)."""
     if i < len(ws) - 1:
-        return ws[:i] + [convolve(ws[i], ws[i + 1])] + ws[i + 2:]
-    return [convolve(ws[-1], ws[0])] + ws[1:-1]
+        return ws[:i] + [_slot_product(ws[i], ws[i + 1])] + ws[i + 2:]
+    return [_slot_product(ws[-1], ws[0])] + ws[1:-1]
 
 
 def coboundary(phi: CyclicCochain) -> CyclicCochain:
@@ -295,7 +302,7 @@ def periodicity(phi: CyclicCochain, *, check: bool = True, seed: int = 0,
         def prod(x, y):
             key = (id(x), id(y))
             if key not in memo:
-                memo[key] = convolve(x, y)
+                memo[key] = _slot_product(x, y)
             return memo[key]
 
         def merge(lst, k):
@@ -468,13 +475,17 @@ def pair_phi_tr(phi: CyclicCochain, ws, *, use_reduction: bool = True,
     slots); separable cochains over Z^d contract by FFT convolution; everything
     else falls back to a budgeted support-tuple sum. Slots on unitized paths
     are passed as their algebra parts (the adjoined unit contributes nothing).
+    Over Z^d the slots may instead be samples on one uniform grid, entry
+    planes first (``(d, d, n, ..., n)``); they pair through reductions down
+    to :meth:`SeparableClassCochain.pair_grid`.
     """
     ws = list(ws)
     if len(ws) != phi.arity:
         raise PreconditionError(
             f"{phi.name} pairs with {phi.arity} slots, got {len(ws)}")
-    dims = set()
-    for w in ws:
+    grid = all(isinstance(w, np.ndarray) for w in ws)
+    dims = {w.shape[:2] for w in ws} if grid else set()
+    for w in [] if grid else ws:
         if not isinstance(w, AlgebraElement):
             raise PreconditionError(f"cannot pair against {type(w).__name__}")
         if w.group != phi.group:
@@ -498,8 +509,11 @@ def pair_phi_tr(phi: CyclicCochain, ws, *, use_reduction: bool = True,
         return total
 
     if isinstance(phi, SeparableClassCochain):
-        return phi.pair_separable(ws, box_cache=_box_cache)
-
+        pair = phi.pair_grid if grid else phi.pair_separable
+        return pair(ws, box_cache=_box_cache)
+    if grid:
+        raise PreconditionError(f"{phi.name} does not reduce to a separable "
+                                "class cochain, as the Z^d grid route needs")
     return _pair_tuple_sum(phi, ws, tuple_budget)
 
 
@@ -596,6 +610,7 @@ class SeparableClassCochain(CyclicCochain):
                 "SeparableClassCochain requires a free abelian group")
         h = group.validate(class_element)
         self.class_h = h
+        self._grid: dict = {}
         self.terms = [(complex(c), list(fs)) for c, fs in terms]
         for _, fs in self.terms:
             if len(fs) != degree + 1:
@@ -643,7 +658,6 @@ class SeparableClassCochain(CyclicCochain):
         and transforms across a face reduction by slot id; the reduction
         keeps slots alive."""
         rank = self.group.rank
-        dims = range(ws[0].dim)
         cache = {} if box_cache is None else box_cache
 
         def memo(key, make, *args):
@@ -676,20 +690,89 @@ class SeparableClassCochain(CyclicCochain):
 
         total = 0.0 + 0.0j
         for c, fs in self.terms:
-            fts = [memo(("fft", id(ws[k]), id(fn), fft_shape), slot_fft, k, fn)
-                   for k, fn in enumerate(fs)]
-            cur = fts[0]
-            for F in fts[1:-1]:
-                cur = [[sum(cur[i][k] * F[k][j] for k in dims) for j in dims]
-                       for i in dims]
-            if len(fts) == 1:
-                field = sum(cur[i][i] for i in dims)
-            else:
-                field = sum(cur[i][k] * fts[-1][k][i] for i in dims for k in dims)
+            field = _chain_trace(
+                [memo(("fft", id(ws[k]), id(fn), fft_shape), slot_fft, k, fn)
+                 for k, fn in enumerate(fs)])
             for p in phases:
                 field = np.tensordot(field, p, axes=([0], [0]))
             total += c * complex(field)
         return total
+
+    def pair_grid(self, ws, box_cache: dict | None = None) -> complex:
+        """Route for slots sampled on the grid ``theta_j = 2 pi j / n``,
+        entry planes first. A factor is a Fourier multiplier: the slot's
+        FFT along the axes the factor varies on, times the factor at the
+        signed indices, transformed back. The chain is multiplied pointwise
+        and traced, and coefficient ``h`` is the grid mean of the field
+        times ``e^{-i h.theta}``. ``box_cache`` shares transforms by slot id
+        as in :meth:`pair_separable`; an entry ``("adjoint", id(b)): a``
+        marks ``b`` as the pointwise adjoint of ``a``, so ``f b = +-(f a)*``
+        for a factor with ``conj f(-g) = +-f(g)``. Its ``"scale"`` entry
+        sums ``|c_r| max |field|``, the size the read-out rounds at."""
+        n = ws[0].shape[-1]
+        cache = {} if box_cache is None else box_cache
+
+        def memo(key, make):
+            if key not in cache:
+                cache[key] = make()
+            return cache[key]
+
+        def weighted(w, fn):
+            if fn is None:
+                return w
+            mult, axes, parity = self._grid_factor(fn, n)
+            base = cache.get(("adjoint", id(w)))
+            if base is not None and parity is not None:
+                return parity * np.conj(weighted(base, fn).swapaxes(0, 1))
+            return memo(("grid", id(w), id(fn)), lambda: np.fft.ifftn(memo(
+                ("coef", id(w), axes), lambda: np.fft.fftn(w, axes=axes))
+                * mult, axes=axes))
+
+        total = 0.0 + 0.0j
+        for c, fs in self.terms:
+            field = _chain_trace([weighted(w, fn) for w, fn in zip(ws, fs)])
+            cache["scale"] = (cache.get("scale", 0.0)
+                              + abs(c) * float(np.abs(field).max()))
+            total += c * np.vdot(self._grid_factor(None, n), field)
+        return complex(total)
+
+    def _grid_factor(self, fn, n: int):
+        """Once per n^d grid: ``e^{i h.theta_j} / n^d`` for ``fn = None``;
+        else the factor at the signed indices, the slot axes it varies on
+        and its parity under ``g -> -g`` (or None). The Nyquist index of an
+        even grid is its own reflection, so a factor acts there as 0 along
+        each axis it varies on: an odd factor then stays odd on the grid."""
+        key = (id(fn), n)
+        if key not in self._grid:
+            rank = self.group.rank
+            signed = (np.arange(n) + n // 2) % n - n // 2
+            coords = np.meshgrid(*[signed] * rank, indexing="ij")
+            if fn is None:
+                self._grid[key] = np.exp(2j * np.pi / n * sum(
+                    x * h for x, h in zip(coords, self.class_h))) / n ** rank
+                return self._grid[key]
+            mult = np.array(np.broadcast_to(fn(tuple(coords)), (n,) * rank),
+                            dtype=complex)
+            axes = [k for k in range(rank) if (np.diff(mult, axis=k) != 0).any()]
+            for k in axes if n % 2 == 0 else ():
+                mult[(slice(None),) * k + (n // 2,)] = 0.0
+            flip = np.conj(mult[np.ix_(*[-np.arange(n) % n] * rank)])
+            parity = next((p for p in (1, -1)
+                           if np.array_equal(flip, p * mult)), None)
+            self._grid[key] = (mult, tuple(k + 2 for k in axes), parity)
+        return self._grid[key]
+
+
+def _chain_trace(slots) -> np.ndarray:
+    """``tr(s_0 ... s_k)`` of entry-plane-first slots, plane by plane."""
+    dims = range(len(slots[0]))
+    cur = slots[0]
+    for F in slots[1:-1]:
+        cur = [[sum(cur[i][k] * F[k][j] for k in dims) for j in dims]
+               for i in dims]
+    if len(slots) == 1:
+        return sum(cur[i][i] for i in dims)
+    return sum(cur[i][k] * slots[-1][k][i] for i in dims for k in dims)
 
 
 def _fast_len(n: int) -> int:

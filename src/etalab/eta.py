@@ -17,6 +17,10 @@ gap certificate (and the cochain growth constants) drops below a tenth of
 the tolerance, integrates [0, 1] and [1, T] adaptively, and records the
 per-leg error budget next to the value.
 
+The cocycle-weighted integrand pairs samples of f(D) on the uniform
+calculus grid over Z^d, where the cochain acts by Fourier multipliers, and
+certified calculi on a ball over F_r and finite covers.
+
 The same machinery evaluates the pairing of a cocycle with an invertible
 path (``tau_pair``); for the spectral-flow families the path is traversed
 through s = 1/t, which flips the sign of the time integral and is the bridge
@@ -32,17 +36,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cyclic import CyclicCochain, Idempotent, certify_cyclic_cocycle, pair_phi_tr
-from .errors import CertificateError, PreconditionError
+from .errors import PreconditionError
 from .group_algebra import AlgebraElement, convolve
 from .groups import ConjugacyClass, GroupModel, growth_constants
 from .operators import (
     EquivariantOperator,
     FiniteCoverOperator,
+    FourierSymbolOperator,
     FreeConvolutionOperator,
     SchwartzFunction,
+    calculus_ladder,
     class_trace,
     functional_calculus,
     gap_certificate,
+    rounding_error,
 )
 from .quadpack import quad
 
@@ -296,34 +303,6 @@ def _gapped_abs_sup(g0: float, norm: float, t: float) -> float:
     return x_star * math.exp(-0.5)
 
 
-def fit_gaussian_decay(samples, *, t_min: float = 1.0) -> dict:
-    """Fit ``|I(t)| <= C t^N exp(-delta^2 t^2)`` on integrand samples.
-
-    Least squares in the log domain over samples with ``t >= t_min``;
-    ``max_log_excess`` is the largest amount by which a sample overshoots
-    the fitted envelope (soundness of the fit is this number being small).
-    """
-    ts = np.array([t for t, v, *_ in samples
-                   if t >= t_min and abs(v) > 1e-300])
-    vals = np.array([abs(v) for t, v, *_ in samples
-                     if t >= t_min and abs(v) > 1e-300])
-    if len(ts) < 4:
-        raise PreconditionError(
-            f"need at least 4 usable samples beyond t={t_min}, got {len(ts)}")
-    design = np.stack([np.ones_like(ts), np.log(ts), -ts ** 2], axis=1)
-    coef, *_ = np.linalg.lstsq(design, np.log(vals), rcond=None)
-    log_c, n_pow, delta_sq = (float(c) for c in coef)
-    fitted = design @ coef
-    excess = float(np.max(np.log(vals) - fitted))
-    return {
-        "C": math.exp(log_c),
-        "N": n_pow,
-        "delta": math.sqrt(max(delta_sq, 0.0)),
-        "max_log_excess": excess,
-        "points": int(len(ts)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # invertible paths
 # ---------------------------------------------------------------------------
@@ -467,6 +446,16 @@ def _ball_weight_sum(group: GroupModel, radius: int, growth) -> float:
     return total
 
 
+def _box_weight_sum(rank: int, n: int, growth) -> float:
+    """``sum_{g in [-n/2, n/2)^rank} w(|g|_1)``: the l1 shell counts of the
+    box are the rank-fold convolution of those of one axis."""
+    axis = np.bincount(np.abs(np.arange(-(n // 2), n - n // 2)))
+    shells = np.ones(1)
+    for _ in range(rank):
+        shells = np.convolve(shells, axis)
+    return float(shells @ _length_weights(growth, np.arange(len(shells))))
+
+
 def _weighted_slot_norm(a: AlgebraElement, growth) -> float:
     """``sum_g w(l(g)) |a_g|_1`` — the slot norm the envelope pairs with."""
     norms = a.trace_norms()
@@ -474,7 +463,7 @@ def _weighted_slot_norm(a: AlgebraElement, growth) -> float:
         return 0.0
     group = a.group
     if group.has_array_codec:
-        lengths = group.array_length(group.array_encode(list(norms)))
+        lengths = group.array_length(a.coords)
     else:
         lengths = np.array([group.word_length(g) for g in norms], dtype=float)
     vals = np.array(list(norms.values()), dtype=float)
@@ -487,20 +476,25 @@ class _HigherIntegrand:
     ``value(t)`` returns the prefactored integrand
     ``(m!/(pi i)) phi # tr(dot (x) (leg (x) leg_inv)^(x)m)`` at scale t in
     the natural parametrization with its certified per-evaluation error,
-    tracked through the multilinearity of the pairing, as
-    ``(value, {"calculus": error})``: the sample form of
-    :func:`_certified_integral`.
+    as ``(value, {"calculus": error})``: the sample form of
+    :func:`_certified_integral`. Only ``dot`` and ``leg`` are computed: the
+    path value x is a unitary function of the self-adjoint D, and conj(f)(D)
+    = f(D)^*, so ``leg_inv = x^{-1} - 1`` is the adjoint of ``leg``.
 
-    Only ``dot`` and ``leg`` run through the functional calculus. The path
-    value x is a unitary function of the self-adjoint D, and conj(f)(D) =
-    f(D)^*, so ``leg_inv = x^{-1} - 1 = leg.star()``. The inverse leg
-    inherits the leg's certificate: ``star`` keeps every entry's magnitude
-    and every block's singular values, and |g^{-1}| = |g|, so its entrywise
-    error and its weighted slot norm are the leg's.
+    With no ``radius`` (Z^d) the slots are samples on the calculus grid.
+    Each node walks :func:`calculus_ladder` from one level below the one
+    where the previous node converged, until two levels agree within
+    ``per_eval_tol``, and reports the finer value, with that agreement plus
+    the rounding floor of the read-out as its error. On a ball (F_r, finite
+    covers) each slot is a certified calculus, and the error is tracked
+    through the multilinearity of the pairing (the inverse leg, a ``star``,
+    keeps the leg's entrywise error and weighted norm). ``weight``, the W
+    of :meth:`abs_bound` and :meth:`tail_at`, is dim^2 times the envelope
+    weight summed over the ball, or over the grid box at the ladder's cap.
     """
 
     def __init__(self, op: EquivariantOperator, phi: CyclicCochain, m: int,
-                 radius: int, family: str, per_eval_tol: float):
+                 radius: int | None, family: str, tol: float):
         if family not in _FAMILY_TAGS:
             raise PreconditionError(f"no integrand family {family!r}")
         self.op = op
@@ -508,13 +502,17 @@ class _HigherIntegrand:
         self.m = m
         self.radius = radius
         self.family = family
-        self.per_eval_tol = per_eval_tol
         self.prefactor = math.factorial(m) / (math.pi * 1j)
         self.memo: dict = {}
         self.fold_scale = (math.factorial(m) / math.pi) * phi.growth.C
-        group = op.element.group
-        self.ball_weight = (_ball_weight_sum(group, radius, phi.growth)
-                            * op.element.dim ** 2)
+        if radius is None:
+            self.ladder, self.level, self.nodes = calculus_ladder(24), 1, {}
+            self.per_eval_tol = tol * 1e-3
+            weight = _box_weight_sum(op.rank, self.ladder[-1], phi.growth)
+        else:
+            self.per_eval_tol = max(1e-13, tol * 1e-7)
+            weight = _ball_weight_sum(op.element.group, radius, phi.growth)
+        self.weight = weight * op.element.dim ** 2
 
     def _slot(self, tag: str, t: float) -> tuple:
         """(element, certified error, weighted norm) of one calculus."""
@@ -524,24 +522,55 @@ class _HigherIntegrand:
         return (res.element, res.error,
                 _weighted_slot_norm(res.element, self.phi.growth))
 
+    def _grid_pair(self, t: float, n: int) -> tuple[complex, float]:
+        """(integrand, rounding floor of its read-out) on the n^d grid."""
+        def sample(tag):
+            return np.ascontiguousarray(np.moveaxis(self.op._apply_on_grid(
+                SchwartzFunction(tag, t), n), (-2, -1), (0, 1)))
+
+        dot_tag, leg_tag = _FAMILY_TAGS[self.family]
+        slots, cache = [sample(dot_tag)], {}
+        if self.m:
+            leg = sample(leg_tag)
+            leg_inv = np.conj(leg.swapaxes(0, 1))
+            slots += [leg, leg_inv] * self.m
+            cache[("adjoint", id(leg_inv))] = leg
+        val = self.prefactor * pair_phi_tr(self.phi, slots, _box_cache=cache)
+        return complex(val), rounding_error(
+            abs(self.prefactor) * cache["scale"], n ** self.op.rank)
+
     def value(self, t: float) -> tuple[complex, dict]:
         key = float(t)
         if key in self.memo:
             return self.memo[key]
-        dot_tag, leg_tag = _FAMILY_TAGS[self.family]
-        slots = [self._slot(dot_tag, t)]
-        if self.m:
-            leg, err, norm = self._slot(leg_tag, t)
-            slots += [(leg, err, norm), (leg.star(), err, norm)] * self.m
-        val = self.prefactor * pair_phi_tr(self.phi, [w for w, _, _ in slots])
-        norms = [norm for _, _, norm in slots]
-        fold = sum(err * self.ball_weight
-                   * math.prod(norms[:i] + norms[i + 1:])
-                   for i, (_, err, _) in enumerate(slots))
-        fold *= self.fold_scale
-        out = (complex(val), {"calculus": float(fold)})
-        self.memo[key] = out
-        return out
+        if self.radius is None:
+            i = max(self.level - 1, 0)
+            coarse, _ = self._grid_pair(t, self.ladder[i])
+            while True:
+                i += 1
+                val, floor = self._grid_pair(t, self.ladder[i])
+                fold = abs(val - coarse)
+                if fold <= self.per_eval_tol or i == len(self.ladder) - 1:
+                    break
+                coarse = val
+            self.level, n = i, self.ladder[i]
+            self.nodes[n] = self.nodes.get(n, 0) + 1
+            fold += floor
+        else:
+            dot_tag, leg_tag = _FAMILY_TAGS[self.family]
+            slots = [self._slot(dot_tag, t)]
+            if self.m:
+                leg, err, norm = self._slot(leg_tag, t)
+                slots += [(leg, err, norm), (leg.star(), err, norm)] * self.m
+            val = complex(self.prefactor * pair_phi_tr(
+                self.phi, [w for w, _, _ in slots]))
+            norms = [norm for _, _, norm in slots]
+            fold = sum(err * self.weight
+                       * math.prod(norms[:i] + norms[i + 1:])
+                       for i, (_, err, _) in enumerate(slots))
+            fold = float(fold * self.fold_scale)
+        self.memo[key] = (val, {"calculus": fold})
+        return self.memo[key]
 
     def abs_bound(self, t: float, g0: float) -> float:
         """Closed-form certified bound on |integrand(t)| from the gap."""
@@ -554,7 +583,7 @@ class _HigherIntegrand:
             leg_sup = math.sqrt(math.pi) * math.exp(-(t * g0) ** 2) / (t * g0)
         else:
             leg_sup = 2.0
-        return (self.fold_scale * self.ball_weight ** (2 * self.m + 1)
+        return (self.fold_scale * self.weight ** (2 * self.m + 1)
                 * dot_sup * leg_sup ** (2 * self.m))
 
     def tail_at(self, t_cut: float, g0: float) -> float:
@@ -567,7 +596,7 @@ class _HigherIntegrand:
         legs = (math.sqrt(math.pi) / (t_cut * g0)) ** (2 * m)
         gauss = (math.sqrt(math.pi) / (2.0 * math.sqrt(a))
                  * math.erfc(math.sqrt(a) * t_cut))
-        return (self.fold_scale * self.ball_weight ** (2 * m + 1)
+        return (self.fold_scale * self.weight ** (2 * m + 1)
                 * dot * legs * gauss)
 
 
@@ -582,50 +611,20 @@ def _auto_radius(op: EquivariantOperator, min_radius: int) -> int:
     return base
 
 
-def _radius_cap(group: GroupModel) -> int:
-    rank = getattr(group, "rank", 1)
-    if rank >= 3:
-        return 24
-    if rank == 2:
-        return 48
-    return 140
-
-
-# times at which successive truncation radii must agree
-_PROBE_TIMES = (0.5, 1.0, 2.0)
-
-
 def _build_integrand(op: EquivariantOperator, phi: CyclicCochain, m: int,
                      family: str, tol: float,
                      radius: int | None) -> _HigherIntegrand:
-    """Fix the truncation radius by a stability ladder, then freeze the
-    memoized integrand engine at that radius."""
-    per_eval_tol = max(1e-13, tol * 1e-7)
-    min_radius = 0
-    if phi.support_class is not None:
-        min_radius = phi.support_class.minimal_length()
-    if radius is not None:
-        return _HigherIntegrand(op, phi, m, radius, family, per_eval_tol)
-    r = _auto_radius(op, min_radius)
-    cap = _radius_cap(op.element.group)
-    if isinstance(op, (FiniteCoverOperator, FreeConvolutionOperator)):
-        return _HigherIntegrand(op, phi, m, r, family, per_eval_tol)
-    step = 4
-    engine = _HigherIntegrand(op, phi, m, r, family, per_eval_tol)
-    while True:
-        probe = _HigherIntegrand(op, phi, m, r + step, family, per_eval_tol)
-        diff = max(abs(engine.value(t)[0] - probe.value(t)[0])
-                   for t in _PROBE_TIMES)
-        if diff <= tol / 20.0:
-            engine.probe_diff = diff
-            return engine
-        if r + step >= cap:
-            raise CertificateError(
-                "radius-ladder",
-                f"integrand not stable in truncation radius up to {cap} "
-                f"(last change {diff:.3e} > {tol / 20.0:.1e})")
-        r += step
-        engine = probe
+    """The integrand engine: on the calculus grid for a Z^d symbol, which
+    takes no radius, else on the given or the automatic radius."""
+    if isinstance(op, FourierSymbolOperator):
+        if radius is not None:
+            raise PreconditionError(
+                f"truncation radius {radius} does not apply: the Z^d higher "
+                "eta pairs on the calculus grid (the grid route)")
+    elif radius is None:
+        radius = _auto_radius(op, 0 if phi.support_class is None
+                              else phi.support_class.minimal_length())
+    return _HigherIntegrand(op, phi, m, radius, family, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +726,9 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
 
     ``(m!/(pi i)) int_0^inf phi#tr(u'_t u_t^{-1} (x) ((u_t-1)(x)(u_t^{-1}-1))^(x)m) dt``
     for an even-degree cocycle with a growth certificate. Degree 0 with a
-    class trace reproduces :func:`eta_class` by an independent route.
+    class trace reproduces :func:`eta_class` by an independent route. Over
+    Z^d the integrand is paired on the calculus grid, which takes no
+    ``radius``.
     """
     group = op.element.group
     if phi.group != group:
@@ -750,26 +751,27 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
     cls = phi.support_class if phi.support_class is not None \
         else ConjugacyClass(group, group.identity)
     thresholds = gap_thresholds(op, cls, phi, radius=growth_radius, gap=g0)
+    grid = engine.radius is None
     return EtaReport(
         **parts,
         tail_constants={
             "gap": g0,
             "degree": phi.degree,
-            "ball_weight": engine.ball_weight,
+            "box_weight" if grid else "ball_weight": engine.weight,
             "envelope_C": phi.growth.C,
             "T": parts["split_points"][-1],
             "formula": "fold_scale * W^(2m+1) * dot_sup * leg_sup^(2m) "
-                       "* gaussian_tail",
+                       "* gaussian_tail" + (", W = box_weight" * grid),
         },
         threshold=thresholds,
         verdict=thresholds.cocycle_ok,
         samples=sorted((t, v, engine.abs_bound(t, g0))
                        for t, (v, e) in engine.memo.items()),
         diagnostics={
-            "radius": engine.radius,
             "evaluations": len(engine.memo),
-            "probe_diff": getattr(engine, "probe_diff", None),
             "per_eval_tol": engine.per_eval_tol,
+            **({"grid_nodes": dict(sorted(engine.nodes.items()))} if grid
+               else {"radius": engine.radius}),
         })
 
 
@@ -815,13 +817,14 @@ def tau_pair(phi: CyclicCochain, path: InvertiblePath, *,
     op = path.operator
     if phi.group != op.element.group:
         raise PreconditionError("cochain and path live on different groups")
+    if radius is None and not isinstance(op, FourierSymbolOperator):
+        radius = path.radius
     g0 = float(gap_certificate(op))
     if g0 <= 0:
         raise PreconditionError("path pairing needs a positive gap certificate")
 
     if path.family == "ut":
-        engine = _build_integrand(op, phi, m, "ut", tol,
-                                  radius if radius is not None else path.radius)
+        engine = _build_integrand(op, phi, m, "ut", tol, radius)
         parts = _certified_integral(engine.value,
                                     lambda t_cut: engine.tail_at(t_cut, g0),
                                     g0, tol=tol)
@@ -835,8 +838,7 @@ def tau_pair(phi: CyclicCochain, path: InvertiblePath, *,
             "the Cayley path tail decays only polynomially and is certified "
             "only over groups with polynomial growth; "
             f"{op.element.group!r} carries no such certificate")
-    engine = _build_integrand(op, phi, m, "wt", tol,
-                              radius if radius is not None else path.radius)
+    engine = _build_integrand(op, phi, m, "wt", tol, radius)
 
     def near(t: float) -> complex:
         return engine.value(t)[0]

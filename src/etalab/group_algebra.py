@@ -82,7 +82,7 @@ class _BlockStack:
     """``keys`` and ``blocks`` of the module layout, with the ``coeffs``
     view."""
 
-    __slots__ = ("group", "dim", "keys", "blocks", "_coeffs")
+    __slots__ = ("group", "dim", "keys", "blocks", "_coeffs", "_coords")
 
     def _adopt(self, group: GroupModel, dim: int, keys, blocks: np.ndarray):
         blocks = np.ascontiguousarray(blocks, dtype=complex)
@@ -93,7 +93,7 @@ class _BlockStack:
         blocks.flags.writeable = False
         self.group, self.dim = group, dim
         self.keys, self.blocks = tuple(keys), blocks
-        self._coeffs = None
+        self._coeffs = self._coords = None
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -145,14 +145,18 @@ class AlgebraElement(_BlockStack):
 
     @classmethod
     def _from_stack(cls, group: GroupModel, dim: int, keys,
-                    blocks: np.ndarray, cleanup: bool = True):
+                    blocks: np.ndarray, cleanup: bool = True,
+                    coords: np.ndarray | None = None):
         """The element ``sum_i blocks[i] keys[i]`` for distinct ``keys``;
         ``blocks`` is adopted without a copy when it already has the
-        layout."""
+        layout, and ``coords`` (of ``keys``) if the cleanup keeps them all."""
         element = cls.__new__(cls)
         element._adopt(group, int(dim), keys, blocks)
         if cleanup:
             element.cleanup()
+        if coords is not None and len(coords) == len(element.keys):
+            element._coords = coords
+            coords.flags.writeable = False
         return element
 
     @staticmethod
@@ -208,6 +212,15 @@ class AlgebraElement(_BlockStack):
                       key=lambda g: (self.group.word_length(g),
                                      self.group.sort_key(g)))
 
+    @property
+    def coords(self) -> np.ndarray:
+        """Read-only int64 ``(N, width)`` array codec of ``keys``, built at
+        most once (groups with an array codec only)."""
+        if self._coords is None:
+            self._coords = self.group.array_encode(self.keys)
+            self._coords.flags.writeable = False
+        return self._coords
+
     def coefficient(self, g) -> np.ndarray:
         return self.coeffs.get(g, np.zeros((self.dim, self.dim), dtype=complex))
 
@@ -254,11 +267,13 @@ class AlgebraElement(_BlockStack):
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement._from_stack(self.group, self.dim, self.keys,
-                                          -self.blocks, cleanup=False)
+                                          -self.blocks, cleanup=False,
+                                          coords=self._coords)
 
     def scale(self, c) -> "AlgebraElement":
         return AlgebraElement._from_stack(self.group, self.dim, self.keys,
-                                          c * self.blocks)
+                                          c * self.blocks,
+                                          coords=self._coords)
 
     def __rmul__(self, c) -> "AlgebraElement":
         if np.ndim(c) == 0:
@@ -273,10 +288,16 @@ class AlgebraElement(_BlockStack):
         return NotImplemented
 
     def star(self) -> "AlgebraElement":
-        """Involution: ``(A*)_g = (A_{g^-1})^dagger``."""
+        """Involution: ``(A*)_g = (A_{g^-1})^dagger``; over Z^d the inverted
+        keys are the negated :attr:`coords`."""
+        coords = (-self.coords if isinstance(self.group, FreeAbelianGroup)
+                  else None)
+        keys = ([self.group.inverse(g) for g in self.keys] if coords is None
+                else list(map(tuple, coords.tolist())))
         return AlgebraElement._from_stack(
-            self.group, self.dim, [self.group.inverse(g) for g in self.keys],
-            self.blocks.conj().transpose(0, 2, 1), cleanup=False)
+            self.group, self.dim, keys,
+            self.blocks.conj().transpose(0, 2, 1), cleanup=False,
+            coords=coords)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return (self - self.star()).max_abs() <= tol
@@ -318,7 +339,7 @@ def _dense_block_box(A: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
     if not A.keys:
         return (np.zeros((1,) * rank + (A.dim, A.dim), dtype=complex),
                 np.zeros(rank, dtype=np.int64))
-    pts = np.array(A.keys, dtype=np.int64).reshape(-1, rank)
+    pts = A.coords
     lo = pts.min(axis=0)
     shape = tuple((pts.max(axis=0) - lo + 1).tolist()) + (A.dim, A.dim)
     arr = np.zeros(shape, dtype=complex)

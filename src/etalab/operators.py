@@ -67,6 +67,7 @@ HERMITIAN_TOL = 1e-12
 DEFAULT_MU = 1.1
 _GRID_CAPS = {1: 1 << 16, 2: 1 << 10, 3: 1 << 7}  # symbol gap grid, by rank
 _CALCULUS_MAX_NODES = 400  # symbol calculus grid, per axis
+_ROUNDING_ULPS = 4  # rounding floor of a grid level, ulps per FFT level
 _CHEB_START_DEGREE = 16  # free-kernel Chebyshev degree ladder
 _CHEB_MAX_DEGREE = 512
 _COVER_ZERO_TOL = 1e-10  # cover gap: |eigenvalue| / scale counted as 0
@@ -360,6 +361,22 @@ class EquivariantOperator:
 # ---------------------------------------------------------------------------
 
 
+def calculus_ladder(start: int) -> list:
+    """The grid sizes of the Z^d calculus: ``_fast_len(start)``, then the
+    smallest 5-smooth length above 1.5 times the last, up to
+    ``_CALCULUS_MAX_NODES``."""
+    levels = [_fast_len(start)]
+    while (n := _fast_len(math.ceil(levels[-1] * 1.5))) <= _CALCULUS_MAX_NODES:
+        levels.append(n)
+    return levels
+
+
+def rounding_error(scale: float, points: int) -> float:
+    """A few ulps of ``scale`` per level of a ``points``-point FFT: the floor
+    below which the agreement of two grid levels certifies nothing."""
+    return _ROUNDING_ULPS * 2.0 ** -52 * scale * math.log2(max(points, 2))
+
+
 def _hermitian_2x2(d00, d11, d01):
     """(mu, delta, b, r) of Hermitian 2x2 blocks, with eigenvalues mu +- r."""
     mu = 0.5 * (d00 + d11).real
@@ -449,32 +466,36 @@ class FourierSymbolOperator(EquivariantOperator):
         idx = np.arange(-R, R + 1) % n
         return self._coefficient_grid(f, n)[np.ix_(*[idx] * self.rank)]
 
+    def _spectral_sup(self, f, n: int) -> float:
+        """max |f| over the eigenvalues of ``D`` on the n^d grid: a bound on
+        every entry of ``f(D(theta_j))``."""
+        s = self._grid_spectrum(n)
+        lams = [s] if self.dim == 1 else [s[0] + s[3], s[0] - s[3]] \
+            if self.dim == 2 else [s[0]]
+        return max(float(np.abs(f(lam)).max()) for lam in lams)
+
     def functional_calculus(self, f: SchwartzFunction, R: int,
                             tol: float = 1e-10, *,
                             strict: bool = True) -> CalculusResult:
         """Coefficients of f(D) on the ball of radius ``R``, by the
-        trapezoid rule on 5-smooth grids ``n`` from ``_fast_len(max(24,
-        2R + 1))`` (so the read box never aliases onto itself) growing by
-        about 1.5 up to ``_CALCULUS_MAX_NODES``; ``error`` is the agreement
-        of the last two levels."""
+        trapezoid rule on the levels of ``calculus_ladder(max(24, 2R + 1))``
+        (so the read box never aliases onto itself); the stop test is the
+        agreement of the last two levels, and ``error`` adds to it the
+        rounding floor of the last level's transform."""
         self._check_radius(R)
         group: FreeAbelianGroup = self.group
-        nodes = _fast_len(max(24, 2 * R + 1))
-        prev = self._coefficient_box(f, R, nodes)
-        err = math.inf
-        levels = [nodes]
-        while True:
-            nodes = _fast_len(math.ceil(nodes * 1.5))
-            if nodes > _CALCULUS_MAX_NODES:
-                converged = False
-                break
+        ladder = calculus_ladder(max(24, 2 * R + 1))
+        prev = self._coefficient_box(f, R, ladder[0])
+        err, converged, levels = math.inf, False, ladder[:1]
+        for nodes in ladder[1:]:
             cur = self._coefficient_box(f, R, nodes)
             err = float(np.abs(cur - prev).max())
             prev = cur
             levels.append(nodes)
-            if err <= 0.1 * tol:
-                converged = True
+            if converged := err <= 0.1 * tol:
                 break
+        err += rounding_error(self._spectral_sup(f, levels[-1]),
+                              levels[-1] ** self.rank)
         # the ball |g| <= R of the box, in the C order of np.ndindex
         box = np.indices((2 * R + 1,) * self.rank).reshape(self.rank, -1).T - R
         ball = group.array_length(box) <= R

@@ -382,6 +382,24 @@ class TestHigherEtaCommand:
         assert result["threshold_verdict"] is True
 
 
+class TestLatticeHigherEtaCommand:
+    def test_area_pairing_certifies_at_the_default_tolerance(self):
+        code, out, _ = run_cli("higher-eta", "operator.kind=two_band",
+                               "cocycle.kind=area", "class.element=0,0")
+        assert code == 0
+        result = json.loads(out)["result"]
+        value = complex(result["value"]["re"], result["value"]["im"])
+        assert abs(value - 2j / math.pi) <= result["error"]
+        assert result["converged"] is True
+
+    def test_truncation_radius_is_a_precondition_failure(self):
+        code, _, err = run_cli("higher-eta", "operator.kind=two_band",
+                               "cocycle.kind=area", "class.element=0,0",
+                               "truncation.radius=16")
+        assert code == 2
+        assert "grid route" in err
+
+
 class TestNormsCommand:
     def test_report_schema_and_consistency(self):
         code, out, _ = run_cli("norms", "operator.kind=laplace",

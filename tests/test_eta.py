@@ -10,7 +10,10 @@ Oracles used here are independent of the production routes:
   the small-time limit, the unit pairing 2i/pi of the twisted two-band
   model, and the exact loop pairing -2 tr(p) of character projectors;
 * central finite differences of the transgressed slot functional
-  against the engine integrand.
+  against the engine integrand;
+* the ball route at radius 32 (functional-calculus elements paired by
+  ``pair_phi_tr``) against the Z^d grid engine, which shares no pairing
+  code with it.
 """
 
 from __future__ import annotations
@@ -22,13 +25,16 @@ import pytest
 from scipy.integrate import quad
 
 from etalab.cyclic import (
+    CochainGrowth,
     CyclicCochain,
     Idempotent,
     area_cocycle,
     class_trace_cochain,
     coboundary,
     pair_phi_tr,
+    periodicity,
     random_delocalized_cochain,
+    table_cochain,
 )
 from etalab.errors import PreconditionError
 from etalab.eta import (
@@ -36,7 +42,6 @@ from etalab.eta import (
     _build_integrand,
     eta_class,
     eta_higher,
-    fit_gaussian_decay,
     gap_thresholds,
     invertible_path,
     tau_pair,
@@ -46,6 +51,7 @@ from etalab.group_algebra import AlgebraElement
 from etalab.groups import CyclicGroup, FreeAbelianGroup, FreeGroup
 from etalab.operators import (
     FiniteCoverOperator,
+    FourierSymbolOperator,
     SchwartzFunction,
     class_trace,
     free_group_model,
@@ -252,39 +258,93 @@ class TestHigherEta:
                                     radius, tol=1e-12, strict=False).element
             return pair_phi_tr(psi, [a, b])
 
+        engine = _build_integrand(op, bpsi, 1, "ut", 1e-10, None)
         for t in (0.6, 1.0, 1.4):
             diff = (two_legs(t + h) - two_legs(t - h)) / (2.0 * h)
-            engine = _build_integrand(op, bpsi, 1, "ut", 1e-10,
-                                      radius).value(t)[0]
-            assert abs(diff / (1j * math.pi * engine) - 1.0) <= 1e-4
+            assert abs(diff / (1j * math.pi * engine.value(t)[0]) - 1.0) \
+                <= 1e-4
 
     def test_inverse_leg_runs_no_calculus_of_its_own(self, monkeypatch):
-        # the inverse leg is the adjoint of the leg, so one node costs one
-        # calculus for dot and one for the leg, and a path sample one
-        calls = []
+        # the inverse leg is the pointwise adjoint of the leg, so each grid
+        # level of a node samples dot and the leg only, a memo hit samples
+        # nothing, and the grid engine runs no ball calculus; a path sample
+        # runs one calculus of the leg
+        calls, sampled = [], []
+        apply_on_grid = FourierSymbolOperator._apply_on_grid
 
         def counted(*args, **kwargs):
             calls.append(args[1].tag)
             return functional_calculus(*args, **kwargs)
 
+        def on_grid(op, f, n):
+            sampled.append(f.tag)
+            return apply_on_grid(op, f, n)
+
         monkeypatch.setattr("etalab.eta.functional_calculus", counted)
+        monkeypatch.setattr(FourierSymbolOperator, "_apply_on_grid", on_grid)
         area = _build_integrand(two_band_chern_symbol(),
                                 area_cocycle(FreeAbelianGroup(2), (0, 0)),
-                                1, "ut", 1e-6, 6)
+                                1, "ut", 1e-6, None)
         area.value(0.7)
-        assert calls == ["udot_uinv", "ut_minus_1"]
-        calls.clear()
+        levels = len(sampled) // 2
+        assert levels >= 2
+        assert sampled == ["udot_uinv", "ut_minus_1"] * levels
+        sampled.clear()
         area.value(0.7)
-        assert calls == []
+        assert sampled == []
         trace = _build_integrand(lattice_laplace_symbol(),
                                  class_trace_cochain(z_class(1)), 0, "ut",
-                                 1e-8, 10)
+                                 1e-8, None)
         trace.value(0.7)
-        assert calls == ["udot_uinv"]
-        calls.clear()
+        assert len(sampled) >= 2 and set(sampled) == {"udot_uinv"}
+        assert calls == []
+        sampled.clear()
         invertible_path("ut", operator=lattice_laplace_symbol(),
                         grid=(1.0,))
         assert calls == ["ut_minus_1"]
+        assert set(sampled) == {"ut_minus_1"}
+
+    @pytest.mark.parametrize("case", ["area", "shifted_trace", "coboundary"])
+    def test_grid_sample_error_bounds_the_ball_oracle(self, case):
+        # |grid engine value - ball route at radius 32| <= the sample's
+        # certified error; the oracle takes the inverse leg from its own
+        # calculus, not as an adjoint
+        z1, z2 = FreeAbelianGroup(1), FreeAbelianGroup(2)
+        op, phi = {
+            "area": (two_band_chern_symbol(), area_cocycle(z2, (0, 0))),
+            "shifted_trace": (lattice_laplace_symbol(), periodicity(
+                class_trace_cochain(z_class(1)))),
+            "coboundary": (lattice_laplace_symbol(), coboundary(
+                random_delocalized_cochain(z1, (3,), rate=0.1, seed=3))),
+        }[case]
+        m = phi.degree // 2
+        engine = _build_integrand(op, phi, m, "ut", 1e-8, None)
+        for t in (0.25, 0.5, 1.0, 2.0, 3.0):
+            value, errors = engine.value(t)
+
+            def ball(tag):
+                return functional_calculus(op, SchwartzFunction(tag, t), 32,
+                                           tol=1e-13, strict=False).element
+
+            slots = [ball("udot_uinv")]
+            slots += [ball("ut_minus_1"), ball("ut_inv_minus_1")] * m
+            oracle = (math.factorial(m) / (math.pi * 1j)
+                      * pair_phi_tr(phi, slots))
+            assert abs(value - oracle) <= errors["calculus"], t
+
+    def test_lattice_cochain_without_separable_reduction_rejected(self):
+        table = table_cochain(FreeAbelianGroup(1), 0, {((1,),): 1.0},
+                              growth=CochainGrowth("bounded", 1.0))
+        with pytest.raises(PreconditionError, match="separable"):
+            eta_higher(lattice_laplace_symbol(), table, tol=1e-6)
+
+    def test_lattice_radius_rejected(self):
+        phi = class_trace_cochain(z_class(1))
+        with pytest.raises(PreconditionError, match="grid route"):
+            eta_higher(lattice_laplace_symbol(), phi, tol=1e-6, radius=8)
+        with pytest.raises(PreconditionError, match="grid route"):
+            tau_pair(phi, invertible_path("ut", operator=lattice_laplace_symbol(),
+                                          grid=(1.0,)), tol=1e-6, radius=8)
 
     def test_odd_degree_rejected(self):
         psi = random_delocalized_cochain(FreeAbelianGroup(1), (3,),
@@ -352,6 +412,34 @@ class TestThresholds:
 # ---------------------------------------------------------------------------
 # tail envelopes
 # ---------------------------------------------------------------------------
+
+
+def fit_gaussian_decay(samples, *, t_min: float = 1.0) -> dict:
+    """Fit ``|I(t)| <= C t^N exp(-delta^2 t^2)`` on integrand samples.
+
+    Least squares in the log domain over samples with ``t >= t_min``;
+    ``max_log_excess`` is the largest amount by which a sample overshoots
+    the fitted envelope (soundness of the fit is this number being small).
+    """
+    ts = np.array([t for t, v, *_ in samples
+                   if t >= t_min and abs(v) > 1e-300])
+    vals = np.array([abs(v) for t, v, *_ in samples
+                     if t >= t_min and abs(v) > 1e-300])
+    if len(ts) < 4:
+        raise PreconditionError(
+            f"need at least 4 usable samples beyond t={t_min}, got {len(ts)}")
+    design = np.stack([np.ones_like(ts), np.log(ts), -ts ** 2], axis=1)
+    coef, *_ = np.linalg.lstsq(design, np.log(vals), rcond=None)
+    log_c, n_pow, delta_sq = (float(c) for c in coef)
+    fitted = design @ coef
+    excess = float(np.max(np.log(vals) - fitted))
+    return {
+        "C": math.exp(log_c),
+        "N": n_pow,
+        "delta": math.sqrt(max(delta_sq, 0.0)),
+        "max_log_excess": excess,
+        "points": int(len(ts)),
+    }
 
 
 class TestGaussianTailFit:

@@ -15,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etalab.group_algebra import AlgebraElement
-from etalab.operators import FourierSymbolOperator, SchwartzFunction
+from etalab.operators import (
+    FourierSymbolOperator,
+    SchwartzFunction,
+    lattice_laplace_symbol,
+)
 from test_gap_grid import direct_symbol, hermitian_symbol
 
 CALCULUS = settings(derandomize=True, deadline=None, database=None,
@@ -69,3 +73,18 @@ def test_calculus_error_bounds_the_distance_to_a_finer_oracle(op, tag, t,
     oracle = oracle_coefficients(op, f, keys,
                                  4 * res.diagnostics["levels"][-1])
     assert float(np.abs(computed - oracle).max()) <= res.error + 1e-12
+
+
+def test_rounding_floor_covers_a_scalar_symbol_converged_at_rounding():
+    # 2 + cos(theta) with gauss at t = 0.3 converges on the first two
+    # levels, whose agreement (2e-17) lies below the rounding of the
+    # coefficients themselves; the error still covers the finer oracle,
+    # with no allowance
+    op = lattice_laplace_symbol()
+    f = SchwartzFunction("gauss", 0.3)
+    res = op.functional_calculus(f, 1, 1e-10, strict=False)
+    keys = op.group.ball(1)
+    computed = np.array([res.element.coeffs[g] for g in keys])
+    oracle = oracle_coefficients(op, f, keys,
+                                 4 * res.diagnostics["levels"][-1])
+    assert float(np.abs(computed - oracle).max()) <= res.error
