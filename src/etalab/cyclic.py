@@ -705,10 +705,8 @@ class SeparableClassCochain(CyclicCochain):
         signed indices, transformed back. The chain is multiplied pointwise
         and traced, and coefficient ``h`` is the grid mean of the field
         times ``e^{-i h.theta}``. ``box_cache`` shares transforms by slot id
-        as in :meth:`pair_separable`; an entry ``("adjoint", id(b)): a``
-        marks ``b`` as the pointwise adjoint of ``a``, so ``f b = +-(f a)*``
-        for a factor with ``conj f(-g) = +-f(g)``. Its ``"scale"`` entry
-        sums ``|c_r| max |field|``, the size the read-out rounds at."""
+        as in :meth:`pair_separable`; its ``"scale"`` entry sums ``|c_r| max
+        |field|``, the size the read-out rounds at."""
         n = ws[0].shape[-1]
         cache = {} if box_cache is None else box_cache
 
@@ -720,10 +718,7 @@ class SeparableClassCochain(CyclicCochain):
         def weighted(w, fn):
             if fn is None:
                 return w
-            mult, axes, parity = self._grid_factor(fn, n)
-            base = cache.get(("adjoint", id(w)))
-            if base is not None and parity is not None:
-                return parity * np.conj(weighted(base, fn).swapaxes(0, 1))
+            mult, axes = self._grid_factor(fn, n)
             return memo(("grid", id(w), id(fn)), lambda: np.fft.ifftn(memo(
                 ("coef", id(w), axes), lambda: np.fft.fftn(w, axes=axes))
                 * mult, axes=axes))
@@ -738,10 +733,8 @@ class SeparableClassCochain(CyclicCochain):
 
     def _grid_factor(self, fn, n: int):
         """Once per n^d grid: ``e^{i h.theta_j} / n^d`` for ``fn = None``;
-        else the factor at the signed indices, the slot axes it varies on
-        and its parity under ``g -> -g`` (or None). The Nyquist index of an
-        even grid is its own reflection, so a factor acts there as 0 along
-        each axis it varies on: an odd factor then stays odd on the grid."""
+        else the factor at the signed indices and the slot axes it varies
+        on."""
         key = (id(fn), n)
         if key not in self._grid:
             rank = self.group.rank
@@ -751,15 +744,9 @@ class SeparableClassCochain(CyclicCochain):
                 self._grid[key] = np.exp(2j * np.pi / n * sum(
                     x * h for x, h in zip(coords, self.class_h))) / n ** rank
                 return self._grid[key]
-            mult = np.array(np.broadcast_to(fn(tuple(coords)), (n,) * rank),
-                            dtype=complex)
+            mult = np.broadcast_to(fn(tuple(coords)), (n,) * rank)
             axes = [k for k in range(rank) if (np.diff(mult, axis=k) != 0).any()]
-            for k in axes if n % 2 == 0 else ():
-                mult[(slice(None),) * k + (n // 2,)] = 0.0
-            flip = np.conj(mult[np.ix_(*[-np.arange(n) % n] * rank)])
-            parity = next((p for p in (1, -1)
-                           if np.array_equal(flip, p * mult)), None)
-            self._grid[key] = (mult, tuple(k + 2 for k in axes), parity)
+            self._grid[key] = (mult, tuple(k + 2 for k in axes))
         return self._grid[key]
 
 

@@ -506,7 +506,10 @@ class _HigherIntegrand:
         self.memo: dict = {}
         self.fold_scale = (math.factorial(m) / math.pi) * phi.growth.C
         if radius is None:
-            self.ladder, self.level, self.nodes = calculus_ladder(24), 1, {}
+            self.ladder = calculus_ladder(24, op.rank)
+            if len(self.ladder) < 2:
+                raise PreconditionError(f"no calculus grid ladder on Z^{op.rank}")
+            self.level, self.nodes = 1, {}
             self.per_eval_tol = tol * 1e-3
             weight = _box_weight_sum(op.rank, self.ladder[-1], phi.growth)
         else:
@@ -532,9 +535,7 @@ class _HigherIntegrand:
         slots, cache = [sample(dot_tag)], {}
         if self.m:
             leg = sample(leg_tag)
-            leg_inv = np.conj(leg.swapaxes(0, 1))
-            slots += [leg, leg_inv] * self.m
-            cache[("adjoint", id(leg_inv))] = leg
+            slots += [leg, np.conj(leg.swapaxes(0, 1))] * self.m
         val = self.prefactor * pair_phi_tr(self.phi, slots, _box_cache=cache)
         return complex(val), rounding_error(
             abs(self.prefactor) * cache["scale"], n ** self.op.rank)

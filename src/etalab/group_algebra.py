@@ -145,18 +145,14 @@ class AlgebraElement(_BlockStack):
 
     @classmethod
     def _from_stack(cls, group: GroupModel, dim: int, keys,
-                    blocks: np.ndarray, cleanup: bool = True,
-                    coords: np.ndarray | None = None):
+                    blocks: np.ndarray, cleanup: bool = True):
         """The element ``sum_i blocks[i] keys[i]`` for distinct ``keys``;
         ``blocks`` is adopted without a copy when it already has the
-        layout, and ``coords`` (of ``keys``) if the cleanup keeps them all."""
+        layout."""
         element = cls.__new__(cls)
         element._adopt(group, int(dim), keys, blocks)
         if cleanup:
             element.cleanup()
-        if coords is not None and len(coords) == len(element.keys):
-            element._coords = coords
-            coords.flags.writeable = False
         return element
 
     @staticmethod
@@ -267,13 +263,11 @@ class AlgebraElement(_BlockStack):
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement._from_stack(self.group, self.dim, self.keys,
-                                          -self.blocks, cleanup=False,
-                                          coords=self._coords)
+                                          -self.blocks, cleanup=False)
 
     def scale(self, c) -> "AlgebraElement":
         return AlgebraElement._from_stack(self.group, self.dim, self.keys,
-                                          c * self.blocks,
-                                          coords=self._coords)
+                                          c * self.blocks)
 
     def __rmul__(self, c) -> "AlgebraElement":
         if np.ndim(c) == 0:
@@ -288,16 +282,10 @@ class AlgebraElement(_BlockStack):
         return NotImplemented
 
     def star(self) -> "AlgebraElement":
-        """Involution: ``(A*)_g = (A_{g^-1})^dagger``; over Z^d the inverted
-        keys are the negated :attr:`coords`."""
-        coords = (-self.coords if isinstance(self.group, FreeAbelianGroup)
-                  else None)
-        keys = ([self.group.inverse(g) for g in self.keys] if coords is None
-                else list(map(tuple, coords.tolist())))
+        """Involution: ``(A*)_g = (A_{g^-1})^dagger``."""
         return AlgebraElement._from_stack(
-            self.group, self.dim, keys,
-            self.blocks.conj().transpose(0, 2, 1), cleanup=False,
-            coords=coords)
+            self.group, self.dim, [self.group.inverse(g) for g in self.keys],
+            self.blocks.conj().transpose(0, 2, 1), cleanup=False)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return (self - self.star()).max_abs() <= tol

@@ -361,12 +361,14 @@ class EquivariantOperator:
 # ---------------------------------------------------------------------------
 
 
-def calculus_ladder(start: int) -> list:
+def calculus_ladder(start: int, rank: int = 1) -> list:
     """The grid sizes of the Z^d calculus: ``_fast_len(start)``, then the
     smallest 5-smooth length above 1.5 times the last, up to
-    ``_CALCULUS_MAX_NODES``."""
+    ``_CALCULUS_MAX_NODES`` and the gap grid's cap for whole grids over
+    Z^rank."""
+    cap = min(_CALCULUS_MAX_NODES, _GRID_CAPS.get(rank, 32))
     levels = [_fast_len(start)]
-    while (n := _fast_len(math.ceil(levels[-1] * 1.5))) <= _CALCULUS_MAX_NODES:
+    while (n := _fast_len(math.ceil(levels[-1] * 1.5))) <= cap:
         levels.append(n)
     return levels
 
@@ -461,18 +463,13 @@ class FourierSymbolOperator(EquivariantOperator):
                            axes=tuple(range(self.rank)), norm="forward")
 
     def _coefficient_box(self, f: SchwartzFunction, R: int,
-                         n: int) -> np.ndarray:
-        """All coefficients c_a, a in [-R, R]^d, on the n^d grid."""
+                         n: int) -> tuple[np.ndarray, float]:
+        """All coefficients c_a, a in [-R, R]^d, on the n^d grid, and the
+        largest entry of f(D(theta_j)), the size their transform rounds at."""
+        values = self._apply_on_grid(f, n)
         idx = np.arange(-R, R + 1) % n
-        return self._coefficient_grid(f, n)[np.ix_(*[idx] * self.rank)]
-
-    def _spectral_sup(self, f, n: int) -> float:
-        """max |f| over the eigenvalues of ``D`` on the n^d grid: a bound on
-        every entry of ``f(D(theta_j))``."""
-        s = self._grid_spectrum(n)
-        lams = [s] if self.dim == 1 else [s[0] + s[3], s[0] - s[3]] \
-            if self.dim == 2 else [s[0]]
-        return max(float(np.abs(f(lam)).max()) for lam in lams)
+        coef = np.fft.fftn(values, axes=tuple(range(self.rank)), norm="forward")
+        return coef[np.ix_(*[idx] * self.rank)], float(np.abs(values).max())
 
     def functional_calculus(self, f: SchwartzFunction, R: int,
                             tol: float = 1e-10, *,
@@ -485,17 +482,16 @@ class FourierSymbolOperator(EquivariantOperator):
         self._check_radius(R)
         group: FreeAbelianGroup = self.group
         ladder = calculus_ladder(max(24, 2 * R + 1))
-        prev = self._coefficient_box(f, R, ladder[0])
+        prev, scale = self._coefficient_box(f, R, ladder[0])
         err, converged, levels = math.inf, False, ladder[:1]
         for nodes in ladder[1:]:
-            cur = self._coefficient_box(f, R, nodes)
+            cur, scale = self._coefficient_box(f, R, nodes)
             err = float(np.abs(cur - prev).max())
             prev = cur
             levels.append(nodes)
             if converged := err <= 0.1 * tol:
                 break
-        err += rounding_error(self._spectral_sup(f, levels[-1]),
-                              levels[-1] ** self.rank)
+        err += rounding_error(scale, levels[-1] ** self.rank)
         # the ball |g| <= R of the box, in the C order of np.ndindex
         box = np.indices((2 * R + 1,) * self.rank).reshape(self.rank, -1).T - R
         ball = group.array_length(box) <= R

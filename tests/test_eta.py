@@ -346,6 +346,16 @@ class TestHigherEta:
             tau_pair(phi, invertible_path("ut", operator=lattice_laplace_symbol(),
                                           grid=(1.0,)), tol=1e-6, radius=8)
 
+    def test_lattice_rank_without_grid_ladder_rejected(self):
+        # whole grids over Z^4 are capped at 32 points per axis, which
+        # leaves one ladder level and no agreement to certify
+        z4 = FreeAbelianGroup(4)
+        op = FourierSymbolOperator(
+            AlgebraElement(z4, 1, {(0, 0, 0, 0): np.array([[1.0]])}))
+        phi = class_trace_cochain(z4.conjugacy_class((1, 0, 0, 0)))
+        with pytest.raises(PreconditionError, match="ladder"):
+            _build_integrand(op, phi, 0, "ut", 1e-6, None)
+
     def test_odd_degree_rejected(self):
         psi = random_delocalized_cochain(FreeAbelianGroup(1), (3,),
                                          rate=0.1, seed=0)

@@ -225,7 +225,7 @@ def test_ball_cut_keeps_the_keys_and_order_of_the_loop(rank):
     op = scalar_lattice_symbol(rank)
     f = SchwartzFunction("gauss", 0.9)
     res = op.functional_calculus(f, R, 1e-8, strict=False)
-    box = op._coefficient_box(f, R, res.diagnostics["levels"][-1])
+    box, _ = op._coefficient_box(f, R, res.diagnostics["levels"][-1])
     loop = {}
     for idx in np.ndindex(*(2 * R + 1,) * rank):
         g = tuple(int(i) - R for i in idx)
