@@ -14,7 +14,7 @@ operators
 eta
     Delocalized spectral-flow integrals, thresholds, tail certificates.
 pairing
-    Idempotent Chern pairings, boundary loops, localization checks.
+    Boundary loops of idempotents and the two-route pairing identity.
 cli
     Command-line front end emitting JSON/CSV reports.
 """

@@ -9,9 +9,11 @@ and carrying a growth certificate. The module provides:
   degree-raising periodicity operator ``S = -1/((n+2)(n+1)) sum_{i<j} b_j b_i``
   built from the signed face maps;
 * the trace pairing ``phi # tr`` against tuples of group-algebra elements,
-  with three interchangeable evaluation routes: a literal support-tuple sum,
-  a structural reduction of faces to algebra products of adjacent slots, and
-  an FFT convolution route for separable cochains over Z^d;
+  with four interchangeable evaluation routes: a literal support-tuple sum,
+  a structural reduction of faces to algebra products of adjacent slots, an
+  FFT convolution route for separable cochains over Z^d, and, for those
+  cochains against slots sampled on a calculus grid, the pointwise product
+  of the slots with each factor as a Fourier multiplier (``pair_grid``);
 * the Chern pairing with idempotents, ``(2m)!/m! * phi#tr(p, ..., p)``;
 * sampled cyclicity/cocycle certification and growth certification.
 
@@ -65,14 +67,6 @@ class CochainGrowth:
     def __post_init__(self):
         if self.kind not in ("bounded", "polynomial", "exponential"):
             raise RepresentationError(f"unknown growth kind {self.kind!r}")
-
-    def envelope(self, lengths) -> float:
-        lengths = np.asarray(lengths, dtype=float)
-        if self.kind == "bounded":
-            return self.C
-        if self.kind == "polynomial":
-            return self.C * float(np.prod((1.0 + lengths) ** self.k))
-        return self.C * float(np.exp(self.k * lengths.sum()))
 
     def envelope_rows(self, lengths: np.ndarray) -> np.ndarray:
         """Vectorized envelope over an (N, arity) array of word lengths."""
@@ -174,14 +168,6 @@ class CyclicCochain:
 
     def __repr__(self):
         return f"CyclicCochain({self.name!r}, degree={self.degree})"
-
-
-def zero_cochain(group: GroupModel, degree: int) -> CyclicCochain:
-    return CyclicCochain(group, degree, lambda args: 0.0,
-                         growth=CochainGrowth("bounded", 0.0),
-                         normalized=True, name="zero",
-                         batch_evaluator=lambda arrs: np.zeros(len(arrs[0]),
-                                                               dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +360,6 @@ class _Sample:
 
     def witness(self, k: int) -> tuple:
         return tuple(self.ball[i] for i in self.rows[k])
-
-
-def sample_tuples(group: GroupModel, arity: int, radius: int, samples: int,
-                  seed: int, exhaustive_budget: int = 300_000) -> list:
-    """Deterministic tuple sample: exhaustive over B_radius^arity when small
-    enough, otherwise all B_1 tuples plus seeded draws from B_radius."""
-    return _Sample(group, arity, radius, samples, seed,
-                   exhaustive_budget).tuples
 
 
 def max_cyclicity_violation(phi: CyclicCochain, radius: int = 2,
@@ -872,22 +850,22 @@ def random_delocalized_cochain(group: GroupModel, class_element, *,
             growth=CochainGrowth("exponential", 2.0 * amplitude, rate),
             name=f"random-exp(seed={seed})")
 
-    cls = ConjugacyClass(group, h)
+    # every group with an array codec is abelian, so the class of h is {h}
+    h_row = group.array_encode([h])[0]
+
+    def batch(arrays):
+        a0, a1 = arrays
+        on_class = (group.array_add(a0, a1) == h_row).all(axis=1)
+        return np.where(on_class, f_of(tuple(a0.T)) - f_of(tuple(a1.T)), 0.0)
 
     def ev(args):
-        g0, g1 = args
-        if not cls.contains(group.multiply(g0, g1)):
-            return 0.0
-        r0 = group.array_encode([g0])[0]
-        r1 = group.array_encode([g1])[0]
-        v0 = f_of(tuple(np.array([x]) for x in r0))[0]
-        v1 = f_of(tuple(np.array([x]) for x in r1))[0]
-        return v0 - v1
+        return batch([group.array_encode([g]) for g in args])[0]
 
-    return CyclicCochain(group, 1, ev, support_class=cls,
+    return CyclicCochain(group, 1, ev, support_class=ConjugacyClass(group, h),
                          growth=CochainGrowth("exponential", 2.0 * amplitude,
                                               rate),
-                         name=f"random-exp(seed={seed})")
+                         name=f"random-exp(seed={seed})",
+                         batch_evaluator=batch)
 
 
 def table_cochain(group: GroupModel, degree: int, table: dict, *,

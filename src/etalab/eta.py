@@ -782,7 +782,7 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
 
 
 def tau_pair(phi: CyclicCochain, path: InvertiblePath, *,
-             tol: float = 1e-8, radius: int | None = None) -> complex:
+             tol: float = 1e-8) -> complex:
     """Pair an even cocycle with an invertible path:
 
     ``tau_phi = (m!/(pi i)) int_0^inf phi#tr(x' x^{-1} (x) ((x-1)(x)(x^{-1}-1))^(x)m) dt``
@@ -818,8 +818,7 @@ def tau_pair(phi: CyclicCochain, path: InvertiblePath, *,
     op = path.operator
     if phi.group != op.element.group:
         raise PreconditionError("cochain and path live on different groups")
-    if radius is None and not isinstance(op, FourierSymbolOperator):
-        radius = path.radius
+    radius = None if isinstance(op, FourierSymbolOperator) else path.radius
     g0 = float(gap_certificate(op))
     if g0 <= 0:
         raise PreconditionError("path pairing needs a positive gap certificate")

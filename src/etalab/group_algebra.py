@@ -7,14 +7,15 @@ and the norm family used throughout the package:
 
 * ``lk_norm``   -- exponentially weighted l1 norm  sum_g e^{K l(g)} |A_g|_1;
 * ``rd_norm``   -- rapid-decay norm  sqrt( sum_g |A_g|_1^2 (1+l(g))^{2p} );
-* ``uc_norm``   -- unconditional tensor norm of two-leg elements, shipped as
-  the per-support-point upper bound plus a sound elementary lower bound;
-* ``b_norm``    -- rd_norm plus the uc bound of the geodesic quasiderivation.
+* ``uc_norm_bounds`` -- unconditional tensor norm of two-leg elements,
+  shipped as the per-support-point upper bound plus a sound elementary
+  lower bound;
+* ``norm_report``    -- all of these, and ``b``: rd_norm plus the uc upper
+  bound of the geodesic quasiderivation.
 
 ``|M|_1`` is the trace norm (sum of singular values) of the coefficient
 block. All norms are unconditional: they only see the trace norms of the
-coefficients, so they agree on ``A`` and on its absolute value
-``|A| = sum_g |A_g|_1 g``.
+coefficients.
 
 Layout, for every group: a tuple ``keys`` of N distinct points and one
 read-only, C-contiguous complex array ``blocks`` of shape ``(N, d, d)``,
@@ -33,17 +34,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import PreconditionError, RepresentationError
-from .groups import FreeAbelianGroup, GroupModel, group_from_json, group_to_json
+from .groups import FreeAbelianGroup, GroupModel, group_from_json
 
 #: Relative magnitude below which coefficients are dropped during cleanup.
 ZERO_THRESHOLD = 1e-14
-
-
-def trace_norm(M: np.ndarray) -> float:
-    """Sum of singular values of a dense block (absolute value for 1x1)."""
-    if M.shape == (1, 1):
-        return abs(complex(M[0, 0]))
-    return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
 def _stack_blocks(values: list, dim: int) -> np.ndarray:
@@ -156,10 +150,6 @@ class AlgebraElement(_BlockStack):
         return element
 
     @staticmethod
-    def zero(group: GroupModel, dim: int = 1) -> "AlgebraElement":
-        return AlgebraElement(group, dim, {})
-
-    @staticmethod
     def delta(group: GroupModel, g, coeff=1.0, dim: int | None = None) -> "AlgebraElement":
         """Single-point element ``coeff * g``."""
         g = group.validate(g)
@@ -231,12 +221,6 @@ class AlgebraElement(_BlockStack):
         """Largest entrywise magnitude over all coefficients."""
         return float(np.abs(self.blocks).max(initial=0.0))
 
-    def absolute(self) -> "AlgebraElement":
-        """The scalar element ``|A| = sum_g |A_g|_1 g``."""
-        norms = list(self.trace_norms().values())
-        return AlgebraElement._from_stack(self.group, 1, self.keys,
-                                          np.reshape(norms, (-1, 1, 1)))
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_compatible(self, other: "AlgebraElement"):
@@ -291,14 +275,6 @@ class AlgebraElement(_BlockStack):
         return (self - self.star()).max_abs() <= tol
 
     # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        entries = [{"element": self.group.element_to_json(g),
-                    "matrix": [[z.real, z.imag]
-                               for z in self.coeffs[g].reshape(-1).tolist()]}
-                   for g in self.support]
-        return {"group": group_to_json(self.group), "dim": self.dim,
-                "entries": entries}
 
     @staticmethod
     def from_json(obj: dict) -> "AlgebraElement":
@@ -463,16 +439,6 @@ def uc_norm_bounds(T: TensorElement, p: float) -> tuple[float, float]:
         upper += term
         lower = max(lower, term)
     return lower, upper
-
-
-def uc_norm(T: TensorElement, p: float) -> float:
-    """Canonical unconditional-tensor-norm value (the certified upper bound)."""
-    return uc_norm_bounds(T, p)[1]
-
-
-def b_norm(A: AlgebraElement, p: float, q: int = 0) -> float:
-    """``rd_norm(A, p) + uc_norm(Delta_q A, p)`` exactly."""
-    return rd_norm(A, p) + uc_norm(quasiderivation(A, q), p)
 
 
 @dataclass

@@ -123,10 +123,6 @@ class GroupModel:
 
     # -- derived operations (shared) ----------------------------------------
 
-    def conjugate(self, g, x):
-        """Return ``x^-1 g x``."""
-        return self.multiply(self.multiply(self.inverse(x), g), x)
-
     def ball(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> list:
         """Deterministically ordered list of all elements of length <= radius."""
         if radius < 0:
@@ -670,26 +666,14 @@ class ProductGroup(GroupModel):
 
 
 # ---------------------------------------------------------------------------
-# group (de)serialization
+# group deserialization
 # ---------------------------------------------------------------------------
 
 
-def group_to_json(group: GroupModel) -> dict:
-    """JSON-compatible description of a group model."""
-    if isinstance(group, FreeAbelianGroup):
-        return {"kind": "free_abelian", "rank": group.rank}
-    if isinstance(group, CyclicGroup):
-        return {"kind": "cyclic", "order": group.order}
-    if isinstance(group, FreeGroup):
-        return {"kind": "free", "rank": group.rank}
-    if isinstance(group, ProductGroup):
-        return {"kind": "product",
-                "factors": [group_to_json(f) for f in group.factors]}
-    raise RepresentationError(f"cannot serialize {group!r}")
-
-
 def group_from_json(obj: dict) -> GroupModel:
-    """Inverse of :func:`group_to_json`."""
+    """The group model of a ``{"kind": ..., ...}`` description:
+    ``free_abelian`` and ``free`` take a ``rank``, ``cyclic`` an ``order``
+    and ``product`` a list of ``factors``."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise RepresentationError(f"bad group description: {obj!r}")
     kind = obj["kind"]
@@ -785,22 +769,6 @@ class ConjugacyClass:
     def __hash__(self):
         # Classes with distinct representatives may be equal; hash only the group.
         return hash(("ConjugacyClass", self.group))
-
-
-def min_conjugator_length(group: GroupModel, h, g, radius: int,
-                          budget: int = DEFAULT_BALL_BUDGET) -> int:
-    """Length of the shortest x with ``x^-1 h x == g``, searching |x| <= radius.
-
-    Raises :class:`NotFoundError` if no conjugator exists within the radius.
-    """
-    h = group.validate(h)
-    g = group.validate(g)
-    for x in group.ball(radius, budget):
-        if group.conjugate(h, x) == g:
-            return group.word_length(x)
-    raise NotFoundError(
-        f"no conjugator of length <= {radius} from "
-        f"{group.element_to_text(h)} to {group.element_to_text(g)}")
 
 
 # ---------------------------------------------------------------------------

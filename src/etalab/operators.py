@@ -22,14 +22,14 @@ operators ``D`` acting on ``l^2(G) (x) C^m``:
 
 :class:`SchwartzFunction` carries the fixed catalogue of spectral functions
 used by the eta integrands (Gaussian family, unitary-loop family, Cayley
-family), each with an analytic or numerically tabulated decay envelope
-``F_f(s) = sup_{n<=N} int_{|xi|>s} |d^n/dxi^n f^(xi)| dxi`` for the kernel
-decay and trace-tail bounds.  The inverse legs ``ut_inv_minus_1`` and
+family).  The Gaussian and Cayley families carry a closed-form decay
+envelope ``F_f(s) = sup_{n<=N} int_{|xi|>s} |d^n/dxi^n f^(xi)| dxi`` for the
+kernel decay and trace-tail bounds.  The inverse legs ``ut_inv_minus_1`` and
 ``wt_inv_minus_1`` are oracle-only: production takes ``x^{-1} - 1`` as the
 adjoint ``(x - 1)^*`` of the leg it computed, and tests check that adjoint
 against these independent calculi.
 
-:func:`dense_truncation_calculus` is a deliberately naive oracle (dense
+:func:`dense_truncation_calculus_batch` is a deliberately naive oracle (dense
 eigendecomposition of a truncated convolution matrix); production routes
 never call it, tests compare against it.
 """
@@ -97,9 +97,9 @@ _SCHWARTZ_EVALUATORS = {
     "xgauss": (lambda x, t: x * np.exp(-((t * x) ** 2)) + 0j, 8),
     "udot_uinv": (lambda x, t: 2j * math.sqrt(math.pi) * x
                   * np.exp(-((t * x) ** 2)), 8),
-    "ut_minus_1": (lambda x, t: _loop_unitary(t * x) - 1.0, 6),
+    "ut_minus_1": (lambda x, t: _loop_unitary(t * x) - 1.0, -1),
     "ut_inv_minus_1": (lambda x, t: np.conj(_loop_unitary(t * np.asarray(
-        x, dtype=float))) - 1.0, 6),
+        x, dtype=float))) - 1.0, -1),
     "wt_minus_1": (lambda x, t: -2j / (t * x + 1j), 0),
     "wt_inv_minus_1": (lambda x, t: 2j / (t * x - 1j), 0),
     "wdot_winv": (lambda x, t: 2j * x / ((t * x) ** 2 + 1.0), 0),
@@ -111,10 +111,11 @@ _SCHWARTZ_EVALUATORS = {
 class SchwartzFunction:
     """A builtin spectral function with a scale parameter.
 
-    The catalogue is closed: every builtin carries a certified decay
-    envelope (except ``identity``, which has none and is only usable with
-    exact backends). Arbitrary callables are rejected by design — certified
-    strip bounds for user functions are out of scope.
+    The catalogue is closed: the Gaussian and Cayley families carry a
+    certified decay envelope; ``identity`` (only usable with exact
+    backends) and the unitary-loop family have none. Arbitrary callables
+    are rejected by design — certified strip bounds for user functions are
+    out of scope.
     """
 
     tag: str
@@ -190,46 +191,12 @@ def _gaussian_family_form(f: SchwartzFunction):
     return None
 
 
-@lru_cache(maxsize=None)
-def _numeric_transform_table(tag: str, order: int):
-    """Tabulated |d^n f^ / d xi^n| at unit scale for the loop family, by
-    wide-grid FFT. Scaled members reduce to this base table through
-    envelope_n(g(t .), s) = t^-n E_n(s / t).
-
-    Returns (sorted |xi| grid, suffix sums) so that the tail integral over
-    |xi| > s is a binary search plus lookup. Suffix sums carry a 10% safety
-    inflation so the Riemann sum is treated as an upper envelope.
-    """
-    half_width = 16.0
-    n_pts = 1 << 16
-    x = -half_width + (2.0 * half_width / n_pts) * np.arange(n_pts)
-    dx = x[1] - x[0]
-    f = SchwartzFunction(tag, 1.0)
-    vals = ((-1j * x) ** order) * f(x)
-    spectrum = np.abs(dx * np.fft.fft(vals))
-    xi = 2.0 * np.pi * np.fft.fftfreq(n_pts, d=dx)
-    # validate that the grid captured the transform: the outer 5% of
-    # frequencies must be negligible relative to the peak
-    peak = spectrum.max()
-    outer = np.abs(xi) > 0.95 * np.abs(xi).max()
-    if peak > 0 and spectrum[outer].max() > 1e-13 * peak:
-        raise CertificateError(
-            "envelope-grid",
-            f"numeric transform of {tag} not resolved at order {order}")
-    order_idx = np.argsort(np.abs(xi))
-    abs_xi = np.abs(xi)[order_idx]
-    step = 2.0 * np.pi / (n_pts * dx)
-    weighted = 1.1 * spectrum[order_idx] * step
-    suffix = np.concatenate([np.cumsum(weighted[::-1])[::-1], [0.0]])
-    return abs_xi, suffix
-
-
 def decay_envelope(f: SchwartzFunction, s: float, N: int = 0) -> float:
     """``F_f(s) = sup_{n <= N} int_{|xi| > s} |f^{(n-th xi-derivative)}| dxi``.
 
-    Closed forms for the Gaussian family, tabulated transforms for the loop
-    family, order-0 closed forms for the Cayley family (whose transforms are
-    one-sided exponentials with a jump, so higher orders are refused).
+    Closed forms for the Gaussian family, order-0 closed forms for the
+    Cayley family (whose transforms are one-sided exponentials with a jump,
+    so higher orders are refused).
     """
     if s < 0:
         raise PreconditionError("tail start must be >= 0")
@@ -251,13 +218,6 @@ def decay_envelope(f: SchwartzFunction, s: float, N: int = 0) -> float:
     if f.tag == "wdot_winv":
         # transform magnitude: (2 pi / t^2) e^{-|xi|/t} on the whole line
         return (4.0 * math.pi / f.t) * math.exp(-s / f.t)
-    if f.tag in ("ut_minus_1", "ut_inv_minus_1"):
-        best = 0.0
-        for n in range(N + 1):
-            abs_xi, suffix = _numeric_transform_table(f.tag, n)
-            k = int(np.searchsorted(abs_xi, s / f.t, side="left"))
-            best = max(best, f.t ** (-n) * float(suffix[k]))
-        return best
     raise PreconditionError(f"{f.tag} carries no decay envelope")
 
 
@@ -602,37 +562,6 @@ class FiniteCoverOperator(EquivariantOperator):
         self.index = {g: i for i, g in enumerate(self.elements)}
         self._eig = None
 
-    @staticmethod
-    def from_cover(group: GroupModel, H: np.ndarray, fiber_dim: int,
-                   tol: float = 1e-10) -> "FiniteCoverOperator":
-        """Build from an explicit cover matrix, checking the free regular
-        structure H[x, y] = A(x y^-1) and Hermitian symmetry."""
-        elements = enumerate_group(group)
-        n = len(elements) * fiber_dim
-        H = np.asarray(H, dtype=complex)
-        if H.shape != (n, n):
-            raise RepresentationError(
-                f"cover matrix must be {n} x {n} for |G| = {len(elements)}, "
-                f"fiber {fiber_dim}; got {H.shape}")
-        if np.abs(H - H.conj().T).max() > tol * max(1.0, np.abs(H).max()):
-            raise RepresentationError("cover matrix is not Hermitian")
-        m = fiber_dim
-        index = {g: i for i, g in enumerate(elements)}
-        coeffs = {}
-        for g in elements:
-            blocks = []
-            for b, y in enumerate(elements):
-                a = index[group.multiply(g, y)]
-                blocks.append(H[a * m:(a + 1) * m, b * m:(b + 1) * m])
-            avg = np.mean(blocks, axis=0)
-            defect = max(float(np.abs(B - avg).max()) for B in blocks)
-            if defect > tol * max(1.0, np.abs(H).max()):
-                raise RepresentationError(
-                    f"cover matrix is not deck-equivariant at {g!r} "
-                    f"(defect {defect:.3e})")
-            coeffs[g] = avg
-        return FiniteCoverOperator(AlgebraElement(group, m, coeffs))
-
     def cover_matrix(self) -> np.ndarray:
         m = self.dim
         n = len(self.elements)
@@ -910,14 +839,6 @@ def dense_truncation_calculus_batch(element: AlgebraElement, fs, R: int,
     return results
 
 
-def dense_truncation_calculus(element: AlgebraElement, f: SchwartzFunction,
-                              R: int, truncation_radius: int,
-                              budget: int = 200_000_000) -> dict:
-    """Single-function form of :func:`dense_truncation_calculus_batch`."""
-    return dense_truncation_calculus_batch(element, [f], R,
-                                           truncation_radius, budget)[0]
-
-
 # ---------------------------------------------------------------------------
 # class traces with tail certificates
 # ---------------------------------------------------------------------------
@@ -936,16 +857,13 @@ class ClassTraceResult:
 
 
 def kernel_decay_constant(result_element: AlgebraElement, f: SchwartzFunction,
-                          c_d: float, fit_radius: int | None = None) -> float:
+                          c_d: float) -> float:
     """Fitted prefactor C with |f(D)_g|_1 <= C * F_f(l(g) / (mu c_D)),
-    ``mu = DEFAULT_MU``, over the computed coefficients (optionally only
-    those within fit_radius)."""
+    ``mu = DEFAULT_MU``, over the computed coefficients."""
     group = result_element.group
     best = 0.0
     for g, M in zip(result_element.keys, result_element.blocks):
         l = group.word_length(g)
-        if fit_radius is not None and l > fit_radius:
-            continue
         env = decay_envelope(f, l / (DEFAULT_MU * c_d))
         if env <= 0:
             continue
@@ -1017,34 +935,6 @@ def class_trace(op: EquivariantOperator, f: SchwartzFunction,
             f"tail bound {tail:.3e} exceeds tolerance {tol:.3e} at R={R}")
     return ClassTraceResult(value, tail, calculus.error, len(members),
                             diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# kernel decay reporting (invariant helper)
-# ---------------------------------------------------------------------------
-
-
-def kernel_decay_report(op: EquivariantOperator, f: SchwartzFunction, R: int,
-                        tol: float = 1e-10) -> dict:
-    """Fit the decay prefactor on the inner half-ball and verify the bound
-    |f(D)_g|_1 <= C * F_f(l(g)/(mu c_D)), ``mu = DEFAULT_MU``, on the whole
-    computed ball."""
-    calc = op.functional_calculus(f, R, tol, strict=False)
-    group = op.group
-    fit_radius = max(op.band, R // 2)
-    C = kernel_decay_constant(calc.element, f, op.c_d, fit_radius=fit_radius)
-    holds = True
-    worst = 0.0
-    for g, M in zip(calc.element.keys, calc.element.blocks):
-        env = decay_envelope(f, group.word_length(g) / (DEFAULT_MU * op.c_d))
-        bound = C * env + calc.error + 1e-15
-        mass = float(np.abs(M).sum())
-        worst = max(worst, mass - bound)
-        if mass > bound:
-            holds = False
-    return {"C": C, "mu": DEFAULT_MU, "c_d": op.c_d, "fit_radius": fit_radius,
-            "radius": R, "holds": holds, "worst_excess": worst,
-            "calculus_error": calc.error}
 
 
 # ---------------------------------------------------------------------------

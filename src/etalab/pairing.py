@@ -8,10 +8,7 @@ which starts and ends at the unit of the unitized algebra (exactly at
 t = 1, within the idempotency defect at t = 0).  Pairing an even cyclic
 cocycle with this loop must reproduce minus twice the Chern pairing with
 the idempotent; :func:`boundary_identity` evaluates both sides through
-disjoint routes that meet only at the trace-pairing primitive, and
-:func:`local_loop_vanishing` certifies the support-locality mechanism
-that forces the pairing to vanish when the loop cannot reach the
-cocycle's support class.
+disjoint routes that meet only at the trace-pairing primitive.
 
 The scalar model of the loop legs, ``|u(s) - 1|^2 = 2 - 2 cos 2 pi s``,
 integrates to central binomial coefficients; :func:`scalar_loop_integral`
@@ -36,7 +33,7 @@ from .cyclic import (
     periodicity,
 )
 from .errors import PreconditionError
-from .eta import InvertiblePath, invertible_path, loop_coefficient, tau_pair
+from .eta import InvertiblePath, invertible_path, tau_pair
 from .group_algebra import AlgebraElement
 from .groups import CyclicGroup, FreeAbelianGroup
 from .operators import FourierSymbolOperator, two_band_chern_symbol
@@ -101,25 +98,6 @@ class BoundaryLoop:
                 "loop does not close at the unit within tolerance")
         return cls(p, path, dict(path.certificate))
 
-    def coefficient(self, t: float) -> complex:
-        return loop_coefficient(t)
-
-    def leg(self, t: float) -> AlgebraElement:
-        """``u(t) - 1 = c(t) p``."""
-        return self.idempotent.element * loop_coefficient(t)
-
-    def inverse_leg(self, t: float) -> AlgebraElement:
-        """``u(t)^{-1} - 1 = conj(c(t)) p``."""
-        return self.idempotent.element * loop_coefficient(t).conjugate()
-
-    def logarithmic_derivative(self) -> AlgebraElement:
-        """``u'(t) u(t)^{-1} = -2 pi i p``, constant along the loop."""
-        return self.idempotent.element * (-2j * math.pi)
-
-    @property
-    def closes_at_unit(self) -> bool:
-        return loop_coefficient(1.0) == 0.0
-
 
 # ---------------------------------------------------------------------------
 # the two-route identity
@@ -146,45 +124,6 @@ def boundary_identity(phi: CyclicCochain, p, *, tol: float = 1e-6) -> dict:
         "difference": difference,
         "verdict": bool(difference <= tol),
         "loop_defect": loop.certificate["max_defect"],
-    }
-
-
-def local_loop_vanishing(phi: CyclicCochain, p: Idempotent, *,
-                         tol: float = 1e-10) -> dict:
-    """Certify that a localized loop pairs to zero with a delocalized
-    cocycle.
-
-    The degree-2m pairing touches products of 2m + 1 loop legs, each
-    supported in the ball of the idempotent's propagation radius ``r``;
-    when ``(2m + 1) r`` is smaller than the minimal word length of the
-    cocycle's support class, no product can reach the class and the
-    pairing vanishes identically.  Refuses (naming the required bound)
-    when the precondition fails or when the cochain carries no support
-    class to certify against.
-    """
-    if phi.degree % 2 != 0:
-        raise PreconditionError(
-            f"{phi.name} has odd degree {phi.degree}; loop pairings take "
-            "even-degree cocycles")
-    if phi.support_class is None:
-        raise PreconditionError(
-            f"{phi.name} carries no support class, so there is no "
-            "delocalization to certify locality against")
-    m = phi.degree // 2
-    reach = (2 * m + 1) * p.propagation_radius
-    length = phi.support_class.minimal_length()
-    if reach >= length:
-        raise PreconditionError(
-            f"loop leg products reach radius {reach}, which is not below "
-            f"the minimal class length {length}; locality vanishing needs "
-            f"(2m + 1) * propagation_radius < class length")
-    loop = BoundaryLoop.build(p)
-    value = tau_pair(phi, loop.path, tol=tol)
-    return {
-        "value": value,
-        "reach": reach,
-        "class_length": length,
-        "verdict": bool(abs(value) <= tol),
     }
 
 

@@ -422,7 +422,12 @@ class TestNormsCommand:
             (0, 2): np.array([[-0.75]]),
         })
         doc = tmp_path / "element.json"
-        doc.write_text(json.dumps(element.to_json()))
+        doc.write_text(json.dumps({
+            "group": {"kind": "free_abelian", "rank": 2}, "dim": 1,
+            "entries": [{"element": [0, 0], "matrix": [[1.5, 0.0]]},
+                        {"element": [1, 0], "matrix": [[0.25, 0.5]]},
+                        {"element": [-1, 0], "matrix": [[0.25, -0.5]]},
+                        {"element": [0, 2], "matrix": [[-0.75, 0.0]]}]}))
         code, out, _ = run_cli("norms", f"element.path={doc}",
                                "norms.p=1.5", "norms.K=0.3", "norms.q=1")
         assert code == 0

@@ -342,9 +342,6 @@ class TestHigherEta:
         phi = class_trace_cochain(z_class(1))
         with pytest.raises(PreconditionError, match="grid route"):
             eta_higher(lattice_laplace_symbol(), phi, tol=1e-6, radius=8)
-        with pytest.raises(PreconditionError, match="grid route"):
-            tau_pair(phi, invertible_path("ut", operator=lattice_laplace_symbol(),
-                                          grid=(1.0,)), tol=1e-6, radius=8)
 
     def test_lattice_rank_without_grid_ladder_rejected(self):
         # whole grids over Z^4 are capped at 32 points per axis, which

@@ -11,13 +11,11 @@ from etalab.errors import (
     ResourceBudgetError,
 )
 from etalab.groups import (
-    ConjugacyClass,
     CyclicGroup,
     FreeAbelianGroup,
     FreeGroup,
     ProductGroup,
     growth_constants,
-    min_conjugator_length,
 )
 
 Z = FreeAbelianGroup(1)
@@ -215,10 +213,24 @@ def test_splittings_geodesic_case_counts():
 # ---------------------------------------------------------------------------
 
 
+def conjugate(group, g, x):
+    """``x^-1 g x``."""
+    return group.multiply(group.multiply(group.inverse(x), g), x)
+
+
+def min_conjugator_length(group, h, g, radius: int) -> int:
+    """Length of the shortest x with ``x^-1 h x == g``, searching
+    |x| <= radius; :class:`NotFoundError` if there is none."""
+    for x in group.ball(radius):
+        if conjugate(group, h, x) == g:
+            return group.word_length(x)
+    raise NotFoundError(f"no conjugator of length <= {radius}")
+
+
 def brute_class_members(group, h, radius, search_radius):
     members = set()
     for x in group.ball(search_radius):
-        g = group.conjugate(h, x)
+        g = conjugate(group, h, x)
         if group.word_length(g) <= radius:
             members.add(g)
     return members

@@ -23,15 +23,14 @@ import pytest
 
 import etalab.pairing as pairing
 from etalab.cyclic import (
-    CyclicCochain,
     Idempotent,
     area_cocycle,
     class_trace_cochain,
     pair_phi_tr,
     periodicity,
-    random_delocalized_cochain,
 )
 from etalab.errors import PreconditionError
+from etalab.eta import loop_coefficient, tau_pair
 from etalab.group_algebra import AlgebraElement, convolve
 from etalab.groups import CyclicGroup, FreeAbelianGroup
 from etalab.operators import (
@@ -43,8 +42,6 @@ from etalab.pairing import (
     boundary_identity,
     character_projector,
     fermi_projection,
-    local_loop_vanishing,
-    loop_coefficient,
     scalar_loop_integral,
     shipped_pairing_fixtures,
 )
@@ -106,26 +103,6 @@ class TestScalarLoopIntegral:
 class TestBoundaryLoop:
     def test_closes_at_unit_exactly(self):
         assert loop_coefficient(1.0) == 0.0
-        assert BoundaryLoop.build(character_projector()).closes_at_unit
-
-    def test_legs_factor_through_the_idempotent(self):
-        loop = BoundaryLoop.build(character_projector())
-        c = loop_coefficient(0.3)
-        leg = loop.leg(0.3)
-        inv = loop.inverse_leg(0.3)
-        pe = loop.idempotent.element
-        for g, block in pe.coeffs.items():
-            np.testing.assert_allclose(leg.coeffs[g], c * block, atol=1e-15)
-            np.testing.assert_allclose(inv.coeffs[g], c.conjugate() * block,
-                                       atol=1e-15)
-
-    def test_logarithmic_derivative_is_constant_multiple(self):
-        loop = BoundaryLoop.build(character_projector())
-        dot = loop.logarithmic_derivative()
-        pe = loop.idempotent.element
-        for g, block in pe.coeffs.items():
-            np.testing.assert_allclose(dot.coeffs[g],
-                                       -2j * math.pi * block, atol=1e-15)
 
     def test_certificate_always_covers_the_start(self):
         loop = BoundaryLoop.build(character_projector(), grid=(0.5,))
@@ -242,39 +219,29 @@ class TestBoundaryIdentity:
 
 
 class TestLocalLoopVanishing:
+    """The degree-2m pairing touches products of 2m + 1 loop legs, each
+    supported in the ball of the idempotent's propagation radius; when they
+    cannot reach the class, the loop pairs to zero."""
+
+    @staticmethod
+    def reach_and_value(p: Idempotent, tol: float) -> tuple:
+        phi = far_shift_cochain()
+        reach = (phi.degree + 1) * p.propagation_radius
+        assert reach < phi.support_class.minimal_length() == 10
+        return reach, tau_pair(phi, BoundaryLoop.build(p).path, tol=tol)
+
     def test_identity_supported_projector_vanishes(self):
         z2 = FreeAbelianGroup(2)
         local = Idempotent(AlgebraElement(
             z2, 2, {(0, 0): np.array([[1.0, 0.0], [0.0, 0.0]])}))
-        report = local_loop_vanishing(far_shift_cochain(), local, tol=1e-12)
-        assert report["reach"] == 0
-        assert report["class_length"] == 10
-        assert abs(report["value"]) <= 1e-12
-        assert report["verdict"]
+        reach, value = self.reach_and_value(local, 1e-12)
+        assert reach == 0
+        assert abs(value) <= 1e-12
 
     def test_radius_one_loop_vanishes(self):
-        report = local_loop_vanishing(far_shift_cochain(),
-                                      sheared_idempotent(), tol=1e-10)
-        assert report["reach"] == 3
-        assert abs(report["value"]) <= 1e-10
-        assert report["verdict"]
-
-    def test_refuses_when_legs_reach_the_class(self):
-        z2 = FreeAbelianGroup(2)
-        near = periodicity(class_trace_cochain(z2.conjugacy_class((1, 1))))
-        with pytest.raises(PreconditionError, match="class length"):
-            local_loop_vanishing(near, sheared_idempotent())
-
-    def test_refuses_without_a_support_class(self):
-        bare = CyclicCochain(FreeAbelianGroup(2), 2, lambda args: 0.0)
-        with pytest.raises(PreconditionError, match="support class"):
-            local_loop_vanishing(bare, sheared_idempotent())
-
-    def test_refuses_odd_degrees(self):
-        z2 = FreeAbelianGroup(2)
-        psi = random_delocalized_cochain(z2, (5, 5), rate=0.1, seed=0)
-        with pytest.raises(PreconditionError, match="odd degree"):
-            local_loop_vanishing(psi, sheared_idempotent())
+        reach, value = self.reach_and_value(sheared_idempotent(), 1e-10)
+        assert reach == 3
+        assert abs(value) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
