@@ -684,7 +684,8 @@ class SeparableClassCochain(CyclicCochain):
         and traced, and coefficient ``h`` is the grid mean of the field
         times ``e^{-i h.theta}``. ``box_cache`` shares transforms by slot id
         as in :meth:`pair_separable`; its ``"scale"`` entry sums ``|c_r| max
-        |field|``, the size the read-out rounds at."""
+        |field|``, the size the read-out rounds at. Given a ``"delta"``, its
+        ``"terms"`` entry records each term for :func:`moved_bound`."""
         n = ws[0].shape[-1]
         cache = {} if box_cache is None else box_cache
 
@@ -696,23 +697,28 @@ class SeparableClassCochain(CyclicCochain):
         def weighted(w, fn):
             if fn is None:
                 return w
-            mult, axes = self._grid_factor(fn, n)
+            mult, axes, _ = self._grid_factor(fn, n)
             return memo(("grid", id(w), id(fn)), lambda: np.fft.ifftn(memo(
                 ("coef", id(w), axes), lambda: np.fft.fftn(w, axes=axes))
                 * mult, axes=axes))
 
         total = 0.0 + 0.0j
         for c, fs in self.terms:
-            field = _chain_trace([weighted(w, fn) for w, fn in zip(ws, fs)])
+            slots = [weighted(w, fn) for w, fn in zip(ws, fs)]
+            field = _chain_trace(slots)
             cache["scale"] = (cache.get("scale", 0.0)
                               + abs(c) * float(np.abs(field).max()))
             total += c * np.vdot(self._grid_factor(None, n), field)
+            if cache.get("delta"):
+                cache.setdefault("terms", []).append((abs(c), slots, [
+                    None if fn is None else self._grid_factor(fn, n)[2]
+                    for fn in fs]))
         return complex(total)
 
     def _grid_factor(self, fn, n: int):
         """Once per n^d grid: ``e^{i h.theta_j} / n^d`` for ``fn = None``;
-        else the factor at the signed indices and the slot axes it varies
-        on."""
+        else the factor at the signed indices, the slot axes it varies on
+        and its largest modulus and l2 norm."""
         key = (id(fn), n)
         if key not in self._grid:
             rank = self.group.rank
@@ -724,8 +730,48 @@ class SeparableClassCochain(CyclicCochain):
                 return self._grid[key]
             mult = np.broadcast_to(fn(tuple(coords)), (n,) * rank)
             axes = [k for k in range(rank) if (np.diff(mult, axis=k) != 0).any()]
-            self._grid[key] = (mult, tuple(k + 2 for k in axes))
+            self._grid[key] = (mult, tuple(k + 2 for k in axes), (
+                float(np.abs(mult).max()), float(np.linalg.norm(mult))))
         return self._grid[key]
+
+
+def moved_bound(cache: dict) -> float:
+    """First-order bound on how far the pairings that
+    :meth:`SeparableClassCochain.pair_grid` recorded in ``cache`` move when
+    every slot moves by at most ``cache["delta"]`` in operator norm at each
+    grid point. A move has grid-RMS and sup Hilbert-Schmidt norms at most
+    sqrt(d) delta, and by Parseval a multiplier M scales them by at most
+    max |M| and |M|_2. Telescoping over the slots, each step is bounded by
+    |tr(A_i A_j ...)| <= |A_i|_HS |A_j|_HS prod |A_l| and Cauchy-Schwarz on
+    the grid mean, the other slots entering at their norms plus their moves,
+    which covers both sides of the step; a lone slot pairs with the
+    identity, of HS norm sqrt(d). Faces of ``b`` and ``S`` have coefficients
+    of modulus at most 1, so the terms of a reduced pairing add up."""
+    norms, total = {}, 0.0
+    for c, slots, gains in cache.get("terms", ()):
+        root_d = math.sqrt(len(slots[0]))
+        move = root_d * cache["delta"]
+        moves = [(move, move / root_d) if g is None
+                 else (move * g[0], move * g[1]) for g in gains]
+        for s in slots:
+            if id(s) not in norms:
+                norms[id(s)] = _hs_norms(s)
+        rms = [norms[id(s)][0] + mv for s, (mv, _) in zip(slots, moves)]
+        sup = [norms[id(s)][1] + mv for s, (_, mv) in zip(slots, moves)]
+        for i, (mv, _) in enumerate(moves):
+            rest = [k for k in range(len(slots)) if k != i]
+            total += c * mv * min(
+                (rms[j] * math.prod(sup[k] for k in rest if k != j)
+                 for j in rest), default=root_d)
+    return total
+
+
+def _hs_norms(s: np.ndarray) -> tuple[float, float]:
+    """Grid RMS and sup of the pointwise Hilbert-Schmidt norm of a slot."""
+    v = np.ascontiguousarray(s).reshape(len(s) ** 2, -1).view(float)
+    h2 = np.einsum("ij,ij->j", v, v)
+    h2 = h2[0::2] + h2[1::2]  # real and imaginary parts
+    return math.sqrt(float(h2.mean())), math.sqrt(float(h2.max()))
 
 
 def _chain_trace(slots) -> np.ndarray:

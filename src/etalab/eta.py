@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclic import CyclicCochain, Idempotent, certify_cyclic_cocycle, pair_phi_tr
+from .cyclic import (CyclicCochain, Idempotent, certify_cyclic_cocycle,
+                     moved_bound, pair_phi_tr)
 from .errors import PreconditionError
 from .group_algebra import AlgebraElement, convolve
 from .groups import ConjugacyClass, GroupModel, growth_constants
@@ -485,8 +486,8 @@ class _HigherIntegrand:
     Each node walks :func:`calculus_ladder` from one level below the one
     where the previous node converged, until two levels agree within
     ``per_eval_tol``, and reports the finer value, with that agreement plus
-    the rounding floor of the read-out as its error. On a ball (F_r, finite
-    covers) each slot is a certified calculus, and the error is tracked
+    the read-out's error (:meth:`_grid_pair`) as its error. On a ball (F_r,
+    finite covers) each slot is a certified calculus, and the error is tracked
     through the multilinearity of the pairing (the inverse leg, a ``star``,
     keeps the leg's entrywise error and weighted norm). ``weight``, the W
     of :meth:`abs_bound` and :meth:`tail_at`, is dim^2 times the envelope
@@ -505,6 +506,7 @@ class _HigherIntegrand:
         self.prefactor = math.factorial(m) / (math.pi * 1j)
         self.memo: dict = {}
         self.fold_scale = (math.factorial(m) / math.pi) * phi.growth.C
+        self.norm = op.operator_norm_bound()
         if radius is None:
             self.ladder = calculus_ladder(24, op.rank)
             if len(self.ladder) < 2:
@@ -525,8 +527,12 @@ class _HigherIntegrand:
         return (res.element, res.error,
                 _weighted_slot_norm(res.element, self.phi.growth))
 
-    def _grid_pair(self, t: float, n: int) -> tuple[complex, float]:
-        """(integrand, rounding floor of its read-out) on the n^d grid."""
+    def _grid_pair(self, t: float, n: int) -> tuple:
+        """(integrand, error of its read-out) on the n^d grid, the error as a
+        callable that only the last level runs: the rounding floor, plus the
+        move of the pairing under the legs' evaluation error. Every slot
+        handed down is a product of the dot and at most 2m legs, each of
+        norm at most 2 (|u - 1|), so it moves by at most ``delta``."""
         def sample(tag):
             return np.ascontiguousarray(np.moveaxis(self.op._apply_on_grid(
                 SchwartzFunction(tag, t), n), (-2, -1), (0, 1)))
@@ -536,9 +542,14 @@ class _HigherIntegrand:
         if self.m:
             leg = sample(leg_tag)
             slots += [leg, np.conj(leg.swapaxes(0, 1))] * self.m
+            err, k = SchwartzFunction(leg_tag, t).evaluation_error, 2 * self.m
+            dot_sup = 2.0 * math.sqrt(math.pi) * _gapped_abs_sup(
+                0.0, self.norm, t)
+            cache["delta"] = max(1.0, dot_sup) * ((2.0 + err) ** k - 2.0 ** k)
         val = self.prefactor * pair_phi_tr(self.phi, slots, _box_cache=cache)
-        return complex(val), rounding_error(
-            abs(self.prefactor) * cache["scale"], n ** self.op.rank)
+        return complex(val), lambda: rounding_error(
+            abs(self.prefactor) * cache["scale"], n ** self.op.rank) + abs(
+            self.prefactor) * moved_bound(cache)
 
     def value(self, t: float) -> tuple[complex, dict]:
         key = float(t)
@@ -549,14 +560,14 @@ class _HigherIntegrand:
             coarse, _ = self._grid_pair(t, self.ladder[i])
             while True:
                 i += 1
-                val, floor = self._grid_pair(t, self.ladder[i])
+                val, read_err = self._grid_pair(t, self.ladder[i])
                 fold = abs(val - coarse)
                 if fold <= self.per_eval_tol or i == len(self.ladder) - 1:
                     break
                 coarse = val
             self.level, n = i, self.ladder[i]
             self.nodes[n] = self.nodes.get(n, 0) + 1
-            fold += floor
+            fold += read_err()
         else:
             dot_tag, leg_tag = _FAMILY_TAGS[self.family]
             slots = [self._slot(dot_tag, t)]
@@ -575,8 +586,7 @@ class _HigherIntegrand:
 
     def abs_bound(self, t: float, g0: float) -> float:
         """Closed-form certified bound on |integrand(t)| from the gap."""
-        norm = self.op.operator_norm_bound()
-        dot_sup = 2.0 * math.sqrt(math.pi) * _gapped_abs_sup(g0, norm, t)
+        dot_sup = 2.0 * math.sqrt(math.pi) * _gapped_abs_sup(g0, self.norm, t)
         if self.family == "wt":
             dot_sup = 2.0 / max(t, 1e-300)
             leg_sup = 2.0

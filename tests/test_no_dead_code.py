@@ -1,12 +1,13 @@
 """No function in ``src/etalab`` goes without a caller in ``src/etalab``.
 
 An AST scan: every top-level function and every non-dunder method of
-``src/etalab/*.py`` must be named somewhere in the package, outside its own
-body, as a name, an attribute or an import alias.  The re-exports of
-``__init__.py`` do not count as uses, and neither do the tests: an oracle
-that only a test calls belongs in that test.  Names are matched by spelling
-alone, so a method shares its uses with every other definition of the same
-name.
+``src/etalab/*.py`` must be used somewhere in the package, outside its own
+body.  A method counts as used only through an attribute (``x.name``) or a
+string constant (for ``getattr``); a top-level function also through a bare
+name or an import alias.  So a method that shares its spelling with a local
+variable is still flagged.  The re-exports of ``__init__.py`` do not count
+as uses, and neither do the tests: an oracle that only a test calls belongs
+in that test.  Methods of the same name share their uses.
 """
 
 from __future__ import annotations
@@ -36,33 +37,42 @@ def _definitions(tree: ast.Module):
 
 
 def _uses(tree: ast.Module, imports: bool):
-    """(name, line) of every name and attribute, and of every import alias
-    if ``imports``."""
+    """(kind, name, line) of every bare name (``"name"``), every attribute
+    and string constant (``"attribute"``), and every import alias if
+    ``imports`` (``"name"``)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield "name", node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield "attribute", node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield "attribute", node.value, node.lineno
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and imports:
             for alias in node.names:
-                yield alias.name.rsplit(".", 1)[-1], node.lineno
+                yield "name", alias.name.rsplit(".", 1)[-1], node.lineno
 
 
-def uncalled() -> list:
+def uncalled(sources: dict | None = None) -> list:
     """``module:qualified name`` of every definition that nothing outside its
-    own body names."""
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py"))}
+    own body uses, over ``{module: source}`` (``src/etalab`` by default)."""
+    if sources is None:
+        sources = {path.stem: path.read_text()
+                   for path in sorted(SRC.glob("*.py"))}
+    trees = {module: ast.parse(text, module)
+             for module, text in sources.items()}
     uses = {}
     for module, tree in trees.items():
-        for name, line in _uses(tree, imports=module != "__init__"):
-            uses.setdefault(name, []).append((module, line))
+        for kind, name, line in _uses(tree, imports=module != "__init__"):
+            uses.setdefault((kind, name), []).append((module, line))
     dead = []
     for module, tree in trees.items():
         for qualname, node in _definitions(tree):
+            kinds = ("attribute",) if "." in qualname else ("attribute",
+                                                            "name")
             body = range(node.lineno, node.end_lineno + 1)
             if not any(m != module or line not in body
-                       for m, line in uses.get(node.name, ())):
+                       for kind in kinds
+                       for m, line in uses.get((kind, node.name), ())):
                 dead.append(f"{module}:{qualname}")
     return dead
 
@@ -73,3 +83,27 @@ def test_every_function_has_a_caller_in_the_package():
     assert not unlisted, "no caller in src/etalab: " + ", ".join(unlisted)
     assert ALLOWED <= set(dead), "allowed but called: " + ", ".join(
         sorted(ALLOWED - set(dead)))
+
+
+def test_a_method_shadowed_by_a_local_variable_is_flagged():
+    source = """
+class Element:
+    def zero(self):
+        return 0
+
+    def star(self):
+        return self
+
+
+def build(x):
+    zero = x.star()
+    return zero
+
+
+def main():
+    return build(1), getattr(Element(), "star")
+
+
+ENTRY = main
+"""
+    assert uncalled({"model": source}) == ["model:Element.zero"]

@@ -1,14 +1,17 @@
-"""The quadrature and the tail cuts need no scipy.
+"""The eta commands need no scipy.
 
-etalab integrates with its own QUADPACK port (``etalab.quadpack``), so no
-command loads ``scipy.integrate`` or the ``scipy.optimize`` behind it, and
-it cuts the Gaussian tails with ``math.erfc``, so the class eta commands
-load no scipy at all.  Only the spectral-flow unitary of the higher eta
-still loads ``scipy.special``, for its grid ``erf``.
+etalab integrates with its own QUADPACK port (``etalab.quadpack``), cuts
+the Gaussian tails with ``math.erfc`` and evaluates the erf of the
+spectral-flow unitary with its own rational approximation
+(``operators._erf``), so neither the class eta nor the higher eta loads any
+scipy module.  The only scipy import left in ``src/etalab`` is
+``scipy.sparse``, in the two methods of the free-group truncation; an AST
+allow-list keeps it so.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import pathlib
 import subprocess
@@ -44,21 +47,56 @@ def test_default_oracle_compare_loads_no_scipy():
     assert loaded_scipy("oracle-compare") == set()
 
 
-def test_class_eta_loads_no_scipy_and_higher_eta_only_special():
+def test_eta_and_higher_eta_load_no_scipy():
     for command in ("eta", "eta operator.kind=cover",
                     "eta operator.kind=wilson",
-                    "oracle-compare oracle.kind=sign_sum"):
+                    "oracle-compare oracle.kind=sign_sum",
+                    "higher-eta operator.kind=two_band cocycle.kind=area "
+                    "class.element=0,0 --tol 1e-6",
+                    "higher-eta operator.kind=cover "
+                    "cocycle.kind=shifted_class_trace --tol 1e-3"):
         assert loaded_scipy(command) == set(), command
-    mods = loaded_scipy("higher-eta operator.kind=two_band cocycle.kind=area "
-                        "class.element=0,0 --tol 1e-6")
-    assert "scipy.special" in mods
-    assert not {m for m in mods
-                if m.startswith(("scipy.integrate", "scipy.optimize"))}
 
 
-def test_no_source_file_imports_scipy_integrate():
+#: (module, enclosing function, imported name) of every scipy import that
+#: ``src/etalab`` may keep: the free-group truncation's sparse matrices
+SCIPY_IMPORTS = {
+    ("operators", "FreeConvolutionOperator.truncated_matrix",
+     "scipy.sparse"),
+    ("operators", "FreeConvolutionOperator.functional_calculus",
+     "scipy.sparse"),
+}
+
+
+def scipy_imports(node: ast.AST, scope: str = ""):
+    """(enclosing function, imported name) of every scipy import below
+    ``node``, including ``from scipy import x`` as ``scipy.x``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        names = []
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.module:
+            names = [f"{child.module}.{alias.name}" for alias in child.names]
+        for name in names:
+            if name.split(".")[0] == "scipy":
+                yield scope, name
+        yield from scipy_imports(child, inner)
+
+
+def test_src_imports_scipy_only_on_its_allow_list():
     src = pathlib.Path(etalab.__file__).parent
+    found = set()
     for path in sorted(src.glob("*.py")):
-        text = path.read_text()
-        assert "scipy.integrate" not in text, path.name
-        assert "from scipy import integrate" not in text, path.name
+        tree = ast.parse(path.read_text(), str(path))
+        found |= {(path.stem, scope, name)
+                  for scope, name in scipy_imports(tree)}
+        # no import by a string either (importlib, __import__)
+        assert not [node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.startswith("scipy")], path.name
+    assert found == SCIPY_IMPORTS

@@ -5,7 +5,9 @@ Production reads the coefficients of ``f(D)`` off the forward FFT of
 by the agreement of two successive grids.  The property below checks that
 certificate against an oracle that shares no code with that route: the
 direct phase sum ``sum_g A_g e^{i g.theta}``, ``eigh`` at each point and an
-explicit DFT sum, on a grid four times finer than the last level.
+explicit DFT sum, on a grid four times finer than the last level.  The
+oracle's phases and sums run in long double, so it rounds less than the
+route it checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from etalab.operators import (
     SchwartzFunction,
     lattice_laplace_symbol,
 )
-from test_gap_grid import direct_symbol, hermitian_symbol
+from test_gap_grid import hermitian_symbol
+
+#: The oracle's own rounding on the draws below. Its sums and phases run in
+#: long double; at each grid point its double steps (the symbol's entries,
+#: ``eigh``, ``f`` and the reconstruction) move f(D(theta)) by at most about
+#: 12 ulps of ``||D|| max |f'|`` (``||D|| <= 3``, ``|f'| < 5.4`` for
+#: ``ut_minus_1`` at t <= 1.5) plus 8 ulps of ``max |f| <= 2``, and a mean of
+#: such moves is no larger than their maximum.
+ORACLE_ROUNDING = 2.0 ** -52 * (12 * 3.0 * 5.4 + 8 * 2.0)
 
 CALCULUS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=25)
@@ -46,16 +56,24 @@ def scaled_symbols(draw):
 
 def oracle_coefficients(op: FourierSymbolOperator, f, keys, n: int):
     """``(2 pi)^-d int f(D(theta)) e^{-i g.theta} dtheta`` for each ``g`` in
-    ``keys``, as the DFT sum over the uniform n^rank grid written out."""
-    axis = 2.0 * np.pi * np.arange(n) / n
-    grids = np.meshgrid(*[axis] * op.rank, indexing="ij")
-    thetas = np.stack([g.ravel() for g in grids], axis=-1)
-    lam, U = np.linalg.eigh(direct_symbol(op.element.coeffs, thetas, op.dim))
+    ``keys``, as the DFT sum over the uniform n^rank grid written out, one
+    axis at a time. Every phase is a long-double root of unity picked by an
+    exact integer product mod n, and the symbol and the sums run in long
+    double; only the symbol's entries, ``eigh`` and ``f`` run in double."""
+    rank, dim = op.rank, op.dim
+    j = np.indices((n,) * rank).reshape(rank, -1).T
+    angle = (8 * np.arctan(np.longdouble(1)) / n) * np.arange(n)
+    roots = np.cos(angle) + 1j * np.sin(angle).astype(np.clongdouble)
+    D = sum(roots[(j @ np.asarray(g)) % n][:, None, None] * A
+            for g, A in op.element.coeffs.items())
+    lam, U = np.linalg.eigh(D.astype(complex))
     F = np.einsum("pij,pj,pkj->pik", U, f(lam), U.conj())
-    phases = (np.exp(-1j * (thetas @ np.asarray(g, dtype=float)))
-              for g in keys)
-    return np.array([np.tensordot(phase, F, axes=(0, 0)) for phase in phases]
-                    ) / len(thetas)
+    F = F.reshape((n,) * rank + (dim, dim)).astype(np.clongdouble)
+    reach = max(max(map(abs, g)) for g in keys)
+    W = roots.conj()[np.outer(np.arange(-reach, reach + 1), np.arange(n)) % n]
+    for _ in range(rank):  # the last grid axis, each time; new axes in front
+        F = np.tensordot(W, F, axes=(1, rank - 1))
+    return np.array([F[tuple(x + reach for x in g)] for g in keys]) / len(j)
 
 
 @CALCULUS
@@ -72,7 +90,8 @@ def test_calculus_error_bounds_the_distance_to_a_finer_oracle(op, tag, t,
     computed = np.array([res.element.coeffs.get(g, zero) for g in keys])
     oracle = oracle_coefficients(op, f, keys,
                                  4 * res.diagnostics["levels"][-1])
-    assert float(np.abs(computed - oracle).max()) <= res.error + 1e-12
+    assert (float(np.abs(computed - oracle).max())
+            <= res.error + ORACLE_ROUNDING)
 
 
 def test_rounding_floor_covers_a_scalar_symbol_converged_at_rounding():
