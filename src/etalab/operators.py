@@ -11,8 +11,8 @@ operators ``D`` acting on ``l^2(G) (x) C^m``:
   certificate is the min |eigenvalue| over the same grids less the
   Weyl/Lipschitz slack ``(pi/n) sum_k L_k``.
 * :class:`FiniteCoverOperator` — finite ``G``; ``D`` is an explicit Hermitian
-  matrix on the cover with a free deck representation; the calculus is an
-  exact eigendecomposition.
+  matrix on the cover with a free deck representation; the calculus is a
+  dense eigendecomposition, certified to its rounding floor.
 * :class:`FreeConvolutionOperator` — free ``G``; ``D`` is a finitely
   supported Hermitian convolution kernel.  A weighted Schur test puts spec D
   within ``b`` of the eigenvalues ``mu`` of ``A_e``: the gap certificate is
@@ -66,8 +66,9 @@ from .quadpack import quad
 HERMITIAN_TOL = 1e-12
 DEFAULT_MU = 1.1
 _GRID_CAPS = {1: 1 << 16, 2: 1 << 10, 3: 1 << 7}  # symbol gap grid, by rank
+_GAP_SLAB = 1 << 14  # grid points per column slab of the symbol gap minimum
 _CALCULUS_MAX_NODES = 400  # symbol calculus grid, per axis
-_ROUNDING_ULPS = 4  # rounding floor of a grid level, ulps per FFT level
+_ROUNDING_ULPS = 4  # rounding floors: ulps per FFT level, per cover dimension
 _CHEB_START_DEGREE = 16  # free-kernel Chebyshev degree ladder
 _CHEB_MAX_DEGREE = 512
 _COVER_ZERO_TOL = 1e-10  # cover gap: |eigenvalue| / scale counted as 0
@@ -404,7 +405,7 @@ class FourierSymbolOperator(EquivariantOperator):
     acting by convolution on ``l^2(Z^d) (x) C^m``.
 
     Every evaluation of ``D`` is on a uniform grid ``theta_j = 2 pi j / n``
-    (:meth:`_symbol_channel`), and every read-out of ``f(D)`` is the forward
+    (:meth:`_symbol_slabs`), and every read-out of ``f(D)`` is the forward
     FFT of ``f(D(theta_j))`` (:meth:`_coefficient_grid`): the trapezoid rule
     for the Fourier integral of a periodic integrand."""
 
@@ -417,29 +418,45 @@ class FourierSymbolOperator(EquivariantOperator):
         self.rank = element.group.rank
         self._spectra = {}
 
-    def _symbol_channel(self, n: int, i: int, k: int) -> np.ndarray:
-        """``D_ik`` on the grid ``theta_j = 2 pi j / n``: one inverse FFT of
-        ``A_g[i, k]`` added at ``g mod n`` (exact aliasing)."""
-        box = np.zeros((n,) * self.rank, dtype=complex)
+    def _symbol_slabs(self, n: int, points: int):
+        """Lists of the channels ``D_ik`` on the grid ``theta_j = 2 pi j / n``
+        (``(0, 0)``; ``(0, 0), (1, 1), (0, 1)`` for 2x2 blocks; all ``(i, k)``
+        in C order otherwise) as ``(n, w)`` slabs over ``w = max(1, points //
+        n)`` columns of the flattened trailing axes.  Only the hyperplanes
+        ``g_0 mod n`` that carry an ``A_g`` (added at ``g mod n``) are built
+        and inverse-FFT over the trailing axes; axis 0 goes last, per slab.
+        ``ifftn`` is the same chain of 1-D passes, last axis first, and a zero
+        line transforms to zeros, so the values are its own bit for bit."""
+        m, rest = self.dim, tuple(range(self.rank - 1))
+        channels = ([(0, 0), (1, 1), (0, 1)][:2 * m - 1] if m <= 2
+                    else list(np.ndindex(m, m)))
+        planes = {}
         for g, A in zip(self.element.keys, self.element.blocks):
-            box[tuple(x % n for x in g)] += A[i, k]
-        return np.fft.ifftn(box, norm="forward")
+            plane = planes.setdefault(g[0] % n, np.zeros(
+                (n,) * len(rest) + (len(channels),), dtype=complex))
+            plane[tuple(x % n for x in g[1:])] += [A[ik] for ik in channels]
+        planes = {g0: np.fft.ifftn(p, axes=rest, norm="forward").reshape(
+            -1, len(channels)) for g0, p in planes.items()}
+        cols, w = n ** len(rest), max(1, points // n)
+        for lo in range(0, cols, w):
+            slab = np.zeros((len(channels), n, min(w, cols - lo)), complex)
+            for g0, p in planes.items():
+                slab[:, g0] = p[lo:lo + w].T
+            yield [np.fft.ifft(c, axis=0, norm="forward") for c in slab]
 
     def _spectrum(self, n: int):
-        """The f-independent part of f(D(theta)) on the n^d uniform grid:
-        the real symbol for ``dim == 1``, ``(mu, delta, b, r)`` of the 2x2
-        closed form (from real copies of the diagonals) for ``dim == 2`` and
-        ``eigh`` otherwise."""
+        """The f-independent part of f(D(theta)) on the n^d grid, from one
+        whole-grid slab of :meth:`_symbol_slabs`: the real symbol, ``(mu,
+        delta, b, r)`` of the 2x2 closed form, or ``eigh``."""
         m = self.dim
+        shape = (n,) * self.rank
+        ch = [c.reshape(shape)
+              for c in next(self._symbol_slabs(n, n ** self.rank))]
         if m == 1:
-            return self._symbol_channel(n, 0, 0).real.copy()
+            return ch[0].real.copy()
         if m == 2:
-            return _hermitian_2x2(self._symbol_channel(n, 0, 0).real.copy(),
-                                  self._symbol_channel(n, 1, 1).real.copy(),
-                                  self._symbol_channel(n, 0, 1))
-        return np.linalg.eigh(np.stack(
-            [np.stack([self._symbol_channel(n, i, k) for k in range(m)], -1)
-             for i in range(m)], -2))
+            return _hermitian_2x2(*ch)
+        return np.linalg.eigh(np.stack(ch, -1).reshape(shape + (m, m)))
 
     def _grid_spectrum(self, n: int):
         """:meth:`_spectrum`, built once per calculus node count ``n``."""
@@ -526,9 +543,11 @@ class FourierSymbolOperator(EquivariantOperator):
         ``theta_j = 2 pi j / n`` less ``(pi/n) sum_k L_k``, clipped at 0, is
         certified.  ``n`` doubles from ``start_nodes`` until two positive
         levels agree to ``rel_tol`` or ``n`` reaches ``_GRID_CAPS`` (2^16,
-        2^10, 2^7 by rank, then 32).  Each level evaluates the grid by
-        inverse FFT (``_uniform_grid_min``); ``history`` records its
-        ``nodes``, ``grid_min``, ``slack`` and ``certified``."""
+        2^10, 2^7 by rank, then 32).  A level builds only the hyperplanes
+        ``g_0 mod n`` that carry coefficients and transforms axis 0 last, on
+        column slabs, which gives ``ifftn`` of the wrapped box bit for bit
+        (``_uniform_grid_min``); ``history`` records its ``nodes``,
+        ``grid_min``, ``slack`` and ``certified``."""
         norms = _block_norms(self.element)
         L = np.zeros(self.rank)
         for g, nb in norms.items():
@@ -555,30 +574,19 @@ class FourierSymbolOperator(EquivariantOperator):
 
     def _uniform_grid_min(self, n: int) -> float:
         """min |eigenvalue| of ``D`` on the grid ``theta_j = 2 pi j / n``,
-        uncached.  For ``dim <= 2``: from :meth:`_spectrum`, ``||mu| - r|``
-        for 2x2 blocks.  For ``dim >= 3``: one block inverse FFT over the
-        other axes per first offset ``g_0 mod n``, then the sum over ``g_0``
-        and ``eigvalsh`` in first-axis slabs of ~2M entries."""
-        if self.dim == 1:
-            return float(np.abs(self._spectrum(n)).min())
-        if self.dim == 2:
-            mu, _, _, r = self._spectrum(n)
-            return float(np.abs(np.abs(mu) - r).min())
-        rest = tuple(range(self.rank - 1))
-        parts = {}
-        for g, A in zip(self.element.keys, self.element.blocks):
-            box = parts.setdefault(g[0] % n, np.zeros((n,) * len(rest)
-                                                      + A.shape, complex))
-            box[tuple(x % n for x in g[1:])] += A
-        parts = {g0: np.fft.ifftn(box, axes=rest, norm="forward")
-                 for g0, box in parts.items()}
-        rows = np.arange(n).reshape((-1,) + (1,) * (self.rank + 1))
-        slab = max(1, 2_000_000 // (n ** len(rest) * self.dim ** 2))
-        best = math.inf
-        for j in (rows[lo:lo + slab] for lo in range(0, n, slab)):
-            block = sum(np.exp(2j * np.pi * (g0 * j % n) / n) * T
-                        for g0, T in parts.items())
-            best = min(best, float(np.abs(np.linalg.eigvalsh(block)).min()))
+        uncached: a running minimum over slabs of :meth:`_symbol_slabs` of
+        ``_GAP_SLAB`` points (one column if ``n`` is larger) of ``|D|``,
+        ``||mu| - r|`` of the 2x2 closed form, or ``eigvalsh``."""
+        m, best = self.dim, math.inf
+        for ch in self._symbol_slabs(n, _GAP_SLAB):
+            if m == 1:
+                lam = ch[0].real
+            elif m == 2:
+                mu, _, _, r = _hermitian_2x2(*ch)
+                lam = np.abs(mu) - r
+            else:
+                lam = np.linalg.eigvalsh(np.stack(ch, -1).reshape(-1, m, m))
+            best = min(best, float(np.abs(lam).min()))
         return best
 
 
@@ -606,7 +614,7 @@ class FiniteCoverOperator(EquivariantOperator):
 
     Stored as its convolution coefficients ``A_g`` (cover kernel
     ``H[x, y] = A(x y^-1)``); the cover matrix and deck unitaries are
-    materialized on demand. The calculus is an exact eigendecomposition.
+    materialized on demand. The calculus is a dense eigendecomposition.
     """
 
     backend = "finite_cover"
@@ -650,7 +658,7 @@ class FiniteCoverOperator(EquivariantOperator):
                             strict: bool = True) -> CalculusResult:
         self._check_radius(R)
         lam, V = self.eigensystem()
-        F = (V * f(lam)[None, :]) @ V.conj().T
+        F = (V * (fl := f(lam))[None, :]) @ V.conj().T
         m = self.dim
         n = len(self.elements)
         coeffs = {}
@@ -667,7 +675,9 @@ class FiniteCoverOperator(EquivariantOperator):
                          max(float(np.abs(B - avg).max()) for B in blocks))
             coeffs[g] = avg
         element = AlgebraElement(self.group, m, coeffs)
-        error = defect + f.evaluation_error
+        # eigh and V f(lam) V^* round at a few ulps of max |f| per dimension
+        floor = _ROUNDING_ULPS * 2.0 ** -52 * float(np.abs(fl).max()) * n * m
+        error = defect + floor + f.evaluation_error
         result = CalculusResult(element, error, tol, error <= tol,
                                 self.backend, {"cover_dim": n * m})
         return self._finish(result, strict)

@@ -1,19 +1,30 @@
 """The symbol-grid gap certificate of ``FourierSymbolOperator``.
 
-Each level evaluates ``D`` on the uniform grid ``theta_j = 2 pi j / n`` by
-one inverse FFT of the coefficients, wrapped to ``g mod n``.  The property
-tests draw random Hermitian finite-band symbols over Z^1 to Z^3 with 1x1 to
-3x3 blocks and supports wider than the coarsest grids, so the wrap aliases.
-They compare every level's ``grid_min`` with an oracle that shares no code
-with the FFT route: the direct phase sum ``sum_g A_g e^{i g.theta}`` on the
-same grid, followed by ``eigvalsh``.  They also check soundness: the
-certified gap never exceeds the oracle's minimum |eigenvalue| on a grid four
-times finer than the last level, and a symbol with a zero eigenvalue on the
-grid certifies 0.
+Each level evaluates ``D`` on the uniform grid ``theta_j = 2 pi j / n`` from
+the coefficients wrapped to ``g mod n``.  Production builds only the
+hyperplanes ``g_0 mod n`` that carry a coefficient, inverse-FFTs them over
+the trailing axes, and transforms axis 0 last, on slabs of columns of the
+flattened trailing axes, keeping a running minimum.  ``numpy.fft.ifftn`` is
+the same chain of 1-D passes, last axis first, and an all-zero line
+transforms to zeros, so every grid value is the ``ifftn`` of the whole
+wrapped box bit for bit; the tests hold production to that reference
+exactly (``==``) for 1x1 and 2x2 blocks and to 1e-12 for ``eigvalsh`` of
+3x3 blocks.
+
+The property tests draw random Hermitian finite-band symbols over Z^1 to
+Z^3 with 1x1 to 3x3 blocks and supports wider than the coarsest grids, so
+the wrap aliases.  They also compare every level's ``grid_min`` with an
+oracle that shares no code with the FFT route: the direct phase sum ``sum_g
+A_g e^{i g.theta}`` on the same grid, followed by ``eigvalsh``.  They check
+soundness: the certified gap never exceeds the oracle's minimum |eigenvalue|
+on a grid four times finer than the last level, and a symbol with a zero
+eigenvalue on the grid certifies 0.  The fixtures' certificates stay within
+a bounded traced memory, and the 3x3 route runs in bounded slabs.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -60,6 +71,40 @@ def oracle_grid_min(op: FourierSymbolOperator, n: int) -> float:
     grids = np.meshgrid(*[axis] * op.rank, indexing="ij")
     thetas = np.stack([g.ravel() for g in grids], axis=-1)
     lam = np.linalg.eigvalsh(direct_symbol(op.element.coeffs, thetas, op.dim))
+    return float(np.abs(lam).min())
+
+
+def wrapped_box_values(op: FourierSymbolOperator, n: int) -> np.ndarray:
+    """``D`` on the uniform n^rank grid as ``(..., dim, dim)`` blocks, each
+    channel one ``ifftn`` of the whole box of ``A_g[i, k]`` added at
+    ``g mod n``: the reference that production must equal bit for bit."""
+    out = np.empty((n,) * op.rank + (op.dim, op.dim), dtype=complex)
+    for i, k in np.ndindex(op.dim, op.dim):
+        box = np.zeros((n,) * op.rank, dtype=complex)
+        for g, A in zip(op.element.keys, op.element.blocks):
+            box[tuple(x % n for x in g)] += A[i, k]
+        out[..., i, k] = np.fft.ifftn(box, norm="forward")
+    return out
+
+
+def closed_form_2x2(D: np.ndarray):
+    """``(mu, delta, b, r)`` of Hermitian 2x2 blocks, eigenvalues mu +- r."""
+    d00, d11, b = D[..., 0, 0], D[..., 1, 1], D[..., 0, 1]
+    mu = 0.5 * (d00 + d11).real
+    delta = 0.5 * (d00 - d11).real
+    return mu, delta, b, np.sqrt(delta * delta + (b * b.conj()).real)
+
+
+def reference_grid_min(op: FourierSymbolOperator, n: int) -> float:
+    """min |eigenvalue| of :func:`wrapped_box_values`."""
+    D = wrapped_box_values(op, n)
+    if op.dim == 1:
+        lam = D[..., 0, 0].real
+    elif op.dim == 2:
+        mu, _, _, r = closed_form_2x2(D)
+        lam = np.abs(mu) - r
+    else:
+        lam = np.linalg.eigvalsh(D)
     return float(np.abs(lam).min())
 
 
@@ -143,6 +188,18 @@ def test_every_level_matches_the_direct_phase_sum(op, start):
 
 @GRID
 @given(op=symbols(), start=START)
+def test_every_level_equals_the_whole_box_ifftn(op, start):
+    cert = certify(op, start)
+    for level in cert.diagnostics["history"]:
+        ref = reference_grid_min(op, level["nodes"])
+        if op.dim <= 2:
+            assert level["grid_min"] == ref
+        else:
+            assert abs(level["grid_min"] - ref) <= 1e-12 * norm_sum(op)
+
+
+@GRID
+@given(op=symbols(), start=START)
 def test_certified_gap_never_exceeds_a_finer_grid(op, start):
     cert = certify(op, start)
     finer = 4 * cert.diagnostics["history"][-1]["nodes"]
@@ -193,14 +250,39 @@ def test_fixture_levels_match_the_direct_phase_sum(make):
                                                 else 4096)
 
 
+@pytest.mark.parametrize("make", [wilson_symbol, two_band_chern_symbol])
+@pytest.mark.parametrize("n", [24, 36, 54])
+def test_calculus_spectrum_equals_the_whole_box_ifftn(make, n):
+    op = make()
+    for got, want in zip(op._spectrum(n),
+                         closed_form_2x2(wrapped_box_values(op, n))):
+        assert got.shape == (n,) * op.rank
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
-# memory bound of the block route
+# memory bounds
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [two_band_chern_symbol,
+                                  anisotropic_symbol_3d])
+def test_fixture_certificate_peaks_below_8_mb(make):
+    # the whole 1024^2 (two_band) and 128^3 (anisotropic3d) grids of
+    # complex channels would take 16.8 MB and 33.6 MB each
+    op = make()
+    tracemalloc.start()
+    try:
+        op.gap_certificate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_block_route_runs_in_bounded_slabs_and_matches_the_oracle():
-    # 64^3 grid points of 3x3 blocks are 2.4M entries, so the first axis
-    # splits into slabs of 54 and 10 rows
+    # 64^3 grid points of 3x3 blocks: axis 0 (64 points) is transformed on
+    # slabs of 256 of the 4096 columns, 16 eigvalsh blocks of 2^14 points
     op = hermitian_symbol(3, 3, [(1, 0, 0), (0, 1, -2), (2, 1, 1), (65, 0, 3)],
                           seed=3)
     sizes = []
@@ -211,5 +293,6 @@ def test_block_route_runs_in_bounded_slabs_and_matches_the_oracle():
         return eigvalsh(block)
     with mock.patch.object(np.linalg, "eigvalsh", counted):
         m = op._uniform_grid_min(64)
-    assert sizes == [54 * 64 * 64 * 9, 10 * 64 * 64 * 9]
+    assert sizes == [(1 << 14) * 9] * 16
+    assert sum(sizes) == 64 ** 3 * 9
     assert abs(m - oracle_grid_min(op, 64)) <= 1e-12 * norm_sum(op)

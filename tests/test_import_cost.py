@@ -121,9 +121,18 @@ OPERATORS = {
 }
 
 
+def wrapped_box_channel(op, n, i, k):
+    """``D_ik`` on the n^d grid: one ``ifftn`` of the whole box of
+    ``A_g[i, k]`` added at ``g mod n``."""
+    box = np.zeros((n,) * op.rank, dtype=complex)
+    for g, A in zip(op.element.keys, op.element.blocks):
+        box[tuple(x % n for x in g)] += A[i, k]
+    return np.fft.ifftn(box, norm="forward")
+
+
 def uncached_apply_on_grid(op, f, nodes):
     """f(D(theta)) built from scratch for one f, as before the cache."""
-    D = np.stack([np.stack([op._symbol_channel(nodes, i, k)
+    D = np.stack([np.stack([wrapped_box_channel(op, nodes, i, k)
                             for k in range(op.dim)], -1)
                   for i in range(op.dim)], -2)
     if op.dim == 1:

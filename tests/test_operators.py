@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -388,6 +389,25 @@ class TestFiniteCover:
                 block = F[row * m:(row + 1) * m, col * m:(col + 1) * m]
                 np.testing.assert_allclose(res.element.coeffs[g], block,
                                            atol=1e-11)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_calculus_is_within_its_error_of_a_30_digit_eigh(self, seed):
+        # oracle: f(H) from mpmath's eighe at 30 digits; the error must
+        # cover the rounding of the double-precision eigh, not only the
+        # equivariance defect of the deck average
+        op = gapped_cover_model(seed)
+        res = op.functional_calculus(SchwartzFunction("xgauss", 1.0), 1,
+                                     strict=False)
+        m = op.dim
+        with mpmath.workdps(30):
+            lam, V = mpmath.mp.eighe(mpmath.matrix(op.cover_matrix().tolist()))
+            F = V * mpmath.diag([x * mpmath.exp(-x * x) for x in lam]) \
+                * V.transpose_conj()
+            for g, block in res.element.coeffs.items():
+                a = m * op.index[g]
+                exact = np.array([[complex(F[a + i, j]) for j in range(m)]
+                                  for i in range(m)])
+                assert float(np.abs(block - exact).max()) <= res.error, g
 
     def test_class_trace_matches_deck_translate_formula(self):
         op = cyclic_cover_model(seed=1)
