@@ -676,49 +676,58 @@ class SeparableClassCochain(CyclicCochain):
             total += c * complex(field)
         return total
 
-    def pair_grid(self, ws, box_cache: dict | None = None) -> complex:
+    def pair_grid(self, ws, box_cache: dict | None = None):
         """Route for slots sampled on the grid ``theta_j = 2 pi j / n``,
-        entry planes first. A factor is a Fourier multiplier: the slot's
-        FFT along the axes the factor varies on, times the factor at the
-        signed indices, transformed back. The chain is multiplied pointwise
-        and traced, and coefficient ``h`` is the grid mean of the field
-        times ``e^{-i h.theta}``. ``box_cache`` shares transforms by slot id
-        as in :meth:`pair_separable`; its ``"scale"`` entry sums ``|c_r| max
-        |field|``, the size the read-out rounds at. Given a ``"delta"``, its
-        ``"terms"`` entry records each term for :func:`moved_bound`."""
-        n = ws[0].shape[-1]
+        entry planes first, then maybe an axis of nodes. A factor is a
+        Fourier multiplier: the slot's FFT along the axes the factor varies
+        on, times the factor at the signed indices, transformed back. Each
+        term's chain is multiplied pointwise and traced, and coefficient
+        ``h`` of a node is the grid mean of its field times ``e^{-i
+        h.theta}``. Over nodes the result is an object array, so that sums
+        over faces stay scalar arithmetic, and node i records in
+        ``box_cache["nodes"][i]`` (else in ``box_cache``): ``"scale"`` sums
+        ``|c_r| max |field|``, the size the read-out rounds at, and given a
+        ``"delta"``, ``"terms"`` holds each term's slot norms for
+        :func:`moved_bound`."""
         cache = {} if box_cache is None else box_cache
-
-        def memo(key, make):
-            if key not in cache:
-                cache[key] = make()
-            return cache[key]
-
-        def weighted(w, fn):
-            if fn is None:
-                return w
-            mult, axes, _ = self._grid_factor(fn, n)
-            return memo(("grid", id(w), id(fn)), lambda: np.fft.ifftn(memo(
-                ("coef", id(w), axes), lambda: np.fft.fftn(w, axes=axes))
-                * mult, axes=axes))
-
-        total = 0.0 + 0.0j
+        if ws[0].ndim == self.group.rank + 2:
+            return complex(self.pair_grid([w[:, :, None] for w in ws],
+                                          {"nodes": [cache]})[0])
+        n, dim = ws[0].shape[-1], len(ws[0])
+        nodes = cache.setdefault("nodes", [{} for _ in range(ws[0].shape[2])])
+        phase = self._grid_factor(None, n)
+        total = [0.0 + 0.0j] * len(nodes)
         for c, fs in self.terms:
-            slots = [weighted(w, fn) for w, fn in zip(ws, fs)]
+            slots = [w if fn is None else self._weighted(w, fn, n)
+                     for w, fn in zip(ws, fs)]
             field = _chain_trace(slots)
-            cache["scale"] = (cache.get("scale", 0.0)
-                              + abs(c) * float(np.abs(field).max()))
-            total += c * np.vdot(self._grid_factor(None, n), field)
-            if cache.get("delta"):
-                cache.setdefault("terms", []).append((abs(c), slots, [
-                    None if fn is None else self._grid_factor(fn, n)[2]
-                    for fn in fs]))
-        return complex(total)
+            keys = [(id(w), id(fn)) for w, fn in zip(ws, fs)]
+            gains = [None if fn is None else self._grid_factor(fn, n)[2]
+                     for fn in fs]
+            for i, node in enumerate(nodes):
+                total[i] += c * np.vdot(phase, field[i])
+                node["scale"] = (node.get("scale", 0.0)
+                                 + abs(c) * float(np.abs(field[i]).max()))
+                if node.get("delta"):
+                    norms = node.setdefault("norms", {})
+                    norms.update({key: _hs_norms(slot[:, :, i]) for key, slot
+                                  in zip(keys, slots) if key not in norms})
+                    node.setdefault("terms", []).append(
+                        (abs(c), [norms[key] for key in keys], gains, dim))
+            del slots, field
+        return np.array([complex(v) for v in total], dtype=object)
+
+    def _weighted(self, w: np.ndarray, fn, n: int) -> np.ndarray:
+        """The slot ``w`` times the Fourier multiplier of factor ``fn``."""
+        mult, axes, _ = self._grid_factor(fn, n)
+        coef = np.fft.fftn(w, axes=axes)
+        coef *= mult
+        return np.fft.ifftn(coef, axes=axes)
 
     def _grid_factor(self, fn, n: int):
         """Once per n^d grid: ``e^{i h.theta_j} / n^d`` for ``fn = None``;
-        else the factor at the signed indices, the slot axes it varies on
-        and its largest modulus and l2 norm."""
+        else the factor at the signed indices, the (negative) slot axes it
+        varies on and its largest modulus and l2 norm."""
         key = (id(fn), n)
         if key not in self._grid:
             rank = self.group.rank
@@ -730,7 +739,7 @@ class SeparableClassCochain(CyclicCochain):
                 return self._grid[key]
             mult = np.broadcast_to(fn(tuple(coords)), (n,) * rank)
             axes = [k for k in range(rank) if (np.diff(mult, axis=k) != 0).any()]
-            self._grid[key] = (mult, tuple(k + 2 for k in axes), (
+            self._grid[key] = (mult, tuple(k - rank for k in axes), (
                 float(np.abs(mult).max()), float(np.linalg.norm(mult))))
         return self._grid[key]
 
@@ -747,19 +756,16 @@ def moved_bound(cache: dict) -> float:
     which covers both sides of the step; a lone slot pairs with the
     identity, of HS norm sqrt(d). Faces of ``b`` and ``S`` have coefficients
     of modulus at most 1, so the terms of a reduced pairing add up."""
-    norms, total = {}, 0.0
-    for c, slots, gains in cache.get("terms", ()):
-        root_d = math.sqrt(len(slots[0]))
+    total = 0.0
+    for c, norms, gains, dim in cache.get("terms", ()):
+        root_d = math.sqrt(dim)
         move = root_d * cache["delta"]
         moves = [(move, move / root_d) if g is None
                  else (move * g[0], move * g[1]) for g in gains]
-        for s in slots:
-            if id(s) not in norms:
-                norms[id(s)] = _hs_norms(s)
-        rms = [norms[id(s)][0] + mv for s, (mv, _) in zip(slots, moves)]
-        sup = [norms[id(s)][1] + mv for s, (_, mv) in zip(slots, moves)]
+        rms = [nm[0] + mv for nm, (mv, _) in zip(norms, moves)]
+        sup = [nm[1] + mv for nm, (_, mv) in zip(norms, moves)]
         for i, (mv, _) in enumerate(moves):
-            rest = [k for k in range(len(slots)) if k != i]
+            rest = [k for k in range(len(norms)) if k != i]
             total += c * mv * min(
                 (rms[j] * math.prod(sup[k] for k in rest if k != j)
                  for j in rest), default=root_d)

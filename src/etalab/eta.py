@@ -223,7 +223,8 @@ def _complex_quad(func, a: float, b: float, *, epsabs: float,
     The real and imaginary parts are integrated by two scalar passes, but
     ``func`` is evaluated once per distinct node within one call: the real
     pass fills a memo keyed by the exact float ``t`` and the imaginary pass
-    reads it, so both returned parts come from the same samples.
+    reads it, so both returned parts come from the same samples. A
+    ``func.pair(t1, t2)`` fills it a symmetric pair of the rule at a time.
     """
     if b <= a:
         return 0.0 + 0.0j, 0.0
@@ -234,9 +235,20 @@ def _complex_quad(func, a: float, b: float, *, epsabs: float,
             memo[t] = func(t)
         return memo[t]
 
-    re_val, re_err = quad(lambda t: sample(t).real, a, b, epsabs=epsabs,
+    def part(take):  # the scalar integrand of one pass
+        def g(t):
+            return take(sample(t))
+        if hasattr(func, "pair"):
+            def pair(t1, t2):
+                if t1 not in memo or t2 not in memo:
+                    memo[t1], memo[t2] = func.pair(t1, t2)
+                return take(memo[t1]), take(memo[t2])
+            g.pair = pair
+        return g
+
+    re_val, re_err = quad(part(lambda v: v.real), a, b, epsabs=epsabs,
                           epsrel=epsrel, limit=200)
-    im_val, im_err = quad(lambda t: sample(t).imag, a, b, epsabs=epsabs,
+    im_val, im_err = quad(part(lambda v: v.imag), a, b, epsabs=epsabs,
                           epsrel=epsrel, limit=200)
     return complex(re_val, im_val), float(re_err + im_err)
 
@@ -256,7 +268,8 @@ def _certified_integral(sample, tail_at, g0: float, *, tol: float,
     """``int_0^inf`` of a sampled integrand with its full error budget.
 
     ``sample(t)`` returns ``(value, {leg: certified error of the value})``
-    and ``tail_at(T)`` bounds ``int_T^inf |integrand|`` in closed form. The
+    (``sample.pair(t1, t2)``, if there is one, two of them), and
+    ``tail_at(T)`` bounds ``int_T^inf |integrand|`` in closed form. The
     cut T comes from :func:`_tail_cut` at ``tol * tail_frac``; [0, 1] and
     [1, T] are integrated adaptively, and each named per-sample error is
     folded as its maximum over the samples times T. Returns the
@@ -269,11 +282,16 @@ def _certified_integral(sample, tail_at, g0: float, *, tol: float,
     t_cut = _tail_cut(tail_at, g0, tol * tail_frac)
     worst: dict = {}
 
-    def integrand(t: float) -> complex:
-        val, errs = sample(t)
+    def record(got: tuple) -> complex:
+        val, errs = got
         for leg, err in errs.items():
             worst[leg] = max(worst.get(leg, 0.0), err)
         return val
+
+    def integrand(t: float) -> complex:
+        return record(sample(t))
+    if hasattr(sample, "pair"):
+        integrand.pair = lambda t1, t2: tuple(map(record, sample.pair(t1, t2)))
 
     small_val, small_err = _complex_quad(integrand, 0.0, 1.0,
                                          epsabs=tol * 0.3, epsrel=quad_rel)
@@ -511,7 +529,7 @@ class _HigherIntegrand:
             self.ladder = calculus_ladder(24, op.rank)
             if len(self.ladder) < 2:
                 raise PreconditionError(f"no calculus grid ladder on Z^{op.rank}")
-            self.level, self.nodes = 1, {}
+            self.level, self.nodes, self.grid_memo = 1, {}, {}
             self.per_eval_tol = tol * 1e-3
             weight = _box_weight_sum(op.rank, self.ladder[-1], phi.growth)
         else:
@@ -527,29 +545,41 @@ class _HigherIntegrand:
         return (res.element, res.error,
                 _weighted_slot_norm(res.element, self.phi.growth))
 
-    def _grid_pair(self, t: float, n: int) -> tuple:
-        """(integrand, error of its read-out) on the n^d grid, the error as a
-        callable that only the last level runs: the rounding floor, plus the
-        move of the pairing under the legs' evaluation error. Every slot
-        handed down is a product of the dot and at most 2m legs, each of
-        norm at most 2 (|u - 1|), so it moves by at most ``delta``."""
+    def _grid_pass(self, ts: list, n: int, readout: bool) -> list:
+        """(integrand, error of its read-out) on the n^d grid at each node of
+        ``ts``, from one pass of slots with an axis of t values after the
+        entry planes. Unless ``readout`` the error is None; else it is the
+        rounding floor, plus the move of the pairing under the legs'
+        evaluation error. Every slot handed down is a product of the dot
+        and at most 2m legs, each of norm at most 2 (|u - 1|), so it moves
+        by at most ``delta``."""
         def sample(tag):
-            return np.ascontiguousarray(np.moveaxis(self.op._apply_on_grid(
-                SchwartzFunction(tag, t), n), (-2, -1), (0, 1)))
+            return self.op._apply_on_grid(SchwartzFunction(tag, np.array(ts)),
+                                          n)
 
         dot_tag, leg_tag = _FAMILY_TAGS[self.family]
-        slots, cache = [sample(dot_tag)], {}
+        slots, nodes = [sample(dot_tag)], [{} for _ in ts]
         if self.m:
             leg = sample(leg_tag)
             slots += [leg, np.conj(leg.swapaxes(0, 1))] * self.m
-            err, k = SchwartzFunction(leg_tag, t).evaluation_error, 2 * self.m
+        err, k = SchwartzFunction(leg_tag).evaluation_error, 2 * self.m
+        for t, node in zip(ts, nodes if self.m and readout else ()):
             dot_sup = 2.0 * math.sqrt(math.pi) * _gapped_abs_sup(
                 0.0, self.norm, t)
-            cache["delta"] = max(1.0, dot_sup) * ((2.0 + err) ** k - 2.0 ** k)
-        val = self.prefactor * pair_phi_tr(self.phi, slots, _box_cache=cache)
-        return complex(val), lambda: rounding_error(
-            abs(self.prefactor) * cache["scale"], n ** self.op.rank) + abs(
-            self.prefactor) * moved_bound(cache)
+            node["delta"] = max(1.0, dot_sup) * ((2.0 + err) ** k - 2.0 ** k)
+        vals = self.prefactor * pair_phi_tr(self.phi, slots,
+                                            _box_cache={"nodes": nodes})
+        scale = abs(self.prefactor)
+        return [(complex(val), rounding_error(
+            scale * node["scale"], n ** self.op.rank) + scale * moved_bound(
+            node) if readout else None) for val, node in zip(vals, nodes)]
+
+    def _level(self, t: float, n: int, readout: bool) -> tuple:
+        """:meth:`_grid_pass` of one node, or its prefill by :meth:`pair`."""
+        got = self.grid_memo.pop((t, n), None)
+        if got is None or readout and got[1] is None:
+            got = self._grid_pass([t], n, readout)[0]
+        return got
 
     def value(self, t: float) -> tuple[complex, dict]:
         key = float(t)
@@ -557,17 +587,17 @@ class _HigherIntegrand:
             return self.memo[key]
         if self.radius is None:
             i = max(self.level - 1, 0)
-            coarse, _ = self._grid_pair(t, self.ladder[i])
+            coarse, _ = self._level(key, self.ladder[i], False)
             while True:
                 i += 1
-                val, read_err = self._grid_pair(t, self.ladder[i])
+                val, read_err = self._level(key, self.ladder[i], True)
                 fold = abs(val - coarse)
                 if fold <= self.per_eval_tol or i == len(self.ladder) - 1:
                     break
                 coarse = val
             self.level, n = i, self.ladder[i]
             self.nodes[n] = self.nodes.get(n, 0) + 1
-            fold += read_err()
+            fold += read_err
         else:
             dot_tag, leg_tag = _FAMILY_TAGS[self.family]
             slots = [self._slot(dot_tag, t)]
@@ -583,6 +613,20 @@ class _HigherIntegrand:
             fold = float(fold * self.fold_scale)
         self.memo[key] = (val, {"calculus": fold})
         return self.memo[key]
+
+    __call__ = value
+
+    def pair(self, t1: float, t2: float) -> tuple:
+        """``value`` at two new nodes. On the grid one pass per level first
+        fills both at the two levels where the walk of ``t1`` starts, and
+        where that of ``t2`` starts too unless ``t1`` climbs further."""
+        ts = [float(t1), float(t2)]
+        if self.radius is None and not self.memo.keys() & set(ts):
+            i = max(self.level - 1, 0)
+            for n, readout in zip(self.ladder[i:i + 2], (False, True)):
+                for t, got in zip(ts, self._grid_pass(ts, n, readout)):
+                    self.grid_memo[t, n] = got
+        return self.value(t1), self.value(t2)
 
     def abs_bound(self, t: float, g0: float) -> float:
         """Closed-form certified bound on |integrand(t)| from the gap."""
@@ -755,7 +799,7 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
             f"gap certificate {g0} is not positive; eta needs an invertible "
             "operator")
     engine = _build_integrand(op, phi, m, "ut", tol, radius)
-    parts = _certified_integral(engine.value,
+    parts = _certified_integral(engine,
                                 lambda t_cut: engine.tail_at(t_cut, g0), g0,
                                 tol=tol, quad_rel=quad_rel,
                                 tail_frac=tail_frac)

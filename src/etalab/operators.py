@@ -167,14 +167,14 @@ class SchwartzFunction:
     """
 
     tag: str
-    t: float = 1.0
+    t: float = 1.0  # or a 1-D array of scales, which leads every value
 
     def __post_init__(self):
         if self.tag not in _SCHWARTZ_EVALUATORS:
             raise PreconditionError(
                 f"unknown spectral function {self.tag!r}; "
                 f"builtins: {sorted(_SCHWARTZ_EVALUATORS)}")
-        if not (self.t > 0):
+        if not np.all(np.greater(self.t, 0)):
             raise PreconditionError(f"scale parameter must be > 0, got {self.t}")
 
     @property
@@ -189,8 +189,9 @@ class SchwartzFunction:
 
     def __call__(self, x) -> np.ndarray:
         fn = _SCHWARTZ_EVALUATORS[self.tag][0]
-        return np.asarray(fn(np.asarray(x, dtype=float), self.t),
-                          dtype=complex)
+        x = np.asarray(x, dtype=float)
+        t = np.reshape(self.t, np.shape(self.t) + (1,) * x.ndim)
+        return np.asarray(fn(x, t), dtype=complex)
 
     def __repr__(self):
         return f"SchwartzFunction({self.tag!r}, t={self.t})"
@@ -465,41 +466,46 @@ class FourierSymbolOperator(EquivariantOperator):
         return self._spectra[n]
 
     def _apply_on_grid(self, f, n: int) -> np.ndarray:
-        """f(D(theta)) on the n^d uniform grid, for a callable ``f`` acting
-        elementwise on real arrays."""
+        """f(D(theta)) on the n^d uniform grid, entry planes first, for a
+        callable ``f`` acting elementwise on real arrays; the axes that
+        ``f`` puts before its argument's (a :class:`SchwartzFunction`'s
+        scales) follow the entry planes."""
         spectrum = self._grid_spectrum(n)
         if self.dim == 1:
-            return f(spectrum)[..., None, None]
+            return f(spectrum)[None, None]
         if self.dim == 2:
             mu, delta, b, r = spectrum
             f_plus = f(mu + r)
             f_minus = f(mu - r)
             even = 0.5 * (f_plus + f_minus)
             odd = 0.5 * (f_plus - f_minus) / np.maximum(r, 1e-300)
-            out = np.empty(mu.shape + (2, 2), dtype=complex)
-            out[..., 0, 0] = even + odd * delta
-            out[..., 1, 1] = even - odd * delta
-            out[..., 0, 1] = odd * b
-            out[..., 1, 0] = odd * b.conj()
+            out = np.empty((2, 2) + even.shape, dtype=complex)
+            out[0, 0] = even + odd * delta
+            out[1, 1] = even - odd * delta
+            out[0, 1] = odd * b
+            out[1, 0] = odd * b.conj()
             return out
         lam, U = spectrum
         fl = f(lam)
-        return np.einsum("...ij,...j,...kj->...ik", U, fl, np.conj(U))
+        return np.moveaxis(np.einsum("...ij,...j,...kj->...ik", U, fl,
+                                     np.conj(U)), (-2, -1), (0, 1))
 
-    def _coefficient_grid(self, f, n: int) -> np.ndarray:
-        """Trapezoid coefficients of f(D): entry ``a mod n`` approximates
-        ``c_a`` up to the aliasing ``sum_{b != 0} c_{a + b n}``."""
-        return np.fft.fftn(self._apply_on_grid(f, n),
-                           axes=tuple(range(self.rank)), norm="forward")
+    def _coefficient_grid(self, f, n: int) -> tuple[np.ndarray, float]:
+        """Trapezoid coefficients of f(D), entry planes last: entry ``a mod
+        n`` approximates ``c_a`` up to the aliasing ``sum_{b != 0} c_{a +
+        b n}``; and the largest entry of f(D(theta_j)), the size their
+        transform rounds at."""
+        values = self._apply_on_grid(f, n)
+        return np.moveaxis(np.fft.fftn(
+            values, axes=tuple(range(2, self.rank + 2)), norm="forward"),
+            (0, 1), (-2, -1)), float(np.abs(values).max())
 
     def _coefficient_box(self, f: SchwartzFunction, R: int,
                          n: int) -> tuple[np.ndarray, float]:
-        """All coefficients c_a, a in [-R, R]^d, on the n^d grid, and the
-        largest entry of f(D(theta_j)), the size their transform rounds at."""
-        values = self._apply_on_grid(f, n)
+        """:meth:`_coefficient_grid` for all c_a, a in [-R, R]^d."""
+        coef, scale = self._coefficient_grid(f, n)
         idx = np.arange(-R, R + 1) % n
-        coef = np.fft.fftn(values, axes=tuple(range(self.rank)), norm="forward")
-        return coef[np.ix_(*[idx] * self.rank)], float(np.abs(values).max())
+        return coef[np.ix_(*[idx] * self.rank)], scale
 
     def functional_calculus(self, f: SchwartzFunction, R: int,
                             tol: float = 1e-10, *,

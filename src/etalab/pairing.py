@@ -163,7 +163,7 @@ def fermi_projection(symbol: FourierSymbolOperator, *, grid: int = 128,
             f"symbol spectrum touches zero on the sampled grid (closest "
             f"eigenvalue {closest:.3e}); the Fermi projection needs a "
             "gapped symbol")
-    coeff_grid = symbol._coefficient_grid(lambda x: (x < 0) + 0.0, grid)
+    coeff_grid, _ = symbol._coefficient_grid(lambda x: (x < 0) + 0.0, grid)
     mags = np.abs(coeff_grid).max(axis=(-2, -1))
     keep = np.argwhere(mags > prune * mags.max())
     signed = (keep + grid // 2) % grid - grid // 2

@@ -174,8 +174,7 @@ def grid_slots(op, t: float, n: int):
     """The dot and the leg of the ``ut`` family on the n^d grid, entry
     planes first."""
     def sample(tag):
-        return np.ascontiguousarray(np.moveaxis(op._apply_on_grid(
-            SchwartzFunction(tag, t), n), (-2, -1), (0, 1)))
+        return op._apply_on_grid(SchwartzFunction(tag, t), n)
     return sample("udot_uinv"), sample("ut_minus_1")
 
 

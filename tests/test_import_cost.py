@@ -131,7 +131,8 @@ def wrapped_box_channel(op, n, i, k):
 
 
 def uncached_apply_on_grid(op, f, nodes):
-    """f(D(theta)) built from scratch for one f, as before the cache."""
+    """f(D(theta)) built from scratch for one f, as before the cache, with
+    the entry planes last."""
     D = np.stack([np.stack([wrapped_box_channel(op, nodes, i, k)
                             for k in range(op.dim)], -1)
                   for i in range(op.dim)], -2)
@@ -168,8 +169,8 @@ def test_grid_values_match_the_uncached_route(name):
     nodes = 12 if op.rank == 3 else 24
     for f in (SchwartzFunction("xgauss", 0.7), SchwartzFunction("gauss", 2.0),
               SchwartzFunction("ut_minus_1", 1.3)):
-        assert np.array_equal(op._apply_on_grid(f, nodes),
-                              uncached_apply_on_grid(op, f, nodes))
+        assert np.array_equal(op._apply_on_grid(f, nodes), np.moveaxis(
+            uncached_apply_on_grid(op, f, nodes), (-2, -1), (0, 1)))
 
 
 @pytest.mark.parametrize("name", sorted(OPERATORS))
