@@ -139,6 +139,7 @@ class CyclicCochain:
         self.name = name or f"cochain(deg={degree})"
         self.batch_evaluator = batch_evaluator
         self.pair_reduction = pair_reduction
+        self.certificate = None  # set by certify_cyclic_cocycle
 
     @property
     def arity(self) -> int:
@@ -393,7 +394,14 @@ def certify_cyclic_cocycle(phi: CyclicCochain, radius: int = 2,
                            samples: int = 200, seed: int = 0,
                            tol: float = 1e-9) -> dict:
     """Sampled cyclicity + cocycle certification; raises
-    :class:`CertificateError` with a witness tuple on failure."""
+    :class:`CertificateError` with a witness tuple on failure. A pass is
+    recorded on ``phi`` and covers a later call at the same radius and
+    seed with no more samples (whose tuples it checked) and no tighter
+    tolerance."""
+    done = phi.certificate
+    if done and (done["radius"], done["seed"]) == (radius, seed) \
+            and done["samples"] >= samples and done["tol"] <= tol:
+        return done
     cyc, wit_c = max_cyclicity_violation(phi, radius, samples, seed)
     if cyc > tol:
         raise CertificateError("cyclicity", f"violation {cyc:.3e} on {phi.name}",
@@ -402,8 +410,10 @@ def certify_cyclic_cocycle(phi: CyclicCochain, radius: int = 2,
     if coc > tol:
         raise CertificateError("cocycle", f"|b phi| = {coc:.3e} on {phi.name}",
                                witness=wit_b)
-    return {"cyclicity_violation": cyc, "cocycle_violation": coc,
-            "radius": radius, "samples": samples, "seed": seed, "tol": tol}
+    phi.certificate = {"cyclicity_violation": cyc, "cocycle_violation": coc,
+                       "radius": radius, "samples": samples, "seed": seed,
+                       "tol": tol}
+    return phi.certificate
 
 
 def growth_certify(phi: CyclicCochain, radius: int, *, samples: int = 20_000,

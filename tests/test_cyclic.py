@@ -560,3 +560,74 @@ def test_random_cochain_needs_codec():
     with pytest.raises(PreconditionError):
         random_delocalized_cochain(F2, F2.element_from_text("ab"),
                                    rate=0.1, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# the recorded cocycle certificate
+# ---------------------------------------------------------------------------
+
+
+def counted_certifications(monkeypatch) -> list:
+    """Record the (radius, samples, seed) of every certification run."""
+    import etalab.cyclic as cyclic_module
+
+    runs, real = [], cyclic_module.max_cyclicity_violation
+
+    def counted(phi, radius, samples, seed):
+        runs.append((radius, samples, seed))
+        return real(phi, radius, samples, seed)
+
+    monkeypatch.setattr(cyclic_module, "max_cyclicity_violation", counted)
+    return runs
+
+
+def test_eta_higher_reuses_the_certificate_of_the_area_cocycle(monkeypatch):
+    from etalab.eta import eta_higher
+    from etalab.operators import two_band_chern_symbol
+
+    runs = counted_certifications(monkeypatch)
+    phi = area_cocycle(Z2, (0, 0), seed=3)
+    assert runs == [(2, 400, 3)]
+    assert phi.certificate["samples"] == 400 and phi.certificate["tol"] == 1e-9
+    eta_higher(two_band_chern_symbol(), phi, tol=1e-6, seed=3)
+    assert runs == [(2, 400, 3)]
+
+
+def test_eta_higher_still_certifies_an_uncertified_cochain(monkeypatch):
+    from etalab.eta import eta_higher
+    from etalab.operators import two_band_chern_symbol
+
+    runs = counted_certifications(monkeypatch)
+    phi = area_cocycle(Z2, (0, 0), certify=False)
+    assert phi.certificate is None
+    eta_higher(two_band_chern_symbol(), phi, tol=1e-6)
+    assert runs == [(2, 200, 0)]
+    assert phi.certificate["samples"] == 200 and phi.certificate["tol"] == 1e-8
+
+
+def test_a_failing_cochain_still_raises_and_exits_1():
+    from etalab.cli import main
+    from etalab.eta import eta_higher
+    from etalab.operators import two_band_chern_symbol
+
+    phi = area_cocycle(Z2, (1, 0), certify=False)
+    for _ in range(2):  # a failed run records nothing
+        with pytest.raises(CertificateError):
+            eta_higher(two_band_chern_symbol(), phi, tol=1e-6)
+        assert phi.certificate is None
+    assert main(["higher-eta", "operator.kind=two_band", "cocycle.kind=area",
+                 "class.element=1,0", "--tol", "1e-6"]) == 1
+
+
+@pytest.mark.parametrize("call", [dict(samples=300), dict(seed=1),
+                                  dict(tol=1e-10), dict(radius=1)])
+def test_a_call_the_certificate_does_not_cover_still_runs(monkeypatch, call):
+    runs = counted_certifications(monkeypatch)
+    phi = area_cocycle(Z3, (0, 0, 1), certify=False)
+    certify_cyclic_cocycle(phi, radius=2, samples=200, seed=0, tol=1e-8)
+    certify_cyclic_cocycle(phi, radius=2, samples=100, seed=0, tol=1e-7)
+    assert len(runs) == 1
+    args = dict(radius=2, samples=200, seed=0, tol=1e-8) | call
+    report = certify_cyclic_cocycle(phi, **args)
+    assert runs[1:] == [(args["radius"], args["samples"], args["seed"])]
+    assert phi.certificate is report and report["tol"] == args["tol"]
