@@ -697,21 +697,23 @@ class SeparableClassCochain(CyclicCochain):
         over faces stay scalar arithmetic, and node i records in
         ``box_cache["nodes"][i]`` (else in ``box_cache``): ``"scale"`` sums
         ``|c_r| max |field|``, the size the read-out rounds at, and given a
-        ``"delta"``, ``"terms"`` holds each term's slot norms for
-        :func:`moved_bound`."""
+        ``"delta"``, ``"terms"`` holds each term's slot norms and moves for
+        :func:`moved_bound`: ``"moves"[id(w)]`` for a slot ``w`` it has,
+        else ``"delta"``."""
         cache = {} if box_cache is None else box_cache
-        if ws[0].ndim == self.group.rank + 2:
-            return complex(self.pair_grid([w[:, :, None] for w in ws],
-                                          {"nodes": [cache]})[0])
+        ids, one = [id(w) for w in ws], ws[0].ndim == self.group.rank + 2
+        if one:
+            ws = [w[:, :, None] for w in ws]
         n, dim = ws[0].shape[-1], len(ws[0])
-        nodes = cache.setdefault("nodes", [{} for _ in range(ws[0].shape[2])])
+        nodes = [cache] if one else cache.setdefault(
+            "nodes", [{} for _ in range(ws[0].shape[2])])
         phase = self._grid_factor(None, n)
         total = [0.0 + 0.0j] * len(nodes)
         for c, fs in self.terms:
             slots = [w if fn is None else self._weighted(w, fn, n)
                      for w, fn in zip(ws, fs)]
             field = _chain_trace(slots)
-            keys = [(id(w), id(fn)) for w, fn in zip(ws, fs)]
+            keys = [(w_id, id(fn)) for w_id, fn in zip(ids, fs)]
             gains = [None if fn is None else self._grid_factor(fn, n)[2]
                      for fn in fs]
             for i, node in enumerate(nodes):
@@ -722,10 +724,13 @@ class SeparableClassCochain(CyclicCochain):
                     norms = node.setdefault("norms", {})
                     norms.update({key: _hs_norms(slot[:, :, i]) for key, slot
                                   in zip(keys, slots) if key not in norms})
-                    node.setdefault("terms", []).append(
-                        (abs(c), [norms[key] for key in keys], gains, dim))
+                    moves = node.get("moves", {})
+                    node.setdefault("terms", []).append((abs(c), [
+                        norms[key] for key in keys], gains, dim, [
+                        moves.get(w_id, node["delta"]) for w_id in ids]))
             del slots, field
-        return np.array([complex(v) for v in total], dtype=object)
+        return complex(total[0]) if one else np.array(
+            [complex(v) for v in total], dtype=object)
 
     def _weighted(self, w: np.ndarray, fn, n: int) -> np.ndarray:
         """The slot ``w`` times the Fourier multiplier of factor ``fn``."""
@@ -757,7 +762,7 @@ class SeparableClassCochain(CyclicCochain):
 def moved_bound(cache: dict) -> float:
     """First-order bound on how far the pairings that
     :meth:`SeparableClassCochain.pair_grid` recorded in ``cache`` move when
-    every slot moves by at most ``cache["delta"]`` in operator norm at each
+    each slot moves by at most its recorded delta in operator norm at each
     grid point. A move has grid-RMS and sup Hilbert-Schmidt norms at most
     sqrt(d) delta, and by Parseval a multiplier M scales them by at most
     max |M| and |M|_2. Telescoping over the slots, each step is bounded by
@@ -767,11 +772,11 @@ def moved_bound(cache: dict) -> float:
     identity, of HS norm sqrt(d). Faces of ``b`` and ``S`` have coefficients
     of modulus at most 1, so the terms of a reduced pairing add up."""
     total = 0.0
-    for c, norms, gains, dim in cache.get("terms", ()):
+    for c, norms, gains, dim, deltas in cache.get("terms", ()):
         root_d = math.sqrt(dim)
-        move = root_d * cache["delta"]
-        moves = [(move, move / root_d) if g is None
-                 else (move * g[0], move * g[1]) for g in gains]
+        moves = [(root_d * d, d) if g is None
+                 else (root_d * d * g[0], root_d * d * g[1])
+                 for d, g in zip(deltas, gains)]
         rms = [nm[0] + mv for nm, (mv, _) in zip(norms, moves)]
         sup = [nm[1] + mv for nm, (_, mv) in zip(norms, moves)]
         for i, (mv, _) in enumerate(moves):

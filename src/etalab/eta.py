@@ -550,9 +550,9 @@ class _HigherIntegrand:
         ``ts``, from one pass of slots with an axis of t values after the
         entry planes. Unless ``readout`` the error is None; else it is the
         rounding floor, plus the move of the pairing under the legs'
-        evaluation error. Every slot handed down is a product of the dot
-        and at most 2m legs, each of norm at most 2 (|u - 1|), so it moves
-        by at most ``delta``."""
+        evaluation error ``err``: 0 for the dot, ``err`` for a leg, and
+        ``delta`` for a face product of the dot and at most 2m legs, each
+        of norm at most 2 (|u - 1|)."""
         def sample(tag):
             return self.op._apply_on_grid(SchwartzFunction(tag, np.array(ts)),
                                           n)
@@ -563,10 +563,12 @@ class _HigherIntegrand:
             leg = sample(leg_tag)
             slots += [leg, np.conj(leg.swapaxes(0, 1))] * self.m
         err, k = SchwartzFunction(leg_tag).evaluation_error, 2 * self.m
+        moves = dict(zip(map(id, slots), [0.0] + [err] * k))
         for t, node in zip(ts, nodes if self.m and readout else ()):
             dot_sup = 2.0 * math.sqrt(math.pi) * _gapped_abs_sup(
                 0.0, self.norm, t)
             node["delta"] = max(1.0, dot_sup) * ((2.0 + err) ** k - 2.0 ** k)
+            node["moves"] = moves
         vals = self.prefactor * pair_phi_tr(self.phi, slots,
                                             _box_cache={"nodes": nodes})
         scale = abs(self.prefactor)

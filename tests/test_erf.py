@@ -213,3 +213,41 @@ def test_grid_move_bound_covers_a_move_of_the_legs(case, seed):
     cache = {"delta": max(1.0, dot_sup) * ((2.0 + delta) ** 2 - 4.0)}
     value = pairing(leg, cache)
     assert 0 < abs(pairing(moved_leg) - value) <= moved_bound(cache)
+
+
+@pytest.mark.parametrize("case", ["area", "shifted_trace", "coboundary"])
+@pytest.mark.parametrize("seed", range(3))
+def test_per_slot_move_bound_covers_a_move_of_the_legs(case, seed):
+    # as above, with each original slot charged its own move (0 for the
+    # dot, delta for the legs) and face products the uniform one; the bound
+    # still covers the move and is no larger than the uniform bound
+    z1, z2 = FreeAbelianGroup(1), FreeAbelianGroup(2)
+    op, phi = {
+        "area": (two_band_chern_symbol(), area_cocycle(z2, (0, 0))),
+        "shifted_trace": (lattice_laplace_symbol(), periodicity(
+            class_trace_cochain(z1.conjugacy_class((1,))))),
+        "coboundary": (lattice_laplace_symbol(), coboundary(
+            random_delocalized_cochain(z1, (3,), rate=0.1, seed=3))),
+    }[case]
+    t, n, delta = 0.8, 36, 1e-6
+    dot, leg = grid_slots(op, t, n)
+    moved_leg = leg + delta * unitary_field(leg.shape[2:], op.dim, seed)
+
+    def pairing(leg, cache=None):
+        return pair_phi_tr(phi, slots(leg), _box_cache=cache)
+
+    def slots(leg):
+        return [dot, leg, np.conj(leg.swapaxes(0, 1))]
+
+    dot_sup = math.sqrt(2.0 * math.pi / math.e) / t
+    uniform = {"delta": max(1.0, dot_sup) * ((2.0 + delta) ** 2 - 4.0)}
+    ws = slots(leg)
+    per_slot = dict(uniform, moves={id(ws[0]): 0.0, id(ws[1]): delta,
+                                    id(ws[2]): delta})
+    value = pair_phi_tr(phi, ws, _box_cache=per_slot)
+    pairing(leg, uniform)
+    bound = moved_bound(per_slot)
+    assert 0 < abs(pairing(moved_leg) - value) <= bound
+    assert bound <= moved_bound(uniform)
+    if case == "area":  # no face products: every slot keeps its own move
+        assert bound < 0.5 * moved_bound(uniform)
