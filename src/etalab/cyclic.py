@@ -394,10 +394,9 @@ def certify_cyclic_cocycle(phi: CyclicCochain, radius: int = 2,
                            samples: int = 200, seed: int = 0,
                            tol: float = 1e-9) -> dict:
     """Sampled cyclicity + cocycle certification; raises
-    :class:`CertificateError` with a witness tuple on failure. A pass is
-    recorded on ``phi`` and covers a later call at the same radius and
-    seed with no more samples (whose tuples it checked) and no tighter
-    tolerance."""
+    :class:`CertificateError` with a witness tuple on failure. A pass on
+    ``phi`` covers a call at its radius and seed, fewer samples (a subset of
+    its tuples) and no tighter tol."""
     done = phi.certificate
     if done and (done["radius"], done["seed"]) == (radius, seed) \
             and done["samples"] >= samples and done["tol"] <= tol:
@@ -410,9 +409,8 @@ def certify_cyclic_cocycle(phi: CyclicCochain, radius: int = 2,
     if coc > tol:
         raise CertificateError("cocycle", f"|b phi| = {coc:.3e} on {phi.name}",
                                witness=wit_b)
-    phi.certificate = {"cyclicity_violation": cyc, "cocycle_violation": coc,
-                       "radius": radius, "samples": samples, "seed": seed,
-                       "tol": tol}
+    phi.certificate = dict(cyclicity_violation=cyc, cocycle_violation=coc,
+                           radius=radius, samples=samples, seed=seed, tol=tol)
     return phi.certificate
 
 
@@ -691,15 +689,13 @@ class SeparableClassCochain(CyclicCochain):
         entry planes first, then maybe an axis of nodes. A factor is a
         Fourier multiplier: the slot's FFT along the axes the factor varies
         on, times the factor at the signed indices, transformed back. Each
-        term's chain is multiplied pointwise and traced, and coefficient
-        ``h`` of a node is the grid mean of its field times ``e^{-i
-        h.theta}``. Over nodes the result is an object array, so that sums
-        over faces stay scalar arithmetic, and node i records in
-        ``box_cache["nodes"][i]`` (else in ``box_cache``): ``"scale"`` sums
-        ``|c_r| max |field|``, the size the read-out rounds at, and given a
-        ``"delta"``, ``"terms"`` holds each term's slot norms and moves for
-        :func:`moved_bound`: ``"moves"[id(w)]`` for a slot ``w`` it has,
-        else ``"delta"``."""
+        term's chain is multiplied and traced, and coefficient ``h`` of a
+        node is the grid mean of its field times ``e^{-i h.theta}``; over
+        nodes, in an object array (face sums stay scalar). Node i records
+        in ``box_cache["nodes"][i]`` (or ``box_cache``) ``"scale"``, the sum
+        of ``|c_r| max |field|`` the read-out rounds at, and given a
+        ``"delta"``, for :func:`moved_bound`, each term's slot norms and
+        moves: ``"moves"[id(w)]`` or else ``"delta"``."""
         cache = {} if box_cache is None else box_cache
         ids, one = [id(w) for w in ws], ws[0].ndim == self.group.rank + 2
         if one:

@@ -240,9 +240,9 @@ def _complex_quad(func, a: float, b: float, *, epsabs: float,
             return take(sample(t))
         if hasattr(func, "pair"):
             def pair(t1, t2):
-                if t1 not in memo or t2 not in memo:
+                if t1 not in memo and t2 not in memo:
                     memo[t1], memo[t2] = func.pair(t1, t2)
-                return take(memo[t1]), take(memo[t2])
+                return take(sample(t1)), take(sample(t2))
             g.pair = pair
         return g
 
@@ -546,13 +546,10 @@ class _HigherIntegrand:
                 _weighted_slot_norm(res.element, self.phi.growth))
 
     def _grid_pass(self, ts: list, n: int, readout: bool) -> list:
-        """(integrand, error of its read-out) on the n^d grid at each node of
-        ``ts``, from one pass of slots with an axis of t values after the
-        entry planes. Unless ``readout`` the error is None; else it is the
-        rounding floor, plus the move of the pairing under the legs'
-        evaluation error ``err``: 0 for the dot, ``err`` for a leg, and
-        ``delta`` for a face product of the dot and at most 2m legs, each
-        of norm at most 2 (|u - 1|)."""
+        """(integrand, read-out error or None) on the n^d grid at each node
+        of ``ts``, from one pass: the rounding floor, plus the move of the
+        pairing under a leg's evaluation error ``err``; for a face product
+        of the dot and 2m legs of norm 2 (|u - 1|), ``delta``."""
         def sample(tag):
             return self.op._apply_on_grid(SchwartzFunction(tag, np.array(ts)),
                                           n)
@@ -576,23 +573,21 @@ class _HigherIntegrand:
             scale * node["scale"], n ** self.op.rank) + scale * moved_bound(
             node) if readout else None) for val, node in zip(vals, nodes)]
 
-    def _level(self, t: float, n: int, readout: bool) -> tuple:
-        """:meth:`_grid_pass` of one node, or its prefill by :meth:`pair`."""
-        got = self.grid_memo.pop((t, n), None)
-        if got is None or readout and got[1] is None:
-            got = self._grid_pass([t], n, readout)[0]
-        return got
-
     def value(self, t: float) -> tuple[complex, dict]:
         key = float(t)
         if key in self.memo:
             return self.memo[key]
         if self.radius is None:
+            def level(n, readout):  # prefilled by pair(), or one node alone
+                got = self.grid_memo.pop((key, n), None)
+                if got is None or readout and got[1] is None:
+                    got = self._grid_pass([key], n, readout)[0]
+                return got
             i = max(self.level - 1, 0)
-            coarse, _ = self._level(key, self.ladder[i], False)
+            coarse, _ = level(self.ladder[i], False)
             while True:
                 i += 1
-                val, read_err = self._level(key, self.ladder[i], True)
+                val, read_err = level(self.ladder[i], True)
                 fold = abs(val - coarse)
                 if fold <= self.per_eval_tol or i == len(self.ladder) - 1:
                     break
@@ -619,9 +614,8 @@ class _HigherIntegrand:
     __call__ = value
 
     def pair(self, t1: float, t2: float) -> tuple:
-        """``value`` at two new nodes. On the grid one pass per level first
-        fills both at the two levels where the walk of ``t1`` starts, and
-        where that of ``t2`` starts too unless ``t1`` climbs further."""
+        """``value`` at two nodes, new ones on the grid first filled by one
+        pass per level where both walks start (unless ``t1`` climbs)."""
         ts = [float(t1), float(t2)]
         if self.radius is None and not self.memo.keys() & set(ts):
             i = max(self.level - 1, 0)
@@ -766,11 +760,14 @@ def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
 
 
 def _require_even_cocycle(phi: CyclicCochain) -> int:
+    """m for a cocycle of even degree 2m with a growth certificate."""
     if phi.degree % 2 != 0:
         raise PreconditionError(
             f"{phi.name} has odd degree {phi.degree}: odd cocycles pair with "
             "idempotent paths (the even K-theory pairing), which this tool "
             "does not compute; eta takes even-degree cocycles")
+    if phi.growth is None:
+        raise PreconditionError(f"{phi.name} carries no growth certificate")
     return phi.degree // 2
 
 
@@ -791,8 +788,6 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
     if phi.group != group:
         raise PreconditionError("cochain does not live on the operator's group")
     m = _require_even_cocycle(phi)
-    if phi.growth is None:
-        raise PreconditionError(f"{phi.name} carries no growth certificate")
     if check_cocycle:
         certify_cyclic_cocycle(phi, radius=2, samples=200, seed=seed, tol=1e-8)
     g0 = float(gap) if gap is not None else float(gap_certificate(op))
@@ -849,8 +844,6 @@ def tau_pair(phi: CyclicCochain, path: InvertiblePath, *,
     constant path pairs to zero.
     """
     m = _require_even_cocycle(phi)
-    if phi.growth is None:
-        raise PreconditionError(f"{phi.name} carries no growth certificate")
 
     if path.family == "constant":
         return 0.0 + 0.0j

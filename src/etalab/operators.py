@@ -466,10 +466,8 @@ class FourierSymbolOperator(EquivariantOperator):
         return self._spectra[n]
 
     def _apply_on_grid(self, f, n: int) -> np.ndarray:
-        """f(D(theta)) on the n^d uniform grid, entry planes first, for a
-        callable ``f`` acting elementwise on real arrays; the axes that
-        ``f`` puts before its argument's (a :class:`SchwartzFunction`'s
-        scales) follow the entry planes."""
+        """f(D(theta)) on the n^d uniform grid, entry planes first, then
+        any axes ``f``, acting elementwise on real arrays, puts in front."""
         spectrum = self._grid_spectrum(n)
         if self.dim == 1:
             return f(spectrum)[None, None]
@@ -491,10 +489,9 @@ class FourierSymbolOperator(EquivariantOperator):
                                      np.conj(U)), (-2, -1), (0, 1))
 
     def _coefficient_grid(self, f, n: int) -> tuple[np.ndarray, float]:
-        """Trapezoid coefficients of f(D), entry planes last: entry ``a mod
-        n`` approximates ``c_a`` up to the aliasing ``sum_{b != 0} c_{a +
-        b n}``; and the largest entry of f(D(theta_j)), the size their
-        transform rounds at."""
+        """Trapezoid coefficients of f(D), entry planes last (entry ``a mod
+        n`` is ``c_a`` up to the aliasing ``sum_{b != 0} c_{a + b n}``), and
+        max |f(D(theta_j))|, the size their transform rounds at."""
         values = self._apply_on_grid(f, n)
         return np.moveaxis(np.fft.fftn(
             values, axes=tuple(range(2, self.rank + 2)), norm="forward"),

@@ -8,10 +8,9 @@ de Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*, Springer 1983.
 
 Statements and sums keep the Fortran order, so value and error estimate are
 bit-identical to other faithful builds of QUADPACK (SciPy's ``quad`` is
-one; ``tests/test_quadpack.py`` compares against it).  An integrand with a
-``pair(x1, x2)`` method gets each symmetric pair of a finite-range rule in
-one call; the sums stay the same.  The work lists are 1-based, as in the
-Fortran; entry 0 is unused.
+one; ``tests/test_quadpack.py`` compares against it), also when
+``f.pair(x1, x2)`` samples the symmetric pairs.  The work lists are
+1-based, as in the Fortran; entry 0 is unused.
 """
 
 from __future__ import annotations
