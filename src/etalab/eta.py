@@ -504,7 +504,10 @@ class _HigherIntegrand:
     Each node walks :func:`calculus_ladder` from one level below the one
     where the previous node converged, until two levels agree within
     ``per_eval_tol``, and reports the finer value, with that agreement plus
-    the read-out's error (:meth:`_grid_pair`) as its error. On a ball (F_r,
+    the read-out's error (:meth:`_grid_pass`) as its error. :meth:`pair`
+    serves two quadrature nodes with one pass per level for the levels
+    their walks read first; the values are those of two single walks, bit
+    for bit. On a ball (F_r,
     finite covers) each slot is a certified calculus, and the error is tracked
     through the multilinearity of the pairing (the inverse leg, a ``star``,
     keeps the leg's entrywise error and weighted norm). ``weight``, the W
@@ -532,9 +535,9 @@ class _HigherIntegrand:
             self.level, self.nodes, self.grid_memo = 1, {}, {}
             # A pair pass frees about 2.5 MB at n = 54, and glibc hands a
             # freed heap top back to the system once it exceeds twice the
-            # largest mmapped block freed so far; faulting it in again cost
-            # more than the pairs saved. Freeing one untouched 16 MB block
-            # raises that bar (41k minor faults on higher2d fall to 50).
+            # largest mmapped block freed so far, so every pass faulted its
+            # pages in again, at about the cost the pairs save. Freeing one
+            # untouched 16 MB block raises that bar for the process.
             np.empty(16 << 20, np.uint8)
             self.per_eval_tol = tol * 1e-3
             weight = _box_weight_sum(op.rank, self.ladder[-1], phi.growth)
@@ -552,10 +555,12 @@ class _HigherIntegrand:
                 _weighted_slot_norm(res.element, self.phi.growth))
 
     def _grid_pass(self, ts: list, n: int, readout: bool) -> list:
-        """(integrand, read-out error or None) on the n^d grid at each node
-        of ``ts``, from one pass: the rounding floor, plus the move of the
-        pairing under a leg's evaluation error ``err``; for a face product
-        of the dot and 2m legs of norm 2 (|u - 1|), ``delta``."""
+        """(integrand, read-out error) on the n^d grid at each node of
+        ``ts``, from one pass whose slots carry an axis of t values. The
+        error, None unless ``readout``, is the rounding floor plus the move
+        of the pairing under the legs' evaluation error ``err``: 0 for the
+        dot, ``err`` for a leg or its adjoint, and ``delta`` for a face
+        product of the dot and at most 2m legs of norm at most 2."""
         def sample(tag):
             return self.op._apply_on_grid(SchwartzFunction(tag, np.array(ts)),
                                           n)
@@ -620,8 +625,9 @@ class _HigherIntegrand:
     __call__ = value
 
     def pair(self, t1: float, t2: float) -> tuple:
-        """``value`` at two nodes, new ones on the grid first filled by one
-        pass per level where both walks start (unless ``t1`` climbs)."""
+        """``value`` at two nodes. On the grid, two new nodes first get one
+        pass per level at the two levels where the walk of ``t1`` starts,
+        which the walk of ``t2`` reads too unless ``t1`` climbs further."""
         ts = [float(t1), float(t2)]
         if self.radius is None and not self.memo.keys() & set(ts):
             i = max(self.level - 1, 0)
