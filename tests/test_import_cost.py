@@ -131,8 +131,8 @@ def wrapped_box_channel(op, n, i, k):
 
 
 def uncached_apply_on_grid(op, f, nodes):
-    """f(D(theta)) built from scratch for one f, as before the cache, with
-    the entry planes last."""
+    """f(D(theta)) built anew for one f, as before the cache, with the
+    entry planes last."""
     D = np.stack([np.stack([wrapped_box_channel(op, nodes, i, k)
                             for k in range(op.dim)], -1)
                   for i in range(op.dim)], -2)
