@@ -30,7 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 
@@ -712,14 +713,18 @@ class SeparableClassCochain(CyclicCochain):
             keys = [(w_id, id(fn)) for w_id, fn in zip(ids, fs)]
             gains = [None if fn is None else self._grid_factor(fn, n)[2]
                      for fn in fs]
+            fresh: dict = {}  # key -> the norms of every node, in one pass
             for i, node in enumerate(nodes):
                 total[i] += c * np.vdot(phase, field[i])
                 node["scale"] = (node.get("scale", 0.0)
                                  + abs(c) * float(np.abs(field[i]).max()))
                 if node.get("delta"):
                     norms = node.setdefault("norms", {})
-                    norms.update({key: _hs_norms(slot[:, :, i]) for key, slot
-                                  in zip(keys, slots) if key not in norms})
+                    for key, slot in zip(keys, slots):
+                        if key not in norms:
+                            if key not in fresh:
+                                fresh[key] = _hs_norms(slot)
+                            norms[key] = fresh[key][i]
                     moves = node.get("moves", {})
                     node.setdefault("terms", []).append((abs(c), [
                         norms[key] for key in keys], gains, dim, [
@@ -783,24 +788,28 @@ def moved_bound(cache: dict) -> float:
     return total
 
 
-def _hs_norms(s: np.ndarray) -> tuple[float, float]:
-    """Grid RMS and sup of the pointwise Hilbert-Schmidt norm of a slot."""
-    v = np.ascontiguousarray(s).reshape(len(s) ** 2, -1).view(float)
-    h2 = np.einsum("ij,ij->j", v, v)
-    h2 = h2[0::2] + h2[1::2]  # real and imaginary parts
-    return math.sqrt(float(h2.mean())), math.sqrt(float(h2.max()))
+def _hs_norms(s: np.ndarray) -> list:
+    """Grid RMS and sup of the pointwise Hilbert-Schmidt norm of a slot,
+    one pair per node (axis 2)."""
+    v = np.ascontiguousarray(s).reshape(len(s) ** 2, s.shape[2], -1)
+    h2 = np.einsum("ijk,ijk->jk", v.view(float), v.view(float))
+    h2 = h2[:, 0::2] + h2[:, 1::2]  # real and imaginary parts
+    return [(math.sqrt(float(row.mean())), math.sqrt(float(row.max())))
+            for row in h2]
 
 
 def _chain_trace(slots) -> np.ndarray:
-    """``tr(s_0 ... s_k)`` of entry-plane-first slots, plane by plane."""
+    """``tr(s_0 ... s_k)`` of entry-plane-first slots, plane by plane. Each
+    plane sum starts from its first term (``sum`` would add it to 0)."""
     dims = range(len(slots[0]))
     cur = slots[0]
     for F in slots[1:-1]:
-        cur = [[sum(cur[i][k] * F[k][j] for k in dims) for j in dims]
-               for i in dims]
+        cur = [[reduce(add, (cur[i][k] * F[k][j] for k in dims))
+                for j in dims] for i in dims]
     if len(slots) == 1:
-        return sum(cur[i][i] for i in dims)
-    return sum(cur[i][k] * slots[-1][k][i] for i in dims for k in dims)
+        return reduce(add, (cur[i][i] for i in dims))
+    return reduce(add, (cur[i][k] * slots[-1][k][i]
+                        for i in dims for k in dims))
 
 
 def _fast_len(n: int) -> int:

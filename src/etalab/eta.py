@@ -21,10 +21,8 @@ The cocycle-weighted integrand pairs samples of f(D) on the uniform
 calculus grid over Z^d, where the cochain acts by Fourier multipliers, and
 certified calculi on a ball over F_r and finite covers.
 
-The same machinery evaluates the pairing of a cocycle with an invertible
-path (``tau_pair``); for the spectral-flow families the path is traversed
-through s = 1/t, which flips the sign of the time integral and is the bridge
-between the path pairing and the eta value.
+The same cocycle pairing, integrated along the boundary loop of an
+idempotent instead of the spectral flow, is ``tau_pair``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import numpy as np
 from .cyclic import (CyclicCochain, Idempotent, certify_cyclic_cocycle,
                      moved_bound, pair_phi_tr)
 from .errors import PreconditionError
-from .group_algebra import AlgebraElement, convolve
+from .group_algebra import AlgebraElement
 from .groups import ConjugacyClass, GroupModel, growth_constants
 from .operators import (
     EquivariantOperator,
@@ -56,15 +54,10 @@ from .quadpack import quad
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
-# slot functions for the two spectral-flow path families, in the natural
-# parametrization (dot = x' x^{-1}, then the leg x - 1); x is a unitary
-# function of the self-adjoint D, so the other leg x^{-1} - 1 is (x - 1)^*
-_FAMILY_TAGS = {
-    "ut": ("udot_uinv", "ut_minus_1"),
-    "wt": ("wdot_winv", "wt_minus_1"),
-}
-
-PATH_FAMILIES = ("ut", "wt", "exp_loop", "constant")
+# slot functions of the spectral flow u_t in the natural parametrization:
+# dot = u' u^{-1}, then the leg u - 1; u is a unitary function of the
+# self-adjoint D, so the other leg u^{-1} - 1 is (u - 1)^*
+_DOT_TAG, _LEG_TAG = "udot_uinv", "ut_minus_1"
 
 
 # ---------------------------------------------------------------------------
@@ -323,124 +316,6 @@ def _gapped_abs_sup(g0: float, norm: float, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# invertible paths
-# ---------------------------------------------------------------------------
-
-
-def loop_coefficient(t: float) -> complex:
-    """c(t) with  1 + c(t) p  =  exp(2 pi i (1-t) p);  c(1) = 0 exactly."""
-    return cmath.exp(2j * math.pi * (1.0 - t)) - 1.0
-
-
-@dataclass
-class InvertiblePath:
-    """A certified path of invertibles in the unitized algebra.
-
-    Families: ``ut`` and ``wt`` traverse the spectral-flow unitaries
-    ``u_{1/t}(D)`` resp. the Cayley transforms ``w_{1/t}(D)`` (so the path
-    starts at the unit as t -> 0); ``exp_loop`` is the idempotent loop
-    ``1 + c(t) p`` closing at the unit at t = 1 and constant beyond;
-    ``constant`` never leaves the unit. Construction certifies
-    ``|x x^{-1} - 1| <= tol`` at every grid sample.
-    """
-
-    family: str
-    operator: EquivariantOperator | None
-    idempotent: Idempotent | None
-    grid: tuple
-    radius: int | None
-    certificate: dict
-
-    @property
-    def group(self) -> GroupModel:
-        if self.operator is not None:
-            return self.operator.element.group
-        if self.idempotent is not None:
-            return self.idempotent.group
-        raise PreconditionError("constant path carries no group")
-
-
-def _certification_radius(op: EquivariantOperator, s: float) -> int:
-    """Truncation radius keeping the inverse-defect of a sampled path value
-    below the certification tolerance (envelope heuristic, then capped by
-    what the backend can afford)."""
-    group = op.element.group
-    band = max(op.element.propagation_radius(), 1)
-    if isinstance(op, FiniteCoverOperator):
-        return max(group.word_length(g) for g in op.elements)
-    if isinstance(op, FreeConvolutionOperator):
-        return 8
-    spread = int(math.ceil(9.0 * 1.1 * op.c_d * s)) + band + 8
-    cap = 220 if group.rank == 1 else 26
-    return min(spread, cap)
-
-
-def _sample_defect(op: EquivariantOperator, family: str, s: float,
-                   radius: int) -> float:
-    """l1 norm of ``x x^{-1} - 1 = a + a^* + a a^*`` for the sampled path
-    value at scale s, with ``a = x - 1`` from one calculus."""
-    a = functional_calculus(op, SchwartzFunction(_FAMILY_TAGS[family][1], s),
-                            radius, tol=1e-12, strict=False).element
-    a_star = a.star()
-    defect = a + a_star + convolve(a, a_star)
-    return float(sum(defect.trace_norms().values()))
-
-
-def invertible_path(family: str, *, operator: EquivariantOperator | None = None,
-                    idempotent: Idempotent | None = None,
-                    grid=None, radius: int | None = None,
-                    tol: float = 1e-8) -> InvertiblePath:
-    """Build and certify a path of invertibles; see :class:`InvertiblePath`.
-
-    Raises a precondition error naming the first sample where the declared
-    inverse fails ``|x x^{-1} - 1| <= tol``.
-    """
-    if family not in PATH_FAMILIES:
-        raise PreconditionError(
-            f"unknown path family {family!r}; choose from {PATH_FAMILIES}")
-    if family == "constant":
-        return InvertiblePath(family, None, None, (), None,
-                              {"max_defect": 0.0, "samples": {}})
-
-    if family == "exp_loop":
-        if idempotent is None:
-            raise PreconditionError("exp_loop needs an idempotent")
-        grid = tuple(grid) if grid is not None else tuple(np.linspace(0.1, 0.9, 5))
-        p = idempotent.element
-        psq = convolve(p, p)
-        defects = {}
-        for t in grid:
-            c = loop_coefficient(t)
-            defect = p * (c + c.conjugate()) + psq * (c * c.conjugate())
-            defects[float(t)] = float(sum(defect.trace_norms().values()))
-        worst = max(defects.values(), default=0.0)
-        if worst > tol:
-            bad = max(defects, key=defects.get)
-            raise PreconditionError(
-                f"exp_loop inverse defect {worst:.3e} > {tol:.1e} at t={bad}")
-        return InvertiblePath(family, None, idempotent, grid, None,
-                              {"max_defect": worst, "samples": defects})
-
-    if operator is None:
-        raise PreconditionError(f"{family} path needs an operator")
-    grid = tuple(grid) if grid is not None else (0.25, 0.5, 1.0, 2.0, 4.0)
-    defects = {}
-    for t in grid:
-        if t <= 0:
-            raise PreconditionError("path grid times must be > 0")
-        s = 1.0 / t
-        r = radius if radius is not None else _certification_radius(operator, s)
-        defects[float(t)] = _sample_defect(operator, family, s, r)
-    worst = max(defects.values(), default=0.0)
-    if worst > tol:
-        bad = max(defects, key=defects.get)
-        raise PreconditionError(
-            f"{family} inverse defect {worst:.3e} > {tol:.1e} at t={bad}")
-    return InvertiblePath(family, operator, None, grid, radius,
-                          {"max_defect": worst, "samples": defects})
-
-
-# ---------------------------------------------------------------------------
 # the integrand engine
 # ---------------------------------------------------------------------------
 
@@ -516,14 +391,11 @@ class _HigherIntegrand:
     """
 
     def __init__(self, op: EquivariantOperator, phi: CyclicCochain, m: int,
-                 radius: int | None, family: str, tol: float):
-        if family not in _FAMILY_TAGS:
-            raise PreconditionError(f"no integrand family {family!r}")
+                 radius: int | None, tol: float):
         self.op = op
         self.phi = phi
         self.m = m
         self.radius = radius
-        self.family = family
         self.prefactor = math.factorial(m) / (math.pi * 1j)
         self.memo: dict = {}
         self.fold_scale = (math.factorial(m) / math.pi) * phi.growth.C
@@ -565,12 +437,11 @@ class _HigherIntegrand:
             return self.op._apply_on_grid(SchwartzFunction(tag, np.array(ts)),
                                           n)
 
-        dot_tag, leg_tag = _FAMILY_TAGS[self.family]
-        slots, nodes = [sample(dot_tag)], [{} for _ in ts]
+        slots, nodes = [sample(_DOT_TAG)], [{} for _ in ts]
         if self.m:
-            leg = sample(leg_tag)
+            leg = sample(_LEG_TAG)
             slots += [leg, np.conj(leg.swapaxes(0, 1))] * self.m
-        err, k = SchwartzFunction(leg_tag).evaluation_error, 2 * self.m
+        err, k = SchwartzFunction(_LEG_TAG).evaluation_error, 2 * self.m
         moves = dict(zip(map(id, slots), [0.0] + [err] * k))
         for t, node in zip(ts, nodes if self.m and readout else ()):
             dot_sup = 2.0 * math.sqrt(math.pi) * _gapped_abs_sup(
@@ -607,10 +478,9 @@ class _HigherIntegrand:
             self.nodes[n] = self.nodes.get(n, 0) + 1
             fold += read_err
         else:
-            dot_tag, leg_tag = _FAMILY_TAGS[self.family]
-            slots = [self._slot(dot_tag, t)]
+            slots = [self._slot(_DOT_TAG, t)]
             if self.m:
-                leg, err, norm = self._slot(leg_tag, t)
+                leg, err, norm = self._slot(_LEG_TAG, t)
                 slots += [(leg, err, norm), (leg.star(), err, norm)] * self.m
             val = complex(self.prefactor * pair_phi_tr(
                 self.phi, [w for w, _, _ in slots]))
@@ -639,10 +509,7 @@ class _HigherIntegrand:
     def abs_bound(self, t: float, g0: float) -> float:
         """Closed-form certified bound on |integrand(t)| from the gap."""
         dot_sup = 2.0 * math.sqrt(math.pi) * _gapped_abs_sup(g0, self.norm, t)
-        if self.family == "wt":
-            dot_sup = 2.0 / max(t, 1e-300)
-            leg_sup = 2.0
-        elif t * g0 >= 1.0:
+        if t * g0 >= 1.0:
             leg_sup = math.sqrt(math.pi) * math.exp(-(t * g0) ** 2) / (t * g0)
         else:
             leg_sup = 2.0
@@ -650,8 +517,7 @@ class _HigherIntegrand:
                 * dot_sup * leg_sup ** (2 * self.m))
 
     def tail_at(self, t_cut: float, g0: float) -> float:
-        """Closed-form bound on ``int_T^inf |integrand|`` for ``ut``: the
-        slot sups of :meth:`abs_bound` past the gap, with the Gaussian tail
+        """Closed-form bound on ``int_T^inf |integrand|``: the slot sups of :meth:`abs_bound` past the gap, with the Gaussian tail
         ``int_T^inf exp(-(2m+1) g0^2 t^2) dt`` in ``math.erfc``."""
         m = self.m
         a = (2 * m + 1) * g0 * g0
@@ -675,8 +541,7 @@ def _auto_radius(op: EquivariantOperator, min_radius: int) -> int:
 
 
 def _build_integrand(op: EquivariantOperator, phi: CyclicCochain, m: int,
-                     family: str, tol: float,
-                     radius: int | None) -> _HigherIntegrand:
+                     tol: float, radius: int | None) -> _HigherIntegrand:
     """The integrand engine: on the calculus grid for a Z^d symbol, which
     takes no radius, else on the given or the automatic radius."""
     if isinstance(op, FourierSymbolOperator):
@@ -687,7 +552,7 @@ def _build_integrand(op: EquivariantOperator, phi: CyclicCochain, m: int,
     elif radius is None:
         radius = _auto_radius(op, 0 if phi.support_class is None
                               else phi.support_class.minimal_length())
-    return _HigherIntegrand(op, phi, m, radius, family, tol)
+    return _HigherIntegrand(op, phi, m, radius, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +672,7 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
         raise PreconditionError(
             f"gap certificate {g0} is not positive; eta needs an invertible "
             "operator")
-    engine = _build_integrand(op, phi, m, "ut", tol, radius)
+    engine = _build_integrand(op, phi, m, tol, radius)
     parts = _certified_integral(engine,
                                 lambda t_cut: engine.tail_at(t_cut, g0), g0,
                                 tol=tol, quad_rel=quad_rel,
@@ -840,73 +705,35 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
 
 
 # ---------------------------------------------------------------------------
-# pairing with invertible paths
+# pairing with the idempotent loop
 # ---------------------------------------------------------------------------
 
 
-def tau_pair(phi: CyclicCochain, path: InvertiblePath, *,
+def loop_coefficient(t: float) -> complex:
+    """c(t) with  1 + c(t) p  =  exp(2 pi i (1-t) p);  c(1) = 0 exactly."""
+    return cmath.exp(2j * math.pi * (1.0 - t)) - 1.0
+
+
+def tau_pair(phi: CyclicCochain, p: Idempotent, *,
              tol: float = 1e-8) -> complex:
-    """Pair an even cocycle with an invertible path:
+    """Pair an even cocycle with the boundary loop ``1 + c(t) p`` of p:
 
-    ``tau_phi = (m!/(pi i)) int_0^inf phi#tr(x' x^{-1} (x) ((x-1)(x)(x^{-1}-1))^(x)m) dt``
+    ``tau_phi = (m!/(pi i)) int_0^1 phi#tr(x' x^{-1} (x) ((x-1)(x)(x^{-1}-1))^(x)m) dt``
 
-    along the path. The spectral-flow families are traversed through
-    s = 1/t, so their value is minus the natural-parametrization integral;
-    the idempotent loop integrates over [0, 1] and is constant beyond; the
-    constant path pairs to zero.
+    along the loop, which closes at the unit at t = 1 and is constant
+    beyond.
     """
     m = _require_even_cocycle(phi)
+    if phi.group != p.group:
+        raise PreconditionError("cochain and loop live on different groups")
+    pe = p.element
+    prefactor = math.factorial(m) / (math.pi * 1j)
+    dot = pe * (-2j * math.pi)
 
-    if path.family == "constant":
-        return 0.0 + 0.0j
+    def integrand(t: float) -> complex:
+        c = loop_coefficient(t)
+        ws = [dot] + [pe * c, pe * c.conjugate()] * m
+        return prefactor * pair_phi_tr(phi, ws)
 
-    if path.family == "exp_loop":
-        p = path.idempotent
-        if phi.group != p.group:
-            raise PreconditionError("cochain and loop live on different groups")
-        pe = p.element
-        prefactor = math.factorial(m) / (math.pi * 1j)
-        dot = pe * (-2j * math.pi)
-
-        def integrand(t: float) -> complex:
-            c = loop_coefficient(t)
-            ws = [dot] + [pe * c, pe * c.conjugate()] * m
-            return prefactor * pair_phi_tr(phi, ws)
-
-        val, _ = _complex_quad(integrand, 0.0, 1.0, epsabs=tol / 4.0)
-        return val
-
-    op = path.operator
-    if phi.group != op.element.group:
-        raise PreconditionError("cochain and path live on different groups")
-    radius = None if isinstance(op, FourierSymbolOperator) else path.radius
-    g0 = float(gap_certificate(op))
-    if g0 <= 0:
-        raise PreconditionError("path pairing needs a positive gap certificate")
-
-    if path.family == "ut":
-        engine = _build_integrand(op, phi, m, "ut", tol, radius)
-        parts = _certified_integral(engine.value,
-                                    lambda t_cut: engine.tail_at(t_cut, g0),
-                                    g0, tol=tol)
-        return -parts["value"]
-
-    # Cayley family: the integrand decays only polynomially in time, so the
-    # certificate rests on the group's polynomial-growth flag, and the far
-    # leg is folded to (0, 1] by the 1/t substitution instead of being cut.
-    if not op.element.group.polynomial_growth:
-        raise PreconditionError(
-            "the Cayley path tail decays only polynomially and is certified "
-            "only over groups with polynomial growth; "
-            f"{op.element.group!r} carries no such certificate")
-    engine = _build_integrand(op, phi, m, "wt", tol, radius)
-
-    def near(t: float) -> complex:
-        return engine.value(t)[0]
-
-    def far(sigma: float) -> complex:
-        return engine.value(1.0 / sigma)[0] / (sigma * sigma)
-
-    near_val, _ = _complex_quad(near, 0.0, 1.0, epsabs=tol / 4.0)
-    far_val, _ = _complex_quad(far, 0.0, 1.0, epsabs=tol / 4.0)
-    return -(near_val + far_val)
+    val, _ = _complex_quad(integrand, 0.0, 1.0, epsabs=tol / 4.0)
+    return val

@@ -21,13 +21,13 @@ operators ``D`` acting on ``l^2(G) (x) C^m``:
   finite-propagation bound on the truncation.
 
 :class:`SchwartzFunction` carries the fixed catalogue of spectral functions
-used by the eta integrands (Gaussian family, unitary-loop family, Cayley
-family).  The Gaussian and Cayley families carry a closed-form decay
-envelope ``F_f(s) = sup_{n<=N} int_{|xi|>s} |d^n/dxi^n f^(xi)| dxi`` for the
-kernel decay and trace-tail bounds.  The inverse legs ``ut_inv_minus_1`` and
-``wt_inv_minus_1`` are oracle-only: production takes ``x^{-1} - 1`` as the
-adjoint ``(x - 1)^*`` of the leg it computed, and tests check that adjoint
-against these independent calculi.
+used by the eta integrands (Gaussian family, unitary-loop family).  The
+Gaussian family carries a closed-form decay envelope
+``F_f(s) = sup_{n<=N} int_{|xi|>s} |d^n/dxi^n f^(xi)| dxi`` for the kernel
+decay and trace-tail bounds.  The inverse leg ``ut_inv_minus_1`` is
+oracle-only: production takes ``u^{-1} - 1`` as the adjoint ``(u - 1)^*``
+of the leg it computed, and tests check that adjoint against this
+independent calculus.
 
 :func:`dense_truncation_calculus_batch` is a deliberately naive oracle (dense
 eigendecomposition of a truncated convolution matrix); production routes
@@ -148,9 +148,6 @@ _SCHWARTZ_EVALUATORS = {
     "ut_minus_1": (lambda x, t: _loop_unitary(t * x) - 1.0, -1),
     "ut_inv_minus_1": (lambda x, t: np.conj(_loop_unitary(t * np.asarray(
         x, dtype=float))) - 1.0, -1),
-    "wt_minus_1": (lambda x, t: -2j / (t * x + 1j), 0),
-    "wt_inv_minus_1": (lambda x, t: 2j / (t * x - 1j), 0),
-    "wdot_winv": (lambda x, t: 2j * x / ((t * x) ** 2 + 1.0), 0),
     "identity": (lambda x, t: np.asarray(x, dtype=complex), -1),
 }
 
@@ -159,11 +156,10 @@ _SCHWARTZ_EVALUATORS = {
 class SchwartzFunction:
     """A builtin spectral function with a scale parameter.
 
-    The catalogue is closed: the Gaussian and Cayley families carry a
-    certified decay envelope; ``identity`` (only usable with exact
-    backends) and the unitary-loop family have none. Arbitrary callables
-    are rejected by design — certified strip bounds for user functions are
-    out of scope.
+    The catalogue is closed: the Gaussian family carries a certified
+    decay envelope; ``identity`` (only usable with exact backends) and the
+    unitary-loop family have none. Arbitrary callables are rejected by
+    design — certified strip bounds for user functions are out of scope.
     """
 
     tag: str
@@ -243,15 +239,13 @@ def _gaussian_family_form(f: SchwartzFunction):
         return 1.0 / t, "xgauss", t
     if f.tag == "udot_uinv":
         return 2.0 * math.sqrt(math.pi) / t, "xgauss", t
-    return None
+    raise RepresentationError(f.tag)  # pragma: no cover - internal
 
 
 def decay_envelope(f: SchwartzFunction, s: float, N: int = 0) -> float:
     """``F_f(s) = sup_{n <= N} int_{|xi| > s} |f^{(n-th xi-derivative)}| dxi``.
 
-    Closed forms for the Gaussian family, order-0 closed forms for the
-    Cayley family (whose transforms are one-sided exponentials with a jump,
-    so higher orders are refused).
+    Closed forms for the Gaussian family; every other function is refused.
     """
     if s < 0:
         raise PreconditionError("tail start must be >= 0")
@@ -261,19 +255,11 @@ def decay_envelope(f: SchwartzFunction, s: float, N: int = 0) -> float:
         raise PreconditionError(
             f"{f.tag} carries certified envelopes only up to order "
             f"{f.max_envelope_order}, requested {N}")
-    gauss_form = _gaussian_family_form(f)
-    if gauss_form is not None:
-        pref, base, t = gauss_form
-        return max(abs(pref) * t ** (-n)
-                   * _gaussian_tail_integral(base, n, s / t)
-                   for n in range(N + 1))
-    if f.tag in ("wt_minus_1", "wt_inv_minus_1"):
-        # transform magnitude: (4 pi / t) e^{-|xi|/t} on a half-line
-        return 4.0 * math.pi * math.exp(-s / f.t)
-    if f.tag == "wdot_winv":
-        # transform magnitude: (2 pi / t^2) e^{-|xi|/t} on the whole line
-        return (4.0 * math.pi / f.t) * math.exp(-s / f.t)
-    raise PreconditionError(f"{f.tag} carries no decay envelope")
+    # only the Gaussian family has an envelope order >= 0
+    pref, base, t = _gaussian_family_form(f)
+    return max(abs(pref) * t ** (-n)
+               * _gaussian_tail_integral(base, n, s / t)
+               for n in range(N + 1))
 
 
 # ---------------------------------------------------------------------------

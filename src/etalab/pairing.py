@@ -33,8 +33,8 @@ from .cyclic import (
     periodicity,
 )
 from .errors import PreconditionError
-from .eta import InvertiblePath, invertible_path, tau_pair
-from .group_algebra import AlgebraElement
+from .eta import loop_coefficient, tau_pair
+from .group_algebra import AlgebraElement, convolve
 from .groups import CyclicGroup, FreeAbelianGroup
 from .operators import FourierSymbolOperator, two_band_chern_symbol
 from .quadpack import quad
@@ -66,15 +66,13 @@ def scalar_loop_integral(m: int) -> float:
 class BoundaryLoop:
     """The loop ``u(t) = 1 + c(t) p`` of an idempotent, with certificates.
 
-    ``path`` is the certified invertible path driving the loop pairing;
-    ``certificate`` records the worst inverse defect over the sampled
-    grid.  The loop closes at the unit exactly at t = 1 (the coefficient
-    vanishes identically there) and within the idempotency defect at
-    t = 0.
+    ``certificate`` records the inverse defect at each grid sample and the
+    worst of them.  The loop closes at the unit exactly at t = 1 (the
+    coefficient vanishes identically there) and within the idempotency
+    defect at t = 0.
     """
 
     idempotent: Idempotent
-    path: InvertiblePath
     certificate: dict
 
     @classmethod
@@ -82,21 +80,32 @@ class BoundaryLoop:
               closure_tol: float = 1e-12) -> "BoundaryLoop":
         """Certify the loop on a grid that always contains the start point.
 
-        Along the loop the inverse defect is ``|c(t)|^2`` times the
-        idempotency defect in the summed trace norm (at most four times
-        it), certified against ``tol``; the closure at t = 0, where the
-        coefficient nearly vanishes, is held to the much tighter
-        ``closure_tol``.
+        The inverse of ``1 + c p`` is ``1 + conj(c) p``, so the defect
+        ``|x x^{-1} - 1|`` is the summed trace norm of
+        ``(c + conj(c)) p + |c|^2 p^2``: ``|c(t)|^2`` times the idempotency
+        defect (at most four times it), certified against ``tol``; the
+        closure at t = 0, where the coefficient nearly vanishes, is held to
+        the much tighter ``closure_tol``.
         """
         grid = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9) if grid is None \
             else (0.0,) + tuple(g for g in grid if g != 0.0)
-        path = invertible_path("exp_loop", idempotent=p, grid=grid, tol=tol)
-        start = path.certificate["samples"][0.0]
-        if start > closure_tol:
+        pe = p.element
+        psq = convolve(pe, pe)
+        defects = {}
+        for t in grid:
+            c = loop_coefficient(t)
+            defect = pe * (c + c.conjugate()) + psq * (c * c.conjugate())
+            defects[float(t)] = float(sum(defect.trace_norms().values()))
+        worst = max(defects.values())
+        if worst > tol:
+            bad = max(defects, key=defects.get)
             raise PreconditionError(
-                f"loop start defect {start:.3e} > {closure_tol:.1e}; the "
-                "loop does not close at the unit within tolerance")
-        return cls(p, path, dict(path.certificate))
+                f"loop inverse defect {worst:.3e} > {tol:.1e} at t={bad}")
+        if defects[0.0] > closure_tol:
+            raise PreconditionError(
+                f"loop start defect {defects[0.0]:.3e} > {closure_tol:.1e}; "
+                "the loop does not close at the unit within tolerance")
+        return cls(p, {"max_defect": worst, "samples": defects})
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +116,7 @@ class BoundaryLoop:
 def boundary_identity(phi: CyclicCochain, p, *, tol: float = 1e-6) -> dict:
     """Evaluate ``tau_phi(boundary loop of p)`` against ``-2 ch_phi(p)``.
 
-    The left side integrates the loop pairing along the certified path;
+    The left side integrates the loop pairing along the certified loop;
     the right side is the Chern pairing of the idempotent.  The two
     routes share nothing below the trace-pairing primitive.  Returns a
     report with both values, their difference, and the verdict at the
@@ -115,7 +124,7 @@ def boundary_identity(phi: CyclicCochain, p, *, tol: float = 1e-6) -> dict:
     """
     loop = p if isinstance(p, BoundaryLoop) else BoundaryLoop.build(p)
     idem = loop.idempotent
-    lhs = tau_pair(phi, loop.path, tol=tol / 4.0)
+    lhs = tau_pair(phi, idem, tol=tol / 4.0)
     rhs = -2.0 * connes_chern(phi, idem)
     difference = abs(lhs - rhs)
     return {

@@ -43,7 +43,6 @@ from etalab.eta import (
     eta_class,
     eta_higher,
     gap_thresholds,
-    invertible_path,
     tau_pair,
     threshold_sigma,
 )
@@ -62,6 +61,7 @@ from etalab.operators import (
     two_band_chern_symbol,
     wilson_symbol,
 )
+from etalab.pairing import BoundaryLoop
 
 
 def sign_sum_eta(op: FiniteCoverOperator, cls) -> complex:
@@ -258,7 +258,7 @@ class TestHigherEta:
                                     radius, tol=1e-12, strict=False).element
             return pair_phi_tr(psi, [a, b])
 
-        engine = _build_integrand(op, bpsi, 1, "ut", 1e-10, None)
+        engine = _build_integrand(op, bpsi, 1, 1e-10, None)
         for t in (0.6, 1.0, 1.4):
             diff = (two_legs(t + h) - two_legs(t - h)) / (2.0 * h)
             assert abs(diff / (1j * math.pi * engine.value(t)[0]) - 1.0) \
@@ -267,8 +267,7 @@ class TestHigherEta:
     def test_inverse_leg_runs_no_calculus_of_its_own(self, monkeypatch):
         # the inverse leg is the pointwise adjoint of the leg, so each grid
         # level of a node samples dot and the leg only, a memo hit samples
-        # nothing, and the grid engine runs no ball calculus; a path sample
-        # runs one calculus of the leg
+        # nothing, and the grid engine runs no ball calculus
         calls, sampled = [], []
         apply_on_grid = FourierSymbolOperator._apply_on_grid
 
@@ -284,7 +283,7 @@ class TestHigherEta:
         monkeypatch.setattr(FourierSymbolOperator, "_apply_on_grid", on_grid)
         area = _build_integrand(two_band_chern_symbol(),
                                 area_cocycle(FreeAbelianGroup(2), (0, 0)),
-                                1, "ut", 1e-6, None)
+                                1, 1e-6, None)
         area.value(0.7)
         levels = len(sampled) // 2
         assert levels >= 2
@@ -293,16 +292,11 @@ class TestHigherEta:
         area.value(0.7)
         assert sampled == []
         trace = _build_integrand(lattice_laplace_symbol(),
-                                 class_trace_cochain(z_class(1)), 0, "ut",
-                                 1e-8, None)
+                                 class_trace_cochain(z_class(1)), 0, 1e-8,
+                                 None)
         trace.value(0.7)
         assert len(sampled) >= 2 and set(sampled) == {"udot_uinv"}
         assert calls == []
-        sampled.clear()
-        invertible_path("ut", operator=lattice_laplace_symbol(),
-                        grid=(1.0,))
-        assert calls == ["ut_minus_1"]
-        assert set(sampled) == {"ut_minus_1"}
 
     @pytest.mark.parametrize("case", ["area", "shifted_trace", "coboundary"])
     def test_grid_sample_error_bounds_the_ball_oracle(self, case):
@@ -318,7 +312,7 @@ class TestHigherEta:
                 random_delocalized_cochain(z1, (3,), rate=0.1, seed=3))),
         }[case]
         m = phi.degree // 2
-        engine = _build_integrand(op, phi, m, "ut", 1e-8, None)
+        engine = _build_integrand(op, phi, m, 1e-8, None)
         for t in (0.25, 0.5, 1.0, 2.0, 3.0):
             value, errors = engine.value(t)
 
@@ -351,7 +345,7 @@ class TestHigherEta:
             AlgebraElement(z4, 1, {(0, 0, 0, 0): np.array([[1.0]])}))
         phi = class_trace_cochain(z4.conjugacy_class((1, 0, 0, 0)))
         with pytest.raises(PreconditionError, match="ladder"):
-            _build_integrand(op, phi, 0, "ut", 1e-6, None)
+            _build_integrand(op, phi, 0, 1e-6, None)
 
     def test_odd_degree_rejected(self):
         psi = random_delocalized_cochain(FreeAbelianGroup(1), (3,),
@@ -472,7 +466,7 @@ class TestGaussianTailFit:
 
 
 # ---------------------------------------------------------------------------
-# invertible paths and their pairings
+# the boundary loop and the spectral-flow pairing
 # ---------------------------------------------------------------------------
 
 
@@ -486,50 +480,21 @@ def character_projector() -> Idempotent:
 
 
 class TestInvertiblePaths:
-    def test_unknown_family_rejected(self):
-        with pytest.raises(PreconditionError, match="family"):
-            invertible_path("spiral")
-
-    def test_constant_path_pairs_to_zero(self):
-        phi = class_trace_cochain(CyclicGroup(5).conjugacy_class(1))
-        assert tau_pair(phi, invertible_path("constant")) == 0.0
-
-    def test_loop_needs_idempotent_and_flow_needs_operator(self):
-        with pytest.raises(PreconditionError, match="idempotent"):
-            invertible_path("exp_loop")
-        with pytest.raises(PreconditionError, match="operator"):
-            invertible_path("ut")
-
     def test_loop_certificate_is_tight_for_exact_projector(self):
-        path = invertible_path("exp_loop", idempotent=character_projector())
-        assert path.certificate["max_defect"] <= 1e-12
-
-    def test_flow_certification_rejects_absurd_tolerance(self):
-        op = gapped_cover_model(1)
-        with pytest.raises(PreconditionError, match="ut.*defect"):
-            invertible_path("ut", operator=op, tol=1e-30)
+        loop = BoundaryLoop.build(character_projector())
+        assert loop.certificate["max_defect"] <= 1e-12
 
     def test_character_loop_pairs_to_minus_two_trace(self):
         phi = class_trace_cochain(CyclicGroup(5).conjugacy_class(1))
-        path = invertible_path("exp_loop", idempotent=character_projector())
-        tau = tau_pair(phi, path, tol=1e-10)
+        tau = tau_pair(phi, character_projector(), tol=1e-10)
         assert abs(tau - (-2.0 * np.exp(2j * np.pi / 5) / 5.0)) <= 1e-10
 
-    def test_flow_families_agree_and_recover_minus_eta(self):
+    def test_flow_pairing_recovers_sign_sum_eta(self):
+        # the spectral-flow pairing at degree 0 is the delocalized trace of
+        # sign D, which the dense sign sum computes with no quadrature
         op = gapped_cover_model(1)
         cls = op.element.group.conjugacy_class(1)
-        phi = class_trace_cochain(cls)
-        eta = eta_class(op, cls, tol=1e-8).value
-        tau_u = tau_pair(phi, invertible_path("ut", operator=op), tol=1e-8)
-        tau_w = tau_pair(phi, invertible_path("wt", operator=op), tol=1e-8)
-        assert abs(eta) > 0.3
-        assert abs(tau_u - tau_w) <= 1e-5
-        assert abs(tau_u + eta) <= 1e-6
-
-    def test_cayley_tail_requires_polynomial_growth(self):
-        op = free_group_model()
-        phi = class_trace_cochain(FreeGroup(2).conjugacy_class((1, 2)))
-        path = invertible_path("wt", operator=op, grid=(1.0,), radius=2,
-                               tol=10.0)
-        with pytest.raises(PreconditionError, match="polynomial"):
-            tau_pair(phi, path, tol=1e-6)
+        oracle = sign_sum_eta(op, cls)
+        report = eta_higher(op, class_trace_cochain(cls), tol=1e-8)
+        assert abs(oracle) > 0.3
+        assert abs(report.value - oracle) <= 1e-6

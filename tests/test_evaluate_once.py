@@ -17,7 +17,7 @@ from scipy import integrate
 
 import etalab.eta as eta_module
 from etalab.cyclic import Idempotent, class_trace_cochain
-from etalab.eta import _complex_quad, invertible_path, tau_pair
+from etalab.eta import _complex_quad, tau_pair
 from etalab.group_algebra import (
     AlgebraElement,
     TensorElement,
@@ -118,8 +118,7 @@ def test_loop_pairing_calls_pair_phi_tr_once_per_node(monkeypatch):
 
     monkeypatch.setattr(eta_module, "pair_phi_tr", counted)
     phi = class_trace_cochain(CyclicGroup(5).conjugacy_class(1))
-    path = invertible_path("exp_loop", idempotent=character_projector())
-    tau = tau_pair(phi, path, tol=1e-10)
+    tau = tau_pair(phi, character_projector(), tol=1e-10)
     assert len(calls) == 21
     assert abs(tau - (-2.0 * np.exp(2j * np.pi / 5) / 5.0)) <= 1e-10
 

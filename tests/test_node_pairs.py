@@ -36,7 +36,7 @@ COCHAINS = {
 
 def engine(case: str, tol: float = 1e-6):
     return _build_integrand(two_band_chern_symbol(), COCHAINS[case](), 1,
-                            "ut", tol, None)
+                            tol, None)
 
 
 class Paired:

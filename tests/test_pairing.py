@@ -116,6 +116,11 @@ class TestBoundaryLoop:
             assert loop.certificate["samples"][0.0] <= 1e-12
             assert loop.certificate["max_defect"] <= 1e-10
 
+    def test_defect_above_tolerance_rejected(self):
+        # the Fermi loop's inverse defect is about 6e-12 along the grid
+        with pytest.raises(PreconditionError, match="inverse defect"):
+            BoundaryLoop.build(fermi_fixture(), tol=1e-30)
+
 
 # ---------------------------------------------------------------------------
 # the two-route identity
@@ -228,7 +233,7 @@ class TestLocalLoopVanishing:
         phi = far_shift_cochain()
         reach = (phi.degree + 1) * p.propagation_radius
         assert reach < phi.support_class.minimal_length() == 10
-        return reach, tau_pair(phi, BoundaryLoop.build(p).path, tol=tol)
+        return reach, tau_pair(phi, p, tol=tol)
 
     def test_identity_supported_projector_vanishes(self):
         z2 = FreeAbelianGroup(2)
