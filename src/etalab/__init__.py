@@ -4,7 +4,7 @@ invariants of lattice operators over group algebras.
 Modules
 -------
 groups
-    Finitely generated group models, word metrics, conjugacy, growth fits.
+    Finitely generated group models, word metrics, conjugacy, growth counts.
 group_algebra
     Matrix-coefficient group-algebra elements, convolution, weighted norms.
 cyclic

@@ -38,8 +38,9 @@ starting with the invariant's name, e.g. ``"decay threshold (cocycle
 route)"``.  Exit code 1 covers two kinds of failure:
 
 * a *threshold verdict* -- the ``decay threshold`` outcome of ``gap``,
-  ``eta`` and ``higher-eta``: the certified gap does not clear the fitted
-  growth rate, a convergence condition rather than a broken identity.  It
+  ``eta`` and ``higher-eta``: the certified gap does not clear the
+  threshold set by the exact growth rates of the class and the group, a
+  convergence condition rather than a broken identity.  It
   appears only in ``failures``; stdout stays exactly one JSON document.
 * a *certificate failure* -- every other entry (``spectral gap``, ``error
   budget``, ``cyclicity``, ``cocycle identity`` and the shift-image checks,
@@ -116,7 +117,6 @@ from .operators import (
     anisotropic_symbol_3d,
     dense_truncation_calculus_batch,
     free_group_model,
-    functional_calculus,
     gapped_cover_model,
     lattice_laplace_symbol,
     two_band_chern_symbol,
@@ -170,7 +170,6 @@ class RunConfig:
     quad_rel: float = 1e-10
     tail_frac: float = 0.1
     radius: int = 0
-    growth_radius: int = 8
     seed: int = 0
     out: str = ""
     samples: str = ""
@@ -236,7 +235,6 @@ KEYS = {
     "tolerances.quad_rel": ("quad_rel", _conv_float),
     "tolerances.tail_frac": ("tail_frac", _conv_float),
     "truncation.radius": ("radius", _conv_int),
-    "truncation.growth_radius": ("growth_radius", _conv_int),
     "seed": ("seed", _conv_int),
     "output.report": ("out", _conv_str),
     "output.samples": ("samples", _conv_str),
@@ -323,7 +321,6 @@ def resolve_config(entries: dict) -> tuple[RunConfig, set]:
             raise ConfigError(f"{key}: must be positive, "
                               f"got {getattr(cfg, attr)}")
     for key, attr in (("truncation.radius", "radius"),
-                      ("truncation.growth_radius", "growth_radius"),
                       ("oracle.count", "oracle_count"),
                       ("cocycle.degree", "cocycle_degree"),
                       ("norms.q", "norms_q")):
@@ -583,7 +580,6 @@ def run_eta(cfg: RunConfig, provided: set) -> Outcome:
     el = _class_element(group, cfg)
     report = eta_class(op, group.conjugacy_class(el), tol=cfg.tol,
                        radius=cfg.radius or None,
-                       growth_radius=cfg.growth_radius,
                        quad_rel=cfg.quad_rel, tail_frac=cfg.tail_frac)
     return _eta_outcome(report)
 
@@ -592,8 +588,8 @@ def run_higher_eta(cfg: RunConfig, provided: set) -> Outcome:
     op = build_operator(cfg)
     phi = build_cocycle(op.element.group, cfg)
     report = eta_higher(op, phi, tol=cfg.tol, radius=cfg.radius or None,
-                        growth_radius=cfg.growth_radius, seed=cfg.seed,
-                        quad_rel=cfg.quad_rel, tail_frac=cfg.tail_frac)
+                        seed=cfg.seed, quad_rel=cfg.quad_rel,
+                        tail_frac=cfg.tail_frac)
     return _eta_outcome(report)
 
 
@@ -636,12 +632,12 @@ def run_gap(cfg: RunConfig, provided: set) -> Outcome:
         group = op.element.group
         el = _class_element(group, cfg)
         phi = build_cocycle(group, cfg) if "cocycle.kind" in provided else None
-        th = gap_thresholds(op, group.conjugacy_class(el), phi,
-                            radius=cfg.growth_radius)
+        th = gap_thresholds(op, group.conjugacy_class(el), phi)
         result["thresholds"] = th.to_json_dict()
         result["class_ok"] = bool(th.class_ok)
-        certification["thresholds"] = ("fitted growth constants; the "
-                                       "verdicts compare them against the "
+        certification["thresholds"] = ("exact growth rates of the class "
+                                       "and the group; the verdicts compare "
+                                       "the thresholds against the "
                                        "certified gap")
         if not th.class_ok:
             failures.append(Failure("decay threshold (class trace route)",
@@ -732,8 +728,7 @@ def run_cocycle_check(cfg: RunConfig, provided: set) -> Outcome:
                             "note": "no growth certificate declared"}
     else:
         checks["growth"] = {"certified": True,
-                            **growth_certify(phi, min(cfg.growth_radius, 6),
-                                             seed=cfg.seed)}
+                            **growth_certify(phi, 6, seed=cfg.seed)}
     result = {
         "cochain": {"name": phi.name, "degree": int(phi.degree),
                     "group": repr(group)},
@@ -832,7 +827,7 @@ def _compare_dense_calculus(cfg: RunConfig) -> list:
         ball = op.element.group.ball(5)
         oracle = dense_truncation_calculus_batch(op.element, fs, 5, trunc)
         for f, table in zip(fs, oracle):
-            res = functional_calculus(op, f, 5, tol=1e-10, strict=False)
+            res = op.functional_calculus(f, 5, tol=1e-10, strict=False)
             dev = max(float(np.abs(res.element.coefficient(g)
                                    - table[g]).max()) for g in ball)
             rows.append({"label": f"{label}/{f.tag}",

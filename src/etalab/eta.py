@@ -37,7 +37,7 @@ from .cyclic import (CyclicCochain, Idempotent, certify_cyclic_cocycle,
                      moved_bound, pair_phi_tr)
 from .errors import PreconditionError
 from .group_algebra import AlgebraElement
-from .groups import ConjugacyClass, GroupModel, growth_constants
+from .groups import ConjugacyClass, GroupModel
 from .operators import (
     EquivariantOperator,
     FiniteCoverOperator,
@@ -46,8 +46,6 @@ from .operators import (
     SchwartzFunction,
     calculus_ladder,
     class_trace,
-    functional_calculus,
-    gap_certificate,
     rounding_error,
 )
 from .quadpack import quad
@@ -114,25 +112,25 @@ class GapThreshold:
 
 def gap_thresholds(op: EquivariantOperator, cls: ConjugacyClass,
                    phi: CyclicCochain | None = None, *,
-                   radius: int = 8, gap: float | None = None) -> GapThreshold:
-    """Thresholds from fitted growth constants and the operator's propagation.
+                   gap: float | None = None) -> GapThreshold:
+    """Thresholds from the exact growth rates and the operator's propagation.
 
-    ``sigma_class = 2 K_class c_D / tau_class`` and, when a cochain is given,
-    ``sigma_cocycle = 2 (K_group + K_phi) c_D / tau_group`` with ``K_phi`` the
-    exponential rate of its growth certificate (0 for sub-exponential kinds).
+    ``sigma_class = 2 K_class c_D`` with ``K_class`` the class's
+    :attr:`~etalab.groups.ConjugacyClass.growth_rate`, and, when a cochain
+    is given, ``sigma_cocycle = 2 (K_group + K_phi) c_D`` with ``K_phi``
+    the exponential rate of its growth certificate (0 for sub-exponential
+    kinds); both displacement ratios tau are 1 (word metric =
+    displacement). On F_r with r >= 2 the class verdict of a nontrivial
+    class cannot be true: ``sigma_class = log(2r - 1) c_D``, with
+    ``c_D = band ||D||`` and band >= 1, exceeds every gap, which is at
+    most ``||D||``.
     """
     group = op.element.group
     if cls.group != group:
         raise PreconditionError("class does not live on the operator's group")
-    gc = growth_constants(group, cls, radius)
     c_d = op.c_d
-    # A polynomial-growth group has exponential rate zero; the finite-window
-    # least-squares slope of polynomially many shell counts is an artifact
-    # of the fit, so the threshold uses the certified rate, not the slope.
-    poly = bool(group.polynomial_growth)
-    class_rate = 0.0 if poly else gc.class_rate
-    group_rate = 0.0 if poly else gc.group_rate
-    sigma_class = threshold_sigma(class_rate, c_d, gc.tau_class)
+    class_rate, group_rate = cls.growth_rate, group.growth_rate
+    sigma_class = threshold_sigma(class_rate, c_d)
     sigma_cocycle = None
     k_phi = 0.0
     if phi is not None:
@@ -140,25 +138,19 @@ def gap_thresholds(op: EquivariantOperator, cls: ConjugacyClass,
             raise PreconditionError(
                 f"{phi.name} carries no growth certificate")
         k_phi = phi.growth.rate
-        sigma_cocycle = threshold_sigma(group_rate + k_phi, c_d, gc.tau_group)
-    measured = float(gap) if gap is not None else float(gap_certificate(op))
+        sigma_cocycle = threshold_sigma(group_rate + k_phi, c_d)
+    measured = float(gap) if gap is not None else float(op.gap_certificate())
     return GapThreshold(
         sigma_class=sigma_class,
         sigma_cocycle=sigma_cocycle,
         gap=measured,
         constants={
             "class_rate": class_rate,
-            "class_prefactor": gc.class_prefactor,
             "group_rate": group_rate,
-            "group_prefactor": gc.group_prefactor,
-            "fitted_class_rate": gc.class_rate,
-            "fitted_group_rate": gc.group_rate,
-            "polynomial_growth": poly,
             "cochain_rate": k_phi,
             "c_d": c_d,
-            "tau_class": gc.tau_class,
-            "tau_group": gc.tau_group,
-            "fit_radius": gc.radius,
+            "tau_class": 1.0,
+            "tau_group": 1.0,
         })
 
 
@@ -420,9 +412,9 @@ class _HigherIntegrand:
 
     def _slot(self, tag: str, t: float) -> tuple:
         """(element, certified error, weighted norm) of one calculus."""
-        res = functional_calculus(self.op, SchwartzFunction(tag, t),
-                                  self.radius, tol=self.per_eval_tol,
-                                  strict=False)
+        res = self.op.functional_calculus(SchwartzFunction(tag, t),
+                                          self.radius, tol=self.per_eval_tol,
+                                          strict=False)
         return (res.element, res.error,
                 _weighted_slot_norm(res.element, self.phi.growth))
 
@@ -562,7 +554,7 @@ def _build_integrand(op: EquivariantOperator, phi: CyclicCochain, m: int,
 
 def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
               tol: float = 1e-8, gap: float | None = None,
-              radius: int | None = None, growth_radius: int = 8,
+              radius: int | None = None,
               quad_rel: float = 1e-10, tail_frac: float = 0.1) -> EtaReport:
     """The delocalized eta of a gapped operator at a nontrivial class.
 
@@ -580,7 +572,7 @@ def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
         raise PreconditionError(
             "delocalized eta needs a nontrivial conjugacy class "
             "(the trivial class pairs with the local index, not computed here)")
-    g0 = float(gap) if gap is not None else float(gap_certificate(op))
+    g0 = float(gap) if gap is not None else float(op.gap_certificate())
     if g0 <= 0:
         raise PreconditionError(
             f"gap certificate {g0} is not positive; eta needs an invertible "
@@ -611,7 +603,7 @@ def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
 
     parts = _certified_integral(sample, tail_at, g0, tol=tol,
                                 quad_rel=quad_rel, tail_frac=tail_frac)
-    thresholds = gap_thresholds(op, cls, None, radius=growth_radius, gap=g0)
+    thresholds = gap_thresholds(op, cls, None, gap=g0)
     return EtaReport(
         **parts,
         tail_constants={
@@ -650,8 +642,7 @@ def _require_even_cocycle(phi: CyclicCochain) -> int:
 
 def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
                tol: float = 1e-8, gap: float | None = None,
-               radius: int | None = None, growth_radius: int = 8,
-               check_cocycle: bool = True, seed: int = 0,
+               radius: int | None = None, seed: int = 0,
                quad_rel: float = 1e-10, tail_frac: float = 0.1) -> EtaReport:
     """The cocycle-weighted eta driven by the spectral-flow unitaries.
 
@@ -665,9 +656,8 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
     if phi.group != group:
         raise PreconditionError("cochain does not live on the operator's group")
     m = _require_even_cocycle(phi)
-    if check_cocycle:
-        certify_cyclic_cocycle(phi, radius=2, samples=200, seed=seed, tol=1e-8)
-    g0 = float(gap) if gap is not None else float(gap_certificate(op))
+    certify_cyclic_cocycle(phi, radius=2, samples=200, seed=seed, tol=1e-8)
+    g0 = float(gap) if gap is not None else float(op.gap_certificate())
     if g0 <= 0:
         raise PreconditionError(
             f"gap certificate {g0} is not positive; eta needs an invertible "
@@ -679,7 +669,7 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
                                 tail_frac=tail_frac)
     cls = phi.support_class if phi.support_class is not None \
         else ConjugacyClass(group, group.identity)
-    thresholds = gap_thresholds(op, cls, phi, radius=growth_radius, gap=g0)
+    thresholds = gap_thresholds(op, cls, phi, gap=g0)
     grid = engine.radius is None
     return EtaReport(
         **parts,

@@ -2,7 +2,7 @@
 
 Four concrete models are provided, each with canonical hashable element
 representations, deterministic ball/sphere enumeration, geodesic splittings,
-exact conjugacy tests, and empirical growth-constant fits:
+exact conjugacy tests, and closed-form growth rates and class counts:
 
 * :class:`FreeAbelianGroup` -- Z^d, elements are integer tuples, L1 length;
 * :class:`CyclicGroup`      -- Z/k, elements are residues 0..k-1;
@@ -18,15 +18,14 @@ Ball enumeration respects a hard element budget and raises
 
 from __future__ import annotations
 
+import math
 import string
 import threading
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
-    NotFoundError,
     PreconditionError,
     RepresentationError,
     ResourceBudgetError,
@@ -55,9 +54,9 @@ class GroupModel:
     #: True when elements admit a fixed-width integer-vector encoding with
     #: componentwise addition (enables vectorized cochain evaluation).
     has_array_codec: bool = False
-    #: True when the model has polynomial volume growth (certified by
-    #: construction for abelian and finite models; free groups do not).
-    polynomial_growth: bool = False
+    #: Exponential growth rate of the spheres, lim log|S_n| / n: 0 for
+    #: abelian and finite models, log(2r - 1) for F_r.
+    growth_rate: float = 0.0
 
     def __init__(self):
         self._cache: dict = {}
@@ -186,7 +185,6 @@ class FreeAbelianGroup(GroupModel):
     kind = "free_abelian"
     is_abelian = True
     has_array_codec = True
-    polynomial_growth = True
 
     def __init__(self, rank: int):
         super().__init__()
@@ -307,7 +305,6 @@ class CyclicGroup(GroupModel):
     kind = "cyclic"
     is_abelian = True
     has_array_codec = True
-    polynomial_growth = True
 
     def __init__(self, order: int):
         super().__init__()
@@ -398,7 +395,6 @@ class FreeGroup(GroupModel):
 
     kind = "free"
     is_abelian = False
-    polynomial_growth = False
 
     def __init__(self, rank: int):
         super().__init__()
@@ -407,6 +403,7 @@ class FreeGroup(GroupModel):
         if rank > 26:
             raise RepresentationError("rank must be <= 26 (letter labels)")
         self.rank = int(rank)
+        self.growth_rate = math.log(2 * self.rank - 1)
 
     def _signature(self):
         return (self.rank,)
@@ -533,7 +530,7 @@ class ProductGroup(GroupModel):
         self.factors = tuple(factors)
         self.is_abelian = all(f.is_abelian for f in self.factors)
         self.has_array_codec = all(f.has_array_codec for f in self.factors)
-        self.polynomial_growth = all(f.polynomial_growth for f in self.factors)
+        self.growth_rate = max(f.growth_rate for f in self.factors)
 
     def _signature(self):
         return tuple((type(f).__name__, f._signature()) for f in self.factors)
@@ -746,6 +743,47 @@ class ConjugacyClass:
             self.group._cache[key] = members
         return members
 
+    def shell_counts(self, radius: int) -> list:
+        """Exact number of class members of each word length 0..radius.
+
+        Abelian classes are single points. In F_r a cyclically reduced h of
+        length l with p distinct rotations h' has p members of length l and
+        p (2r-2) (2r-1)^(k-1) of length l + 2k: the reduced conjugates
+        w h' w^-1, whose last letter of w is neither h'_1^-1 nor h'_l
+        (Lyndon & Schupp, Combinatorial Group Theory, 1977, Ch. I). A
+        product class is a product of classes, so its counts convolve."""
+        group, h = self.group, self.representative
+        counts = [0] * (radius + 1)
+        if isinstance(group, ProductGroup):
+            counts[0] = 1
+            for f, x in zip(group.factors, h):
+                c = ConjugacyClass(f, x).shell_counts(radius)
+                counts = [sum(counts[i] * c[n - i] for i in range(n + 1))
+                          for n in range(radius + 1)]
+            return counts
+        if not isinstance(group, FreeGroup) or not h:
+            if group.word_length(h) <= radius:
+                counts[group.word_length(h)] = 1
+            return counts
+        w = group.cyclic_reduction(h)
+        p, r = len({w[i:] + w[:i] for i in range(len(w))}), group.rank
+        for n in range(len(w), radius + 1, 2):
+            k = (n - len(w)) // 2
+            counts[n] = p * (2 * r - 2) * (2 * r - 1) ** (k - 1) if k else p
+        return counts
+
+    @property
+    def growth_rate(self) -> float:
+        """Exponential growth rate of :meth:`shell_counts`: log(2r - 1) / 2
+        for a nontrivial class of F_r, the largest factor rate for a
+        product, else 0."""
+        group, h = self.group, self.representative
+        if isinstance(group, ProductGroup):
+            return max(ConjugacyClass(f, x).growth_rate
+                       for f, x in zip(group.factors, h))
+        return group.growth_rate / 2 if isinstance(group, FreeGroup) and h \
+            else 0.0
+
     def minimal_length(self) -> int:
         """Shortest word length in the class."""
         if isinstance(self.group, FreeGroup):
@@ -769,96 +807,3 @@ class ConjugacyClass:
     def __hash__(self):
         # Classes with distinct representatives may be equal; hash only the group.
         return hash(("ConjugacyClass", self.group))
-
-
-# ---------------------------------------------------------------------------
-# growth constants
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GrowthConstants:
-    """Exponential-envelope constants fitted from shell counts up to a radius.
-
-    ``counts[n] <= prefactor * exp(rate * n)`` holds for every shell n in the
-    fitted range, for both the conjugacy class and the ambient group. The
-    displacement ratios ``tau_class``/``tau_group`` are fixed to 1.0 by the
-    lattice modeling convention (word metric == geometric displacement).
-    """
-
-    class_rate: float
-    class_prefactor: float
-    group_rate: float
-    group_prefactor: float
-    radius: int
-    class_counts: list[int] = field(default_factory=list)
-    group_counts: list[int] = field(default_factory=list)
-    tau_class: float = 1.0
-    tau_group: float = 1.0
-    note: str = "tau fixed to 1.0: lattice convention, word metric = displacement"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "class_rate": self.class_rate,
-            "class_prefactor": self.class_prefactor,
-            "group_rate": self.group_rate,
-            "group_prefactor": self.group_prefactor,
-            "radius": self.radius,
-            "class_counts": list(self.class_counts),
-            "group_counts": list(self.group_counts),
-            "tau_class": self.tau_class,
-            "tau_group": self.tau_group,
-            "note": self.note,
-        }
-
-
-def _fit_envelope(counts: Sequence[int]) -> tuple[float, float]:
-    """Least-squares exponential rate plus a sound prefactor envelope.
-
-    Returns (rate, prefactor) with counts[n] <= prefactor * exp(rate * n) for
-    every n with counts[n] > 0 (zero counts hold trivially).
-    """
-    ns = np.array([n for n, c in enumerate(counts) if c > 0 and n > 0])
-    cs = np.array([c for n, c in enumerate(counts) if c > 0 and n > 0], dtype=float)
-    if len(ns) >= 2:
-        slope = np.polyfit(ns, np.log(cs), 1)[0]
-        rate = max(0.0, float(slope))
-    else:
-        rate = 0.0
-    prefactor = 0.0
-    for n, c in enumerate(counts):
-        if c > 0:
-            prefactor = max(prefactor, c * np.exp(-rate * n))
-    return rate, float(prefactor)
-
-
-def growth_constants(group: GroupModel, cls: ConjugacyClass, radius: int,
-                     budget: int = DEFAULT_BALL_BUDGET) -> GrowthConstants:
-    """Fit exponential growth envelopes for a class and its ambient group.
-
-    Shell counts are exact (full enumeration up to ``radius``); the rate is a
-    least-squares fit on the log counts and the prefactor is the smallest
-    constant making the envelope valid on the whole fitted range.
-    """
-    if cls.group != group:
-        raise PreconditionError("class does not belong to the given group")
-    class_members = cls.elements_within(radius, budget)
-    if not class_members:
-        raise NotFoundError(
-            f"conjugacy class of {group.element_to_text(cls.representative)} "
-            f"has no members within radius {radius}")
-    class_counts = [0] * (radius + 1)
-    for g in class_members:
-        class_counts[group.word_length(g)] += 1
-    group_counts = [len(group.sphere(n, budget)) for n in range(radius + 1)]
-    class_rate, class_pref = _fit_envelope(class_counts)
-    group_rate, group_pref = _fit_envelope(group_counts)
-    return GrowthConstants(
-        class_rate=class_rate,
-        class_prefactor=class_pref,
-        group_rate=group_rate,
-        group_prefactor=group_pref,
-        radius=radius,
-        class_counts=class_counts,
-        group_counts=group_counts,
-    )

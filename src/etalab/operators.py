@@ -59,7 +59,6 @@ from .groups import (
     FreeAbelianGroup,
     FreeGroup,
     GroupModel,
-    growth_constants,
 )
 from .quadpack import quad
 
@@ -523,15 +522,14 @@ class FourierSymbolOperator(EquivariantOperator):
                                 {"levels": levels, "f": f.tag, "t": f.t})
         return self._finish(result, strict)
 
-    def gap_certificate(self, *, start_nodes: int = 64,
-                        rel_tol: float = 1e-3) -> GapCertificate:
+    def gap_certificate(self, *, start_nodes: int = 64) -> GapCertificate:
         """Certified lower bound on ``min_theta min |eig D(theta)|``.
 
         Eigenvalues are Lipschitz in ``theta_k`` with constant ``L_k =
         sum_g |g_k| ||A_g||`` (Weyl), so the min over the uniform grid
         ``theta_j = 2 pi j / n`` less ``(pi/n) sum_k L_k``, clipped at 0, is
         certified.  ``n`` doubles from ``start_nodes`` until two positive
-        levels agree to ``rel_tol`` or ``n`` reaches ``_GRID_CAPS`` (2^16,
+        levels agree to 1e-3 relative or ``n`` reaches ``_GRID_CAPS`` (2^16,
         2^10, 2^7 by rank, then 32).  A level builds only the hyperplanes
         ``g_0 mod n`` that carry coefficients and transforms axis 0 last, on
         column slabs, which gives ``ifftn`` of the wrapped box bit for bit
@@ -552,7 +550,7 @@ class FourierSymbolOperator(EquivariantOperator):
             history.append({"nodes": n, "grid_min": m, "slack": slack,
                             "certified": cert})
             if (cert > 0 and prev_cert > 0
-                    and abs(cert - prev_cert) <= rel_tol * cert):
+                    and abs(cert - prev_cert) <= 1e-3 * cert):
                 break
             if n >= cap:
                 break
@@ -930,14 +928,15 @@ def kernel_decay_constant(result_element: AlgebraElement, f: SchwartzFunction,
 def class_trace(op: EquivariantOperator, f: SchwartzFunction,
                 cls: ConjugacyClass, R: int, tol: float = 1e-10, *,
                 calculus: CalculusResult | None = None,
-                growth_radius: int = 8,
                 strict: bool = False) -> ClassTraceResult:
     """``sum_{g in class, l(g) <= R} tr f(D)_g`` with a certified tail.
 
-    The tail bound combines the class-growth envelope (shell counts of the
-    class fitted up to ``growth_radius``) with the kernel-decay envelope
-    ``C F_f(n / (mu c_D))`` at shell n, ``mu = DEFAULT_MU``; for finite
-    groups exhausted by the ball the tail is exactly zero.
+    The tail bound sums the exact class counts of
+    :meth:`~etalab.groups.ConjugacyClass.shell_counts` times the
+    kernel-decay envelope ``C F_f(n / (mu c_D))`` over the shells n > R,
+    ``mu = DEFAULT_MU``; for finite groups exhausted by the ball the tail
+    is exactly zero. It is infinite unless a term falls below 1e-18 of the
+    value within 400 shells with no rise between nonempty shells.
     """
     if cls.group != op.group:
         raise PreconditionError("class and operator live over different groups")
@@ -966,25 +965,24 @@ def class_trace(op: EquivariantOperator, f: SchwartzFunction,
             tail = C_ker * decay_envelope(f, l_h / (DEFAULT_MU * op.c_d))
         diagnostics = {"exhausted": False, "class_exhausted": l_h <= R}
     else:
-        gc = growth_constants(op.group, cls, growth_radius)
         C_ker = kernel_decay_constant(element, f, op.c_d)
-        tail = 0.0
-        n = R + 1
-        prev_term = math.inf
-        while True:
-            shell = gc.class_prefactor * math.exp(gc.class_rate * n)
-            term = shell * C_ker * decay_envelope(f, n / (DEFAULT_MU * op.c_d))
+        counts = cls.shell_counts(R + 400)
+        tail, prev_term, small = 0.0, math.inf, True
+        for n in range(R + 1, R + 401):
+            if not counts[n]:
+                continue
+            term = counts[n] * C_ker * decay_envelope(
+                f, n / (DEFAULT_MU * op.c_d))
             tail += term
-            if term > prev_term and term > tol:
-                tail = math.inf
+            rose = term > prev_term and term > tol
+            small = not rose and term < 1e-18 * max(1.0, abs(value))
+            if rose or small:
                 break
             prev_term = term
-            if term < 1e-18 * max(1.0, abs(value)) or n > R + 400:
-                break
-            n += 1
+        if not small:
+            tail = math.inf
         diagnostics = {"exhausted": False, "kernel_constant": C_ker,
-                       "class_rate": gc.class_rate,
-                       "class_prefactor": gc.class_prefactor}
+                       "class_rate": cls.growth_rate}
     if strict and not (tail <= tol):
         raise CertificateError(
             "class-trace-tail",
@@ -1098,20 +1096,3 @@ def gapped_cover_model(seed: int) -> FiniteCoverOperator:
     op = FiniteCoverOperator(AlgebraElement(group, fiber, coeffs))
     assert float(np.abs(op.eigensystem()[0]).min()) > 0.1
     return op
-
-
-# ---------------------------------------------------------------------------
-# functional wrappers
-# ---------------------------------------------------------------------------
-
-
-def functional_calculus(op: EquivariantOperator, f: SchwartzFunction, R: int,
-                        tol: float = 1e-10, **kwargs) -> CalculusResult:
-    """``f(D)`` truncated to the radius-R ball with a certified error."""
-    return op.functional_calculus(f, R, tol, **kwargs)
-
-
-def gap_certificate(op: EquivariantOperator, **kwargs) -> GapCertificate:
-    """Certified lower bound on dist(0, spec D); the finite-cover
-    certificate leaves out eigenvalues within ``_COVER_ZERO_TOL`` of 0."""
-    return op.gap_certificate(**kwargs)

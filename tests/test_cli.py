@@ -214,8 +214,7 @@ OUT_OF_RANGE = {
     **{key: st.floats(max_value=0.0) for key in (
         "tolerances.tol", "tolerances.quad_rel", "pairing.tol", "oracle.tol")},
     **{key: st.integers(max_value=-1) for key in (
-        "truncation.radius", "truncation.growth_radius", "cocycle.degree",
-        "norms.q")},
+        "truncation.radius", "cocycle.degree", "norms.q")},
     "oracle.count": st.integers(max_value=0),
 }
 

@@ -54,8 +54,6 @@ from etalab.operators import (
     SchwartzFunction,
     class_trace,
     free_group_model,
-    functional_calculus,
-    gap_certificate,
     gapped_cover_model,
     lattice_laplace_symbol,
     two_band_chern_symbol,
@@ -235,7 +233,7 @@ class TestHigherEta:
 
     def test_twisted_two_band_area_pairing(self):
         op = two_band_chern_symbol()
-        gap = float(gap_certificate(op))
+        gap = float(op.gap_certificate())
         assert 0.98 <= gap <= 1.0
         phi = area_cocycle(FreeAbelianGroup(2), (0, 0))
         report = eta_higher(op, phi, tol=1e-6)
@@ -252,10 +250,10 @@ class TestHigherEta:
         radius, h = 60, 1e-3
 
         def two_legs(t):
-            a = functional_calculus(op, SchwartzFunction("ut_minus_1", t),
-                                    radius, tol=1e-12, strict=False).element
-            b = functional_calculus(op, SchwartzFunction("ut_inv_minus_1", t),
-                                    radius, tol=1e-12, strict=False).element
+            a = op.functional_calculus(SchwartzFunction("ut_minus_1", t),
+                                       radius, tol=1e-12, strict=False).element
+            b = op.functional_calculus(SchwartzFunction("ut_inv_minus_1", t),
+                                       radius, tol=1e-12, strict=False).element
             return pair_phi_tr(psi, [a, b])
 
         engine = _build_integrand(op, bpsi, 1, 1e-10, None)
@@ -269,17 +267,19 @@ class TestHigherEta:
         # level of a node samples dot and the leg only, a memo hit samples
         # nothing, and the grid engine runs no ball calculus
         calls, sampled = [], []
+        calculus = FourierSymbolOperator.functional_calculus
         apply_on_grid = FourierSymbolOperator._apply_on_grid
 
         def counted(*args, **kwargs):
             calls.append(args[1].tag)
-            return functional_calculus(*args, **kwargs)
+            return calculus(*args, **kwargs)
 
         def on_grid(op, f, n):
             sampled.append(f.tag)
             return apply_on_grid(op, f, n)
 
-        monkeypatch.setattr("etalab.eta.functional_calculus", counted)
+        monkeypatch.setattr(FourierSymbolOperator, "functional_calculus",
+                            counted)
         monkeypatch.setattr(FourierSymbolOperator, "_apply_on_grid", on_grid)
         area = _build_integrand(two_band_chern_symbol(),
                                 area_cocycle(FreeAbelianGroup(2), (0, 0)),
@@ -317,8 +317,9 @@ class TestHigherEta:
             value, errors = engine.value(t)
 
             def ball(tag):
-                return functional_calculus(op, SchwartzFunction(tag, t), 32,
-                                           tol=1e-13, strict=False).element
+                return op.functional_calculus(SchwartzFunction(tag, t), 32,
+                                              tol=1e-13,
+                                              strict=False).element
 
             slots = [ball("udot_uinv")]
             slots += [ball("ut_minus_1"), ball("ut_inv_minus_1")] * m
@@ -382,7 +383,7 @@ class TestThresholds:
         phi = random_delocalized_cochain(FreeAbelianGroup(1), (3,),
                                          rate=0.1, seed=0)
         th = gap_thresholds(op, z_class(1), phi)
-        assert th.constants["polynomial_growth"] is True
+        assert th.constants["class_rate"] == 0.0
         assert th.constants["group_rate"] == 0.0
         assert th.sigma_class == 0.0
         want = threshold_sigma(0.1, th.constants["c_d"],
@@ -395,9 +396,22 @@ class TestThresholds:
         op = free_group_model()
         cls = FreeGroup(2).conjugacy_class((1, 2))  # the word ab
         th = gap_thresholds(op, cls)
-        assert th.constants["polynomial_growth"] is False
+        assert th.constants["group_rate"] == math.log(3)
         assert th.sigma_class > 0.0
         assert th.class_ok == (th.gap > th.sigma_class)
+
+    @pytest.mark.parametrize("word", ["a", "ab", "abAB"])
+    def test_free_group_rates_are_exact(self, word):
+        # every nontrivial class of F_2 grows like 3^(n/2), the group like
+        # 3^n; sigma_class = log(3) c_D exceeds every gap <= ||D|| <= c_D
+        op = free_group_model()
+        cls = op.group.conjugacy_class(op.group.element_from_text(word))
+        th = gap_thresholds(op, cls, gap=0.5)
+        assert th.constants["class_rate"] == math.log(3) / 2
+        assert th.constants["group_rate"] == math.log(3)
+        assert th.sigma_class == math.log(3) * th.constants["c_d"]
+        assert th.sigma_class > op.operator_norm_bound()
+        assert not th.class_ok
 
     def test_cocycle_threshold_needs_growth(self):
         bare = CyclicCochain(FreeAbelianGroup(1), 0, lambda args: 0.0)

@@ -1,4 +1,4 @@
-"""Group models: word metrics, balls, geodesics, conjugacy, growth fits."""
+"""Group models: word metrics, balls, geodesics, conjugacy, growth counts."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from etalab.groups import (
     FreeAbelianGroup,
     FreeGroup,
     ProductGroup,
-    growth_constants,
 )
 
 Z = FreeAbelianGroup(1)
@@ -288,41 +287,61 @@ def test_conjugator_defect_bounded_on_free_class():
 
 
 # ---------------------------------------------------------------------------
-# growth constants
+# growth counts and rates
 # ---------------------------------------------------------------------------
+
+
+def enumerated_shell_counts(cls, radius):
+    """Class members of each length, by a conjugacy test over the ball."""
+    group = cls.group
+    counts = [0] * (radius + 1)
+    for g in group.ball(radius):
+        if cls.contains(g):
+            counts[group.word_length(g)] += 1
+    return counts
+
+
+F3 = FreeGroup(3)
+F2xC3 = ProductGroup([F2, CyclicGroup(3)])
+
+
+@pytest.mark.parametrize("group, text, radius", [
+    (F2, "a", 9), (F2, "ab", 9), (F2, "aa", 9), (F2, "abAB", 9),
+    (F2, "e", 9), (F3, "aab", 6), (Z2, "1,-2", 6), (C5, "2", 4),
+    (F2xC3, "ab|1", 6), (F2xC3, "e|2", 6),
+])
+def test_shell_counts_match_enumeration(group, text, radius):
+    cls = group.conjugacy_class(group.element_from_text(text))
+    assert cls.shell_counts(radius) == enumerated_shell_counts(cls, radius)
 
 
 def test_growth_trivial_class():
     cls = Z2.conjugacy_class((0, 0))
-    gc = growth_constants(Z2, cls, 6)
-    assert gc.class_rate == 0.0
-    assert gc.class_prefactor == 1.0
-    assert gc.tau_class == 1.0
+    assert cls.shell_counts(6) == [1, 0, 0, 0, 0, 0, 0]
+    assert cls.growth_rate == 0.0
 
 
 def test_growth_free_group_rate():
     cls = F2.conjugacy_class(F2.element_from_text("ab"))
-    gc = growth_constants(F2, cls, 7)
-    # spheres grow like 4 * 3^(n-1): rate == ln 3
-    assert abs(gc.group_rate - np.log(3)) < 1e-6
-    # envelope soundness on the fitted range
-    for n, c in enumerate(gc.group_counts):
-        assert c <= gc.group_prefactor * np.exp(gc.group_rate * n) + 1e-9
-    for n, c in enumerate(gc.class_counts):
-        assert c <= gc.class_prefactor * np.exp(gc.class_rate * n) + 1e-9
+    # spheres have 4 * 3^(n-1) elements: rate ln 3
+    assert F2.growth_rate == np.log(3)
+    assert [len(F2.sphere(n)) for n in range(1, 8)] == \
+        [4 * 3 ** (n - 1) for n in range(1, 8)]
+    # the class has 2 * 2 * 3^(k-1) members at length 2 + 2k: rate ln 3 / 2
+    assert cls.growth_rate == np.log(3) / 2
+    assert cls.shell_counts(10)[2::2] == [2, 4, 12, 36, 108]
+    assert F3.conjugacy_class(F3.element_from_text("aab")).growth_rate \
+        == np.log(5) / 2
     # a conjugacy class grows no faster than the group
-    assert gc.class_rate <= gc.group_rate + 1e-9
+    assert cls.growth_rate <= F2.growth_rate
 
 
 def test_growth_abelian_rates_near_zero():
-    cls = Z2.conjugacy_class((1, 1))
-    gc = growth_constants(Z2, cls, 8)
-    assert gc.class_rate == 0.0  # singleton class
-    assert gc.group_rate < 0.5   # polynomial growth fits a small rate
-    assert gc.to_json_dict()["tau_group"] == 1.0
-
-
-def test_growth_empty_class_raises():
-    cls = Z2.conjugacy_class((5, 5))
-    with pytest.raises(NotFoundError):
-        growth_constants(Z2, cls, 3)
+    for group in (Z2, C5, ProductGroup([Z2, C5])):
+        assert group.growth_rate == 0.0
+        assert group.conjugacy_class(group.generators()[0]).growth_rate \
+            == 0.0
+    # a product grows at the rate of its fastest factor
+    assert F2xC3.growth_rate == np.log(3)
+    assert F2xC3.conjugacy_class(((1,), 1)).growth_rate == np.log(3) / 2
+    assert F2xC3.conjugacy_class(((), 1)).growth_rate == 0.0

@@ -44,8 +44,6 @@ from etalab.operators import (
     decay_envelope,
     dense_truncation_calculus_batch,
     free_group_model,
-    functional_calculus,
-    gap_certificate,
     gapped_cover_model,
     kernel_decay_constant,
     lattice_laplace_symbol,
@@ -571,6 +569,26 @@ class TestClassTrace:
             class_trace(op, f, cls, 4, calculus=calc, strict=True)
         assert err.value.invariant == "class-trace-tail"
 
+    def test_free_class_tail_is_infinite_when_the_shell_cap_is_reached(
+            self, monkeypatch):
+        # terms that fall by under 1% per nonempty shell never meet the
+        # small-term stop within the shell cap, so the partial sum bounds
+        # nothing: the envelope times the class count 2 * 3^((n-1)/2) of a
+        # falls by 0.995^2 from one odd shell to the next
+        op = free_group_model()
+        f = SchwartzFunction("gauss", 0.125)
+        cls = ConjugacyClass(op.group, (1,))
+        calc = op.functional_calculus(f, 4, 1e-6, strict=False,
+                                      truncation_pad=4, max_truncation=8)
+
+        def slow(f, s):
+            n = s * DEFAULT_MU * op.c_d
+            return (0.995 / math.sqrt(3.0)) ** n
+
+        monkeypatch.setattr("etalab.operators.decay_envelope", slow)
+        ct = class_trace(op, f, cls, 4, calculus=calc)
+        assert math.isinf(ct.tail_bound)
+
     def test_group_mismatch_rejected(self):
         op = lattice_laplace_symbol()
         other = ConjugacyClass(FreeAbelianGroup(2), (1, 0))
@@ -612,22 +630,3 @@ class TestKernelDecay:
     def test_report_holds_on_wilson_xgauss(self):
         self.assert_fit_holds(wilson_symbol(0.5),
                               SchwartzFunction("xgauss", 1.0), 12)
-
-
-# ---------------------------------------------------------------------------
-# functional wrappers
-# ---------------------------------------------------------------------------
-
-
-class TestWrappers:
-    def test_functional_calculus_wrapper_delegates(self):
-        op = lattice_laplace_symbol()
-        f = SchwartzFunction("gauss", 1.0)
-        a = functional_calculus(op, f, 4, 1e-9)
-        b = op.functional_calculus(f, 4, 1e-9)
-        assert (a.element - b.element).max_abs() == 0.0
-
-    def test_gap_certificate_wrapper_delegates(self):
-        cert = gap_certificate(lattice_laplace_symbol())
-        assert 0.99 <= float(cert) <= 1.0
-
