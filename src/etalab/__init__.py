@@ -28,7 +28,6 @@ from .errors import (  # noqa: F401
     CertificateError,
     ConfigError,
     EtalabError,
-    NotFoundError,
     PreconditionError,
     RepresentationError,
     ResourceBudgetError,

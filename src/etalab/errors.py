@@ -30,10 +30,6 @@ class ConfigError(EtalabError, ValueError):
     """A config file or CLI argument could not be interpreted."""
 
 
-class NotFoundError(EtalabError, LookupError):
-    """A search within a declared radius or budget found no witness."""
-
-
 class ResourceBudgetError(EtalabError, RuntimeError):
     """An enumeration or computation exceeded its declared budget."""
 

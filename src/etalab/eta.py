@@ -323,10 +323,12 @@ def _length_weights(growth, lengths: np.ndarray) -> np.ndarray:
 
 
 def _ball_weight_sum(group: GroupModel, radius: int, growth) -> float:
-    """``sum_{g in B_radius} w(l(g))`` via exact shell counts."""
+    """``sum_{g in B_radius} w(l(g))`` via exact shell counts, read off
+    the word lengths of the ball in one pass."""
+    shells = np.bincount([group.word_length(g) for g in group.ball(radius)],
+                         minlength=radius + 1).tolist()
     total = 0.0
-    for n in range(radius + 1):
-        shell = len(group.sphere(n))
+    for n, shell in enumerate(shells):
         if shell:
             total += shell * float(_length_weights(growth, np.array([n]))[0])
     return total

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from etalab.errors import (
-    NotFoundError,
     RepresentationError,
     ResourceBudgetError,
 )
@@ -219,11 +218,11 @@ def conjugate(group, g, x):
 
 def min_conjugator_length(group, h, g, radius: int) -> int:
     """Length of the shortest x with ``x^-1 h x == g``, searching
-    |x| <= radius; :class:`NotFoundError` if there is none."""
+    |x| <= radius; :class:`LookupError` if there is none."""
     for x in group.ball(radius):
         if conjugate(group, h, x) == g:
             return group.word_length(x)
-    raise NotFoundError(f"no conjugator of length <= {radius}")
+    raise LookupError(f"no conjugator of length <= {radius}")
 
 
 def brute_class_members(group, h, radius, search_radius):
@@ -270,7 +269,7 @@ def test_min_conjugator_lengths_frozen():
     # a conjugates ab to ba
     assert min_conjugator_length(F2, h, F2.element_from_text("ba"), 4) == 1
     assert min_conjugator_length(F2, h, h, 4) == 0
-    with pytest.raises(NotFoundError):
+    with pytest.raises(LookupError):
         min_conjugator_length(F2, h, F2.element_from_text("aB"), 3)
 
 

@@ -31,6 +31,7 @@ from etalab.groups import (
     CyclicGroup,
     FreeAbelianGroup,
     FreeGroup,
+    ProductGroup,
 )
 from etalab.operators import (
     DEFAULT_MU,
@@ -84,6 +85,42 @@ def cyclic_cover_model(seed: int = 0, order: int = 5,
     el = AlgebraElement(group, fiber,
                         {0: A0, 1: A1, order - 1: A1.conj().T})
     return FiniteCoverOperator(el)
+
+
+def product_cover_model(fiber: int = 2) -> FiniteCoverOperator:
+    """A cover over C2 x C3, whose ball(1) misses (1, 1) and (1, 2)."""
+    group = ProductGroup((CyclicGroup(2), CyclicGroup(3)))
+    rng = np.random.default_rng(5)
+    A0 = rng.normal(size=(fiber, fiber)) + 1j * rng.normal(size=(fiber, fiber))
+    B = rng.normal(size=(fiber, fiber)) + 1j * rng.normal(size=(fiber, fiber))
+    C = rng.normal(size=(fiber, fiber)) + 1j * rng.normal(size=(fiber, fiber))
+    el = AlgebraElement(group, fiber, {(0, 0): A0 + A0.conj().T,
+                                       (1, 0): B + B.conj().T,
+                                       (0, 1): C, (0, 2): C.conj().T})
+    return FiniteCoverOperator(el)
+
+
+def per_block_deck_average(op: FiniteCoverOperator, f, R: int) -> tuple:
+    """(keys, blocks, error) of the finite-cover calculus from a loop over
+    the ``m x m`` blocks of ``f(H)``, one ``(g, y)`` pair at a time."""
+    lam, V = op.eigensystem()
+    F = (V * (fl := f(lam))[None, :]) @ V.conj().T
+    m, n = op.dim, len(op.elements)
+    coeffs, defect = {}, 0.0
+    for g in op.group.ball(R):
+        if g not in op.index:
+            continue
+        blocks = []
+        for b, y in enumerate(op.elements):
+            a = op.index[op.group.multiply(g, y)]
+            blocks.append(F[a * m:(a + 1) * m, b * m:(b + 1) * m])
+        avg = np.mean(blocks, axis=0)
+        defect = max(defect,
+                     max(float(np.abs(B - avg).max()) for B in blocks))
+        coeffs[g] = avg
+    element = AlgebraElement(op.group, m, coeffs)
+    floor = 4 * 2.0 ** -52 * float(np.abs(fl).max()) * n * m
+    return element.keys, element.blocks, defect + floor + f.evaluation_error
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +412,38 @@ class TestFiniteCover:
                 exact = np.array([[complex(F[a + i, j]) for j in range(m)]
                                   for i in range(m)])
                 assert float(np.abs(block - exact).max()) <= res.error, g
+
+    @pytest.mark.parametrize("model", [
+        *(lambda s=s: gapped_cover_model(s) for s in range(4)),
+        lambda: cyclic_cover_model(seed=4, order=6, fiber=1),
+        lambda: product_cover_model(),
+    ], ids=[*(f"gapped{s}" for s in range(4)), "scalar-fiber", "c2xc3"])
+    def test_calculus_equals_the_per_block_deck_average(self, model):
+        op = model()
+        f = SchwartzFunction("xgauss", 1.0)
+        full = max(op.group.word_length(g) for g in op.elements)
+        for R in sorted({op.band, 1, full}):
+            res = op.functional_calculus(f, R, strict=False)
+            keys, blocks, error = per_block_deck_average(op, f, R)
+            assert res.element.keys == keys
+            assert (res.element.blocks == blocks).all()
+            assert res.error == error
+
+    def test_deck_table_is_built_once_per_radius(self, monkeypatch):
+        op = gapped_cover_model(1)
+        calls = []
+        multiply = op.group.multiply
+        monkeypatch.setattr(op.group, "multiply",
+                            lambda a, b: calls.append(1) or multiply(a, b))
+        f = SchwartzFunction("gauss", 1.0)
+        op.functional_calculus(f, 1, strict=False)
+        built = len(calls)
+        assert built == len(op.group.ball(1)) * len(op.elements)
+        op.functional_calculus(SchwartzFunction("xgauss", 0.5), 1,
+                               strict=False)
+        assert len(calls) == built
+        op.functional_calculus(f, 2, strict=False)
+        assert len(calls) > built
 
     def test_class_trace_matches_deck_translate_formula(self):
         op = cyclic_cover_model(seed=1)
