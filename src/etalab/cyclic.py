@@ -141,6 +141,7 @@ class CyclicCochain:
         self.batch_evaluator = batch_evaluator
         self.pair_reduction = pair_reduction
         self.certificate = None  # set by certify_cyclic_cocycle
+        self.cocycle_checks: dict = {}  # max_cocycle_violation per sample
 
     @property
     def arity(self) -> int:
@@ -328,7 +329,8 @@ class _Sample:
                  exhaustive_budget=300_000):
         self.group = group
         self.ball = ball = group.ball(radius)
-        if len(ball) ** arity <= exhaustive_budget:
+        self.exhaustive = len(ball) ** arity <= exhaustive_budget
+        if self.exhaustive:
             self.rows = np.indices((len(ball),) * arity).reshape(arity, -1).T
         else:
             small = len(group.ball(1))
@@ -381,14 +383,17 @@ def max_cyclicity_violation(phi: CyclicCochain, radius: int = 2,
 def max_cocycle_violation(phi: CyclicCochain, radius: int = 2,
                           samples: int = 200, seed: int = 0):
     """Largest |(b phi)(tuple)| over sampled tuples, normalized by the
-    largest sampled |phi| on its own tuples; returns (violation, witness)."""
-    b = coboundary(phi)
-    sample = _Sample(phi.group, b.arity, radius, samples, seed)
-    own = _Sample(phi.group, phi.arity, radius, samples, seed)
-    scale = max(float(np.abs(own.values(phi)).max(initial=0.0)), 1e-30)
-    vals = np.abs(sample.values(b)) / scale
-    k = int(np.argmax(vals))
-    return float(vals[k]), sample.witness(k)
+    largest sampled |phi| on its own tuples; returns (violation, witness).
+    Kept on ``phi`` per sample; an exhaustive one takes no samples or seed."""
+    sample = _Sample(phi.group, phi.arity + 1, radius, samples, seed)
+    key = (radius,) if sample.exhaustive else (radius, samples, seed)
+    if key not in phi.cocycle_checks:
+        own = _Sample(phi.group, phi.arity, radius, samples, seed)
+        scale = max(float(np.abs(own.values(phi)).max(initial=0.0)), 1e-30)
+        vals = np.abs(sample.values(coboundary(phi))) / scale
+        k = int(np.argmax(vals))
+        phi.cocycle_checks[key] = (float(vals[k]), sample.witness(k))
+    return phi.cocycle_checks[key]
 
 
 def certify_cyclic_cocycle(phi: CyclicCochain, radius: int = 2,
@@ -439,10 +444,10 @@ def growth_certify(phi: CyclicCochain, radius: int, *, samples: int = 20_000,
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(envs > 0, vals / np.maximum(envs, 1e-300), 0.0)
     worst_ratio = float(ratios.max(initial=0.0))
-    exhaustive = len(group.ball(radius)) ** phi.arity <= exhaustive_budget
     return {"kind": phi.growth.kind, "C": phi.growth.C, "k": phi.growth.k,
             "radius": radius, "tuples_checked": len(sample.rows),
-            "exhaustive": exhaustive, "max_ratio": worst_ratio, "seed": seed}
+            "exhaustive": sample.exhaustive, "max_ratio": worst_ratio,
+            "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +469,10 @@ def pair_phi_tr(phi: CyclicCochain, ws, *, use_reduction: bool = True,
     are passed as their algebra parts (the adjoined unit contributes nothing).
     Over Z^d the slots may instead be samples on one uniform grid, entry
     planes first (``(d, d, n, ..., n)``); they pair through reductions down
-    to :meth:`SeparableClassCochain.pair_grid`.
+    to :meth:`SeparableClassCochain.pair_grid`. A ``_box_cache`` passed by
+    the caller shares slot boxes and transforms with later pairings of the
+    same slot objects; its entries hold their slots (see
+    :meth:`SeparableClassCochain.pair_separable`).
     """
     ws = list(ws)
     if len(ws) != phi.arity:
@@ -483,12 +491,8 @@ def pair_phi_tr(phi: CyclicCochain, ws, *, use_reduction: bool = True,
 
     if use_reduction and phi.pair_reduction is not None:
         cache = {} if _box_cache is None else _box_cache
-        faces = phi.pair_reduction(ws)
-        # keep every reduced slot list alive for the whole top-level pairing
-        # so the identity-keyed cache entries can never alias freed objects
-        cache.setdefault("__keepalive__", []).append(faces)
         total = 0.0 + 0.0j
-        for coef, base, sub_ws in faces:
+        for coef, base, sub_ws in phi.pair_reduction(ws):
             total += coef * pair_phi_tr(base, sub_ws,
                                         use_reduction=use_reduction,
                                         tuple_budget=tuple_budget,
@@ -641,19 +645,20 @@ class SeparableClassCochain(CyclicCochain):
         weighted slot is transformed once onto that grid; the chain is
         multiplied entry plane by entry plane, traced, and read off by a
         single-point inverse DFT. A point outside the ``L_k`` box pairs to
-        an exact zero. ``box_cache`` (one top-level pairing) shares boxes
-        and transforms across a face reduction by slot id; the reduction
-        keeps slots alive."""
+        an exact zero. ``box_cache`` shares boxes and transforms across a
+        face reduction, or across pairings of the same slots, by slot id;
+        each entry holds its slot, so an entry under the id of a freed
+        slot is made afresh."""
         rank = self.group.rank
         cache = {} if box_cache is None else box_cache
 
-        def memo(key, make, *args):
+        def memo(key, w, make, *args):
             got = cache.get(key)
-            if got is None:
-                got = cache[key] = make(*args)
-            return got
+            if got is None or got[0] is not w:
+                got = cache[key] = (w, make(*args))
+            return got[1]
 
-        mats = [memo(("box", id(w)), _dense_block_box, w) for w in ws]
+        mats = [memo(("box", id(w)), w, _dense_block_box, w) for w in ws]
         out_shape = tuple(sum(arr.shape[k] - 1 for arr, _ in mats) + 1
                           for k in range(rank))
         origin = tuple(sum(o[k] for _, o in mats) for k in range(rank))
@@ -678,8 +683,8 @@ class SeparableClassCochain(CyclicCochain):
         total = 0.0 + 0.0j
         for c, fs in self.terms:
             field = _chain_trace(
-                [memo(("fft", id(ws[k]), id(fn), fft_shape), slot_fft, k, fn)
-                 for k, fn in enumerate(fs)])
+                [memo(("fft", id(ws[k]), id(fn), fft_shape), ws[k], slot_fft,
+                      k, fn) for k, fn in enumerate(fs)])
             for p in phases:
                 field = np.tensordot(field, p, axes=([0], [0]))
             total += c * complex(field)
@@ -696,9 +701,11 @@ class SeparableClassCochain(CyclicCochain):
         in ``box_cache["nodes"][i]`` (or ``box_cache``) ``"scale"``, the sum
         of ``|c_r| max |field|`` the read-out rounds at, and given a
         ``"delta"``, for :func:`moved_bound`, each term's slot norms and
-        moves: ``"moves"[id(w)]`` or else ``"delta"``."""
+        moves: ``"moves"[id(w)]`` or else ``"delta"``. A node keeps each
+        slot with its norms, so the id of a freed slot never reads them."""
         cache = {} if box_cache is None else box_cache
-        ids, one = [id(w) for w in ws], ws[0].ndim == self.group.rank + 2
+        src, ids = ws, [id(w) for w in ws]
+        one = ws[0].ndim == self.group.rank + 2
         if one:
             ws = [w[:, :, None] for w in ws]
         n, dim = ws[0].shape[-1], len(ws[0])
@@ -720,14 +727,14 @@ class SeparableClassCochain(CyclicCochain):
                                  + abs(c) * float(np.abs(field[i]).max()))
                 if node.get("delta"):
                     norms = node.setdefault("norms", {})
-                    for key, slot in zip(keys, slots):
-                        if key not in norms:
+                    for key, w, slot in zip(keys, src, slots):
+                        if norms.get(key, (None,))[0] is not w:
                             if key not in fresh:
                                 fresh[key] = _hs_norms(slot)
-                            norms[key] = fresh[key][i]
+                            norms[key] = (w, fresh[key][i])
                     moves = node.get("moves", {})
                     node.setdefault("terms", []).append((abs(c), [
-                        norms[key] for key in keys], gains, dim, [
+                        norms[key][1] for key in keys], gains, dim, [
                         moves.get(w_id, node["delta"]) for w_id in ids]))
             del slots, field
         return complex(total[0]) if one else np.array(

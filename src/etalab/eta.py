@@ -713,19 +713,47 @@ def tau_pair(phi: CyclicCochain, p: Idempotent, *,
     ``tau_phi = (m!/(pi i)) int_0^1 phi#tr(x' x^{-1} (x) ((x-1)(x)(x^{-1}-1))^(x)m) dt``
 
     along the loop, which closes at the unit at t = 1 and is constant
-    beyond.
+    beyond. Every quadrature node pairs its own slots ``c(t) p`` and
+    ``conj(c(t)) p`` by one :func:`pair_phi_tr` call; see
+    :func:`_loop_integrand` for what the nodes of a pair share.
     """
     m = _require_even_cocycle(phi)
     if phi.group != p.group:
         raise PreconditionError("cochain and loop live on different groups")
+    val, _ = _complex_quad(_loop_integrand(phi, p, m), 0.0, 1.0,
+                           epsabs=tol / 4.0)
+    return val
+
+
+def _loop_integrand(phi: CyclicCochain, p: Idempotent, m: int):
+    """The integrand of :func:`tau_pair`, with a ``pair`` hook. Since
+    ``c(1 - t) = conj c(t)``, nodes ``t1 + t2 == 1`` pair the same two slot
+    objects in swapped order, so their transforms are made once, through
+    one box cache; other pairs are two single nodes. The cache keeps the
+    transforms of the constant slot ``-2 pi i p`` for the whole integral
+    and drops every other entry after each node or pair."""
     pe = p.element
     prefactor = math.factorial(m) / (math.pi * 1j)
     dot = pe * (-2j * math.pi)
+    cache: dict = {}
+
+    def pairings(*slot_lists) -> list:
+        vals = [prefactor * pair_phi_tr(phi, ws, _box_cache=cache)
+                for ws in slot_lists]
+        for key in [k for k, (w, _) in cache.items() if w is not dot]:
+            del cache[key]
+        return vals
 
     def integrand(t: float) -> complex:
         c = loop_coefficient(t)
-        ws = [dot] + [pe * c, pe * c.conjugate()] * m
-        return prefactor * pair_phi_tr(phi, ws)
+        return pairings([dot] + [pe * c, pe * c.conjugate()] * m)[0]
 
-    val, _ = _complex_quad(integrand, 0.0, 1.0, epsabs=tol / 4.0)
-    return val
+    def pair(t1: float, t2: float) -> tuple:
+        if t1 + t2 != 1.0:
+            return integrand(t1), integrand(t2)
+        c = loop_coefficient(t1)
+        a, b = pe * c, pe * c.conjugate()
+        return tuple(pairings([dot] + [a, b] * m, [dot] + [b, a] * m))
+
+    integrand.pair = pair
+    return integrand

@@ -112,9 +112,9 @@ def test_loop_pairing_calls_pair_phi_tr_once_per_node(monkeypatch):
     calls: list = []
     original = eta_module.pair_phi_tr
 
-    def counted(phi, slots):
+    def counted(phi, slots, **kwargs):
         calls.append(1)
-        return original(phi, slots)
+        return original(phi, slots, **kwargs)
 
     monkeypatch.setattr(eta_module, "pair_phi_tr", counted)
     phi = class_trace_cochain(CyclicGroup(5).conjugacy_class(1))
