@@ -611,8 +611,8 @@ def run_gap(cfg: RunConfig, provided: set) -> Outcome:
     if history:
         sigma = float(history[-1]["grid_min"])
         sigma_certificate = ("grid minimum of |eigenvalues|; certified "
-                             "lower bound 'lower_bound' via the Lipschitz "
-                             "slack")
+                             "lower bound 'lower_bound' via the curvature "
+                             "slack of D(theta)^2")
     else:
         sigma = lower
         sigma_certificate = f"certificate method {cert.method!r}"

@@ -669,6 +669,9 @@ class SeparableClassCochain(CyclicCochain):
             _fast_len(max(i, n - 1 - i) + 1) for i, n in zip(idx, out_shape))
         phases = [np.exp(2j * np.pi * np.arange(n) * (i % n) / n) / n
                   for n, i in zip(fft_shape, idx)]
+        # one unoptimized einsum reads the class point without threaded BLAS
+        axes = list(range(rank))
+        operands = [x for k, p in enumerate(phases) for x in (p, [k])]
 
         def slot_fft(k, fn):
             arr, o = mats[k]
@@ -685,9 +688,7 @@ class SeparableClassCochain(CyclicCochain):
             field = _chain_trace(
                 [memo(("fft", id(ws[k]), id(fn), fft_shape), ws[k], slot_fft,
                       k, fn) for k, fn in enumerate(fs)])
-            for p in phases:
-                field = np.tensordot(field, p, axes=([0], [0]))
-            total += c * complex(field)
+            total += c * complex(np.einsum(field, axes, *operands, []))
         return total
 
     def pair_grid(self, ws, box_cache: dict | None = None):

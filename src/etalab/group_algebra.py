@@ -313,17 +313,19 @@ def _dense_block_box(A: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
 
 def _convolve_lattice_fft(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
     """Blockwise FFT convolution over Z^d: transform the spatial axes,
-    matrix-multiply the blocks in frequency, transform back. The cleanup
-    rule also strips the FFT roundoff noise; keys are made only for the
-    blocks it keeps."""
+    matrix-multiply the blocks in frequency, transform back; a self-product
+    (``B is A``) transforms once. The cleanup rule also strips the FFT
+    roundoff noise; keys are made only for the blocks it keeps."""
     a, alo = _dense_block_box(A)
-    b, blo = _dense_block_box(B)
+    b, blo = (a, alo) if B is A else _dense_block_box(B)
     rank = A.group.rank
     axes = tuple(range(rank))
     full = tuple(a.shape[k] + b.shape[k] - 1 for k in range(rank))
     fa = np.fft.fftn(a, s=full, axes=axes)
-    fb = np.fft.fftn(b, s=full, axes=axes)
-    out = np.fft.ifftn(np.einsum("...ik,...kj->...ij", fa, fb), axes=axes)
+    fb = fa if B is A else np.fft.fftn(b, s=full, axes=axes)
+    prod = np.einsum("...ik,...kj->...ij", fa, fb)
+    del fa, fb
+    out = np.fft.ifftn(prod, axes=axes)
     flat = out.reshape(-1, A.dim, A.dim)
     keep = _significant(flat, lambda i: tuple(
         (np.unravel_index(i, full) + alo + blo).tolist()))

@@ -8,8 +8,8 @@ operators ``D`` acting on ``l^2(G) (x) C^m``:
   ``theta_j = 2 pi j / n`` by inverse FFT.  ``f(D)`` coefficients are the
   forward FFT of ``f(D(theta_j))`` (the trapezoid rule), with the agreement
   of successive 5-smooth ``n`` as the error certificate.  The gap
-  certificate is the min |eigenvalue| over the same grids less the
-  Weyl/Lipschitz slack ``(pi/n) sum_k L_k``.
+  certificate is the min |eigenvalue| over the same grids, lowered by the
+  curvature slack ``(2 pi/n)^2/8 sum_k Q_k`` of ``D(theta)^2``.
 * :class:`FiniteCoverOperator` — finite ``G``; ``D`` is an explicit Hermitian
   matrix on the cover with a free deck representation; the calculus is a
   dense eigendecomposition, certified to its rounding floor.
@@ -52,7 +52,7 @@ from .errors import (
     RepresentationError,
     ResourceBudgetError,
 )
-from .group_algebra import AlgebraElement
+from .group_algebra import AlgebraElement, convolve
 from .groups import (
     ConjugacyClass,
     CyclicGroup,
@@ -525,28 +525,31 @@ class FourierSymbolOperator(EquivariantOperator):
     def gap_certificate(self, *, start_nodes: int = 64) -> GapCertificate:
         """Certified lower bound on ``min_theta min |eig D(theta)|``.
 
-        Eigenvalues are Lipschitz in ``theta_k`` with constant ``L_k =
-        sum_g |g_k| ||A_g||`` (Weyl), so the min over the uniform grid
-        ``theta_j = 2 pi j / n`` less ``(pi/n) sum_k L_k``, clipped at 0, is
-        certified.  ``n`` doubles from ``start_nodes`` until two positive
+        For a unit vector ``v``, ``<v, D(theta)^2 v>`` is a real trigonometric
+        polynomial with ``|d^2/d theta_k^2| <= Q_k = sum_g g_k^2 ||(D D)_g||``,
+        so on each cell of the uniform grid ``theta_j = 2 pi j / n`` it lies
+        above its multilinear interpolant, which is at least ``grid_min^2``,
+        less ``(2 pi/n)^2/8 sum_k Q_k``.  Taking ``v`` an eigenvector of the
+        least eigenvalue of ``D(theta)^2`` gives ``gap^2 >= grid_min^2 -
+        slack`` for any block size: no eigenvalue need be smooth, simple or
+        separated.  ``n`` doubles from ``start_nodes`` until two positive
         levels agree to 1e-3 relative or ``n`` reaches ``_GRID_CAPS`` (2^16,
         2^10, 2^7 by rank, then 32).  A level builds only the hyperplanes
         ``g_0 mod n`` that carry coefficients and transforms axis 0 last, on
         column slabs, which gives ``ifftn`` of the wrapped box bit for bit
         (``_uniform_grid_min``); ``history`` records its ``nodes``,
-        ``grid_min``, ``slack`` and ``certified``."""
-        norms = _block_norms(self.element)
-        L = np.zeros(self.rank)
-        for g, nb in norms.items():
-            L += np.abs(np.asarray(g, dtype=float)) * nb
+        ``grid_min``, the squared-unit ``slack`` and ``certified``."""
+        square = convolve(self.element, self.element)
+        curvature = sum(sum(x * x for x in g) * nb
+                        for g, nb in _block_norms(square).items())
         cap = _GRID_CAPS.get(self.rank, 32)
         n = min(start_nodes, cap)
         prev_cert = -math.inf
         history = []
         while True:
             m = self._uniform_grid_min(n)
-            slack = float(L.sum()) * (np.pi / n)
-            cert = max(0.0, m - slack)
+            slack = curvature * (2 * np.pi / n) ** 2 / 8
+            cert = math.sqrt(max(0.0, m * m - slack))
             history.append({"nodes": n, "grid_min": m, "slack": slack,
                             "certified": cert})
             if (cert > 0 and prev_cert > 0
@@ -556,7 +559,7 @@ class FourierSymbolOperator(EquivariantOperator):
                 break
             prev_cert = cert
             n *= 2
-        return GapCertificate(cert, "symbol-grid-lipschitz",
+        return GapCertificate(cert, "symbol-grid-curvature",
                               {"history": history})
 
     def _uniform_grid_min(self, n: int) -> float:

@@ -266,6 +266,21 @@ def test_convolve_on_both_sides_of_the_crossover(crossover, data, case):
 
 
 @LAYOUT
+@given(data=st.data(), case=cases(GROUPS[:3]))
+def test_fft_self_product_equals_the_product_with_a_twin(data, case):
+    # the self-product transforms its one operand once; a twin with the
+    # same keys and blocks is transformed on its own
+    group, dim = case
+    a, _ = both(group, dim, data.draw(terms(group, dim)))
+    twin = AlgebraElement(group, dim, dict(zip(a.keys, a.blocks.copy())))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(group_algebra, "FFT_CROSSOVER", 0)
+        got, want = convolve(a, a), convolve(a, twin)
+    assert got.keys == want.keys
+    assert same_bits(got.blocks, want.blocks)
+
+
+@LAYOUT
 @given(data=st.data(), case=cases())
 def test_trace_norms_are_bit_equal_and_in_key_order(data, case):
     group, dim = case

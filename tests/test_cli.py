@@ -290,7 +290,7 @@ class TestGapCommand:
         assert doc["schema"] == "etalab-report/1"
 
     @pytest.mark.parametrize("kind, method, bounded", [
-        ("laplace", "symbol-grid-lipschitz", "dist(0, spec D)"),
+        ("laplace", "symbol-grid-curvature", "dist(0, spec D)"),
         ("free", "weighted-schur", "dist(0, spec D)"),
         ("cover", "exact-eigenvalues", "dist(0, nonzero spectrum)"),
     ])

@@ -18,12 +18,15 @@ oracle that shares no code with the FFT route: the direct phase sum ``sum_g
 A_g e^{i g.theta}`` on the same grid, followed by ``eigvalsh``.  They check
 soundness: the certified gap never exceeds the oracle's minimum |eigenvalue|
 on a grid four times finer than the last level, and a symbol with a zero
-eigenvalue on the grid certifies 0.  The fixtures' certificates stay within
-a bounded traced memory, and the 3x3 route runs in bounded slabs.
+eigenvalue on the grid certifies 0.  The two-band symbol certifies within
+0.3% of its closed-form gap across its phase diagram, the fixtures stop
+below the grid caps, their certificates stay within a bounded traced
+memory, and the 3x3 route runs in bounded slabs.
 """
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -112,10 +115,16 @@ def norm_sum(op: FourierSymbolOperator) -> float:
     return sum(float(np.linalg.norm(A, 2)) for A in op.element.coeffs.values())
 
 
-def lipschitz_sum(op: FourierSymbolOperator) -> float:
-    """``sum_k L_k`` with ``L_k = sum_g |g_k| ||A_g||``."""
-    return sum(sum(abs(x) for x in g) * float(np.linalg.norm(A, 2))
-               for g, A in op.element.coeffs.items())
+def curvature_sum(op: FourierSymbolOperator) -> float:
+    """``sum_k Q_k`` with ``Q_k = sum_g g_k^2 ||(D D)_g||``, the blocks of
+    ``D D`` summed by a direct double loop over the coefficients."""
+    square = {}
+    for g1, A1 in op.element.coeffs.items():
+        for g2, A2 in op.element.coeffs.items():
+            g = tuple(x + y for x, y in zip(g1, g2))
+            square[g] = square.get(g, 0.0) + A1 @ A2
+    return sum(sum(x * x for x in g) * float(np.linalg.norm(B, 2))
+               for g, B in square.items())
 
 
 def certify(op: FourierSymbolOperator, start: int):
@@ -172,7 +181,7 @@ def test_every_level_matches_the_direct_phase_sum(op, start):
     cert = certify(op, start)
     tol = 1e-12 * norm_sum(op)
     history = cert.diagnostics["history"]
-    assert cert.method == "symbol-grid-lipschitz"
+    assert cert.method == "symbol-grid-curvature"
     assert history[0]["nodes"] == min(start, SMALL_CAPS[op.rank])
     for level in history:
         assert set(level) == {"nodes", "grid_min", "slack", "certified"}
@@ -180,9 +189,11 @@ def test_every_level_matches_the_direct_phase_sum(op, start):
         assert abs(level["grid_min"] - oracle_grid_min(op, level["nodes"])) \
             <= tol
         assert level["slack"] == pytest.approx(
-            np.pi / level["nodes"] * lipschitz_sum(op), rel=1e-12)
-        assert level["certified"] == max(0.0,
-                                         level["grid_min"] - level["slack"])
+            (2 * np.pi / level["nodes"]) ** 2 / 8 * curvature_sum(op),
+            rel=1e-12)
+        m = level["grid_min"]
+        assert level["certified"] == math.sqrt(max(0.0,
+                                                   m * m - level["slack"]))
     assert cert.value == history[-1]["certified"]
 
 
@@ -248,6 +259,24 @@ def test_fixture_levels_match_the_direct_phase_sum(make):
             <= tol
     assert 0.0 < cert.value <= oracle_grid_min(op, 64 if op.rank > 1
                                                 else 4096)
+
+
+@pytest.mark.parametrize("mass", [-1.0, -0.3, 0.2, 0.5, 1.0, 1.9, 2.5])
+def test_two_band_certifies_near_its_closed_form_gap(mass):
+    # |d|^2 = mass^2 + 2 - 2 mass (c1 + c2) + 2 c1 c2 is bilinear in
+    # c_k = cos t_k, so its least value sits at a corner c_k = +-1, where
+    # sin t1 = sin t2 = 0 and |d| = |mass - c1 - c2|
+    gap = min(abs(mass - c1 - c2) for c1 in (1, -1) for c2 in (1, -1))
+    cert = two_band_chern_symbol(mass).gap_certificate()
+    assert 0.997 * gap <= cert.value <= gap
+
+
+@pytest.mark.parametrize("make, nodes", [
+    (two_band_chern_symbol, 256), (lattice_laplace_symbol, 256),
+    (wilson_symbol, 256), (anisotropic_symbol_3d, 128)])
+def test_fixture_certificates_stop_below_the_cap(make, nodes):
+    assert make().gap_certificate().diagnostics["history"][-1]["nodes"] \
+        == nodes
 
 
 @pytest.mark.parametrize("make", [wilson_symbol, two_band_chern_symbol])

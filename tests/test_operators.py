@@ -352,7 +352,7 @@ class TestFourierSymbol:
     def test_gap_certificate_scalar_laplace(self):
         cert = lattice_laplace_symbol().gap_certificate()
         assert 0.995 <= float(cert) <= 1.0
-        assert cert.method == "symbol-grid-lipschitz"
+        assert cert.method == "symbol-grid-curvature"
 
     def test_gap_certificate_wilson(self):
         cert = wilson_symbol(0.5).gap_certificate()
