@@ -523,6 +523,16 @@ class _HigherIntegrand:
                 * dot * legs * gauss)
 
 
+def _positive_gap(op: EquivariantOperator, gap: float | None) -> float:
+    """The given gap, else the operator's certificate; refused unless > 0."""
+    g0 = float(gap) if gap is not None else float(op.gap_certificate())
+    if g0 <= 0:
+        raise PreconditionError(
+            f"gap certificate {g0} is not positive; eta needs an invertible "
+            "operator")
+    return g0
+
+
 def _auto_radius(op: EquivariantOperator, min_radius: int) -> int:
     group = op.element.group
     band = max(op.element.propagation_radius(), 1)
@@ -564,8 +574,11 @@ def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
     trace evaluated through the certified functional calculus at every
     quadrature node. Preconditions: the class is nontrivial and the gap
     certificate is positive. The tail beyond the cut T is bounded by
-    ``n_class * dim * erfc(gap * T)``; the class trace's own truncation
-    tail is folded as the ``class_tail`` leg, apart from ``calculus``.
+    ``n_class * dim * erfc(gap * T)``.  The class members past the radius,
+    which the class trace drops, enter as the ``class_tail`` leg, apart
+    from ``calculus``: a Chebyshev bound on the Bernstein ellipses of the
+    spectral hull (:func:`~etalab.operators.class_trace`), exactly 0 when
+    the ball holds the whole class.
     """
     group = op.element.group
     if cls.group != group:
@@ -574,11 +587,7 @@ def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
         raise PreconditionError(
             "delocalized eta needs a nontrivial conjugacy class "
             "(the trivial class pairs with the local index, not computed here)")
-    g0 = float(gap) if gap is not None else float(op.gap_certificate())
-    if g0 <= 0:
-        raise PreconditionError(
-            f"gap certificate {g0} is not positive; eta needs an invertible "
-            "operator")
+    g0 = _positive_gap(op, gap)
     r_used = radius if radius is not None else _auto_radius(
         op, cls.minimal_length())
     members = cls.elements_within(r_used)
@@ -659,11 +668,7 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
         raise PreconditionError("cochain does not live on the operator's group")
     m = _require_even_cocycle(phi)
     certify_cyclic_cocycle(phi, radius=2, samples=200, seed=seed, tol=1e-8)
-    g0 = float(gap) if gap is not None else float(op.gap_certificate())
-    if g0 <= 0:
-        raise PreconditionError(
-            f"gap certificate {g0} is not positive; eta needs an invertible "
-            "operator")
+    g0 = _positive_gap(op, gap)
     engine = _build_integrand(op, phi, m, tol, radius)
     parts = _certified_integral(engine,
                                 lambda t_cut: engine.tail_at(t_cut, g0), g0,

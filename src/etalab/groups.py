@@ -772,6 +772,26 @@ class ConjugacyClass:
             counts[n] = p * (2 * r - 2) * (2 * r - 1) ** (k - 1) if k else p
         return counts
 
+    def log_tail_sum(self, radius: int, rate: float) -> float:
+        """``log sum_{n > radius} shell_counts(n) e^(-rate n)`` in closed
+        form: ``-inf`` if no member is longer than ``radius``, ``inf`` if
+        ``rate <= growth_rate``.  Past the shortest length l an F_r class
+        grows by exactly ``e^(2 growth_rate) = 2r - 1`` per two lengths, so
+        with ``top = max(radius, l)`` the sum is its terms up to ``top + 2``,
+        those past ``top`` divided by ``1 - (2r - 1) e^(-2 rate)``.  An
+        abelian class is one point; other groups are refused."""
+        if not (self.group.is_abelian or isinstance(self.group, FreeGroup)):
+            raise PreconditionError(
+                f"no closed-form class tail for {self.group!r}")
+        if rate <= self.growth_rate:
+            return math.inf
+        top = max(radius, self.minimal_length())
+        geometric = math.log(-math.expm1(2.0 * (self.growth_rate - rate)))
+        terms = [math.log(c) - rate * n - geometric * (n > top)
+                 for n, c in enumerate(self.shell_counts(top + 2))
+                 if n > radius and c]
+        return float(np.logaddexp.reduce(terms)) if terms else -math.inf
+
     @property
     def growth_rate(self) -> float:
         """Exponential growth rate of :meth:`shell_counts`: log(2r - 1) / 2

@@ -22,9 +22,9 @@ operators ``D`` acting on ``l^2(G) (x) C^m``:
 
 :class:`SchwartzFunction` carries the fixed catalogue of spectral functions
 used by the eta integrands (Gaussian family, unitary-loop family).  The
-Gaussian family carries a closed-form decay envelope
-``F_f(s) = sup_{n<=N} int_{|xi|>s} |d^n/dxi^n f^(xi)| dxi`` for the kernel
-decay and trace-tail bounds.  The inverse leg ``ut_inv_minus_1`` is
+Gaussian family carries a closed-form bound on ``|f|`` over the Bernstein
+ellipses of a spectral hull, from which :func:`class_trace` bounds the
+class members it drops.  The inverse leg ``ut_inv_minus_1`` is
 oracle-only: production takes ``u^{-1} - 1`` as the adjoint ``(u - 1)^*``
 of the leg it computed, and tests check that adjoint against this
 independent calculus.
@@ -60,10 +60,8 @@ from .groups import (
     FreeGroup,
     GroupModel,
 )
-from .quadpack import quad
 
 HERMITIAN_TOL = 1e-12
-DEFAULT_MU = 1.1
 _GRID_CAPS = {1: 1 << 16, 2: 1 << 10, 3: 1 << 7}  # symbol gap grid, by rank
 _GAP_SLAB = 1 << 14  # grid points per column slab of the symbol gap minimum
 _CALCULUS_MAX_NODES = 400  # symbol calculus grid, per axis
@@ -71,10 +69,11 @@ _ROUNDING_ULPS = 4  # rounding floors: ulps per FFT level, per cover dimension
 _CHEB_START_DEGREE = 16  # free-kernel Chebyshev degree ladder
 _CHEB_MAX_DEGREE = 512
 _COVER_ZERO_TOL = 1e-10  # cover gap: |eigenvalue| / scale counted as 0
-# free-kernel Schur enclosure: log rho bracket, steps, rounding allowance
+# free-kernel Schur enclosure: log rho bracket, rounding allowance
 _SCHUR_LOG_RHO_MIN = -16.0
-_SCHUR_STEPS = 80
 _SCHUR_ROUNDING = 1e-12
+_ELLIPSE_LOG_RHO_SPAN = 32.0  # class-tail Bernstein ellipse: log rho bracket
+_GOLDEN_STEPS = 80
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -139,15 +138,16 @@ def _loop_unitary(x):
 
 
 _SCHWARTZ_EVALUATORS = {
-    # tag: (callable (x, t) -> complex array, max_envelope_order)
-    "gauss": (lambda x, t: np.exp(-((t * x) ** 2)) + 0j, 8),
-    "xgauss": (lambda x, t: x * np.exp(-((t * x) ** 2)) + 0j, 8),
+    # tag: (callable (x, t) -> complex array, (c, p) with |f(z)| <= c |z|^p
+    #       exp(t^2 Im(z)^2) on the complex plane, or None)
+    "gauss": (lambda x, t: np.exp(-((t * x) ** 2)) + 0j, (1.0, 0)),
+    "xgauss": (lambda x, t: x * np.exp(-((t * x) ** 2)) + 0j, (1.0, 1)),
     "udot_uinv": (lambda x, t: 2j * math.sqrt(math.pi) * x
-                  * np.exp(-((t * x) ** 2)), 8),
-    "ut_minus_1": (lambda x, t: _loop_unitary(t * x) - 1.0, -1),
+                  * np.exp(-((t * x) ** 2)), (2.0 * math.sqrt(math.pi), 1)),
+    "ut_minus_1": (lambda x, t: _loop_unitary(t * x) - 1.0, None),
     "ut_inv_minus_1": (lambda x, t: np.conj(_loop_unitary(t * np.asarray(
-        x, dtype=float))) - 1.0, -1),
-    "identity": (lambda x, t: np.asarray(x, dtype=complex), -1),
+        x, dtype=float))) - 1.0, None),
+    "identity": (lambda x, t: np.asarray(x, dtype=complex), None),
 }
 
 
@@ -155,10 +155,11 @@ _SCHWARTZ_EVALUATORS = {
 class SchwartzFunction:
     """A builtin spectral function with a scale parameter.
 
-    The catalogue is closed: the Gaussian family carries a certified
-    decay envelope; ``identity`` (only usable with exact backends) and the
-    unitary-loop family have none. Arbitrary callables are rejected by
-    design — certified strip bounds for user functions are out of scope.
+    The catalogue is closed: the Gaussian family carries a certified bound
+    off the real line (:meth:`log_ellipse_sup`); ``identity`` (only usable
+    with exact backends) and the unitary-loop family have none. Arbitrary
+    callables are rejected by design — certified strip bounds for user
+    functions are out of scope.
     """
 
     tag: str
@@ -172,9 +173,19 @@ class SchwartzFunction:
         if not np.all(np.greater(self.t, 0)):
             raise PreconditionError(f"scale parameter must be > 0, got {self.t}")
 
-    @property
-    def max_envelope_order(self) -> int:
-        return _SCHWARTZ_EVALUATORS[self.tag][1]
+    def log_ellipse_sup(self, lo: float, hi: float, s: float) -> float:
+        """log of a bound on ``|f|`` inside the Bernstein ellipse of [lo, hi]
+        with ``rho = e^s``: there ``|z| <= |mid| + half cosh s`` and
+        ``|Im z| <= half sinh s``, and the Gaussian family has ``|f(z)| <= c
+        |z|^p exp(t^2 Im(z)^2)``, since ``|exp(-t^2 z^2)| = exp(-t^2 Re
+        z^2)``.  Every other function is refused."""
+        form = _SCHWARTZ_EVALUATORS[self.tag][1]
+        if form is None:
+            raise PreconditionError(
+                f"{self.tag} carries no certified bound off the real line")
+        (c, p), mid, half = form, 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return (math.log(c) + p * math.log(abs(mid) + half * math.cosh(s))
+                + (self.t * half * math.sinh(s)) ** 2)
 
     @property
     def evaluation_error(self) -> float:
@@ -190,75 +201,6 @@ class SchwartzFunction:
 
     def __repr__(self):
         return f"SchwartzFunction({self.tag!r}, t={self.t})"
-
-
-# -- decay envelopes --------------------------------------------------------
-#
-# Fourier convention: f^(xi) = int f(x) exp(-i x xi) dx.
-# Gaussian family transforms are exp(-xi^2/4) times polynomials, with the
-# derivative recursion p_{n+1} = p_n' - (xi/2) p_n; scaled members reduce to
-# the base via f(x) = c * g(t x)  =>  envelope_n(f, s) = |c| t^-n E_n(s / t).
-
-
-@lru_cache(maxsize=None)
-def _gaussian_derivative_polys(base: str, max_order: int):
-    if base == "gauss":
-        p = np.polynomial.Polynomial([math.sqrt(math.pi)])
-    elif base == "xgauss":
-        p = np.polynomial.Polynomial([0.0, -math.sqrt(math.pi) / 2.0])
-    else:  # pragma: no cover - internal
-        raise RepresentationError(base)
-    polys = [p]
-    half_xi = np.polynomial.Polynomial([0.0, 0.5])
-    for _ in range(max_order):
-        p = p.deriv() - half_xi * p
-        polys.append(p)
-    return polys
-
-
-@lru_cache(maxsize=None)
-def _gaussian_tail_integral(base: str, n: int, sigma: float) -> float:
-    """E_n(sigma) = 2 int_sigma^inf |p_n(xi)| exp(-xi^2/4) dxi."""
-    poly = _gaussian_derivative_polys(base, n)[n]
-
-    def integrand(xi):
-        return abs(poly(xi)) * math.exp(-xi * xi / 4.0)
-
-    val, _ = quad(integrand, sigma, math.inf, epsabs=1.49e-8, epsrel=1.49e-8,
-                  limit=200)
-    return 2.0 * val
-
-
-def _gaussian_family_form(f: SchwartzFunction):
-    """Return (prefactor, base tag, scale) with f(x) = prefactor * base(t x)."""
-    t = f.t
-    if f.tag == "gauss":
-        return 1.0, "gauss", t
-    if f.tag == "xgauss":
-        return 1.0 / t, "xgauss", t
-    if f.tag == "udot_uinv":
-        return 2.0 * math.sqrt(math.pi) / t, "xgauss", t
-    raise RepresentationError(f.tag)  # pragma: no cover - internal
-
-
-def decay_envelope(f: SchwartzFunction, s: float, N: int = 0) -> float:
-    """``F_f(s) = sup_{n <= N} int_{|xi| > s} |f^{(n-th xi-derivative)}| dxi``.
-
-    Closed forms for the Gaussian family; every other function is refused.
-    """
-    if s < 0:
-        raise PreconditionError("tail start must be >= 0")
-    if N < 0:
-        raise PreconditionError("envelope order must be >= 0")
-    if N > f.max_envelope_order:
-        raise PreconditionError(
-            f"{f.tag} carries certified envelopes only up to order "
-            f"{f.max_envelope_order}, requested {N}")
-    # only the Gaussian family has an envelope order >= 0
-    pref, base, t = _gaussian_family_form(f)
-    return max(abs(pref) * t ** (-n)
-               * _gaussian_tail_integral(base, n, s / t)
-               for n in range(N + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +238,17 @@ class GapCertificate:
         return float(self.value)
 
 
+def _golden_min(fn, lo: float, hi: float) -> tuple:
+    """``(fn(s), s)`` least over the ends of the last bracket of
+    ``_GOLDEN_STEPS`` golden-section steps for a convex ``fn`` on [lo, hi],
+    and over ``hi``."""
+    top = hi
+    for _ in range(_GOLDEN_STEPS):
+        a, c = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        lo, hi = (lo, c) if fn(a) <= fn(c) else (a, hi)
+    return min((fn(s), s) for s in (lo, hi, top))
+
+
 def _block_norms(element: AlgebraElement) -> dict:
     return dict(zip(element.keys,
                     np.linalg.norm(element.blocks, 2, axis=(1, 2)).tolist()))
@@ -323,6 +276,12 @@ class EquivariantOperator:
     def operator_norm_bound(self) -> float:
         """Sound upper bound on ||D||: the l1 sum of block operator norms."""
         return float(sum(_block_norms(self.element).values()))
+
+    def spectral_hull(self) -> tuple:
+        """An interval ``(lo, hi)`` that holds spec D: ``[-||D||, ||D||]``
+        from :meth:`operator_norm_bound`."""
+        norm = self.operator_norm_bound()
+        return -norm, norm
 
     @property
     def c_d(self) -> float:
@@ -752,18 +711,16 @@ class FreeConvolutionOperator(EquivariantOperator):
                          - group.word_length(x))
                     rows[i, k + band] += np.linalg.norm(A, 2)
         exps = np.arange(-band, band + 1)
-
-        def schur(s):
-            return float((rows @ np.exp(s * exps)).max())
-
-        lo, hi = _SCHUR_LOG_RHO_MIN, 0.0
-        for _ in range(_SCHUR_STEPS):
-            a, c = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-            lo, hi = (lo, c) if schur(a) <= schur(c) else (a, hi)
-        b, s = min((schur(s), s) for s in (lo, hi, 0.0))
+        b, s = _golden_min(lambda s: float((rows @ np.exp(s * exps)).max()),
+                           _SCHUR_LOG_RHO_MIN, 0.0)
         mu = np.linalg.eigvalsh(self.element.coefficient(group.identity))
         b += _SCHUR_ROUNDING * (b + float(np.abs(mu).max()))
         return mu, b, math.exp(s)
+
+    def spectral_hull(self) -> tuple:
+        """``[min mu - b, max mu + b]`` from :attr:`enclosure`."""
+        mu, b, _ = self.enclosure
+        return float(mu.min()) - b, float(mu.max()) + b
 
     def truncated_matrix(self, radius: int, budget: int = 4_000_000):
         """(sparse matrix, ball, index) for D acting on the span of the
@@ -795,7 +752,7 @@ class FreeConvolutionOperator(EquivariantOperator):
                             strict: bool = True,
                             truncation_pad: int = 8,
                             max_truncation: int = 12) -> CalculusResult:
-        """Chebyshev series of ``f`` on the hull of :attr:`enclosure`, run
+        """Chebyshev series of ``f`` on :meth:`spectral_hull`, run
         by Clenshaw on the radius-truncated action.  Compressions keep their
         spectrum in that hull, so truncation moves ``T_k`` by at most 2, and
         not at all for ``k <= K``: no path of ``K`` steps from e to
@@ -808,8 +765,7 @@ class FreeConvolutionOperator(EquivariantOperator):
             raise PreconditionError(
                 "free-convolution calculus needs truncation headroom "
                 f"max_truncation >= R + 4 (R={R}, got {max_truncation})")
-        mu, b, _ = self.enclosure
-        lo, hi = float(mu.min()) - b, float(mu.max()) + b
+        lo, hi = self.spectral_hull()
         degree = _CHEB_START_DEGREE
         while True:
             coeffs, sup_err = chebyshev_fit(f, lo, hi, degree)
@@ -924,33 +880,24 @@ class ClassTraceResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def kernel_decay_constant(result_element: AlgebraElement, f: SchwartzFunction,
-                          c_d: float) -> float:
-    """Fitted prefactor C with |f(D)_g|_1 <= C * F_f(l(g) / (mu c_D)),
-    ``mu = DEFAULT_MU``, over the computed coefficients."""
-    group = result_element.group
-    best = 0.0
-    for g, M in zip(result_element.keys, result_element.blocks):
-        l = group.word_length(g)
-        env = decay_envelope(f, l / (DEFAULT_MU * c_d))
-        if env <= 0:
-            continue
-        best = max(best, float(np.abs(M).sum()) / env)
-    return best
-
-
 def class_trace(op: EquivariantOperator, f: SchwartzFunction,
                 cls: ConjugacyClass, R: int, tol: float = 1e-10, *,
                 calculus: CalculusResult | None = None,
                 strict: bool = False) -> ClassTraceResult:
     """``sum_{g in class, l(g) <= R} tr f(D)_g`` with a certified tail.
 
-    The tail bound sums the exact class counts of
-    :meth:`~etalab.groups.ConjugacyClass.shell_counts` times the
-    kernel-decay envelope ``C F_f(n / (mu c_D))`` over the shells n > R,
-    ``mu = DEFAULT_MU``; for finite groups exhausted by the ball the tail
-    is exactly zero. It is infinite unless a term falls below 1e-18 of the
-    value within 400 shells with no rise between nonempty shells.
+    On the hull [lo, hi] of :meth:`~EquivariantOperator.spectral_hull`,
+    ``X = (D - mid) / half`` has ``||T_k(X)|| <= 1``, and ``T_k(X)_g = 0``
+    for ``l(g) > k band`` (Demko, Moss & Smith, Math. Comp. 43, 1984).  With
+    ``|c_k| <= 2 M rho^-k`` for the Chebyshev coefficients of ``f``, ``M``
+    bounding ``|f|`` inside the Bernstein ellipse ``E_rho`` of the hull
+    (Trefethen, *Approximation Theory and Approximation Practice*, 2013,
+    Thm 8.1; :meth:`SchwartzFunction.log_ellipse_sup`), a dropped member
+    has ``|tr f(D)_g| <= dim 2 M rho^(-l(g)/band) / (1 - 1/rho)``.  The
+    tail sums that over the exact class counts in closed form
+    (:meth:`~etalab.groups.ConjugacyClass.log_tail_sum`) and takes the
+    least over ``log rho`` by golden section, in log space, so only a true
+    overflow reads as inf.  It is exactly 0 when no member lies past R.
     """
     if cls.group != op.group:
         raise PreconditionError("class and operator live over different groups")
@@ -963,40 +910,24 @@ def class_trace(op: EquivariantOperator, f: SchwartzFunction,
         M = element.coeffs.get(g)
         if M is not None:
             value += complex(np.trace(M))
-    # the ball exhausts the group iff the next shell is empty
-    exhausted = len(op.group.ball(R + 1)) == len(op.group.ball(R))
-    if exhausted:
-        tail = 0.0
-        diagnostics = {"exhausted": True}
-    elif op.group.is_abelian:
-        # singleton class: either fully inside the ball (tail exactly 0)
-        # or one dropped member controlled by the decay envelope
-        l_h = cls.minimal_length()
-        if l_h <= R:
-            tail = 0.0
-        else:
-            C_ker = kernel_decay_constant(element, f, op.c_d)
-            tail = C_ker * decay_envelope(f, l_h / (DEFAULT_MU * op.c_d))
-        diagnostics = {"exhausted": False, "class_exhausted": l_h <= R}
+    band, rate = op.band, cls.growth_rate
+    # -inf at any convergent rate iff the ball holds the whole class; a
+    # band of 0 leaves f(D) on the identity
+    if band == 0 or cls.log_tail_sum(R, rate + 1.0) == -math.inf:
+        tail, diagnostics = 0.0, {"exhausted": True}
     else:
-        C_ker = kernel_decay_constant(element, f, op.c_d)
-        counts = cls.shell_counts(R + 400)
-        tail, prev_term, small = 0.0, math.inf, True
-        for n in range(R + 1, R + 401):
-            if not counts[n]:
-                continue
-            term = counts[n] * C_ker * decay_envelope(
-                f, n / (DEFAULT_MU * op.c_d))
-            tail += term
-            rose = term > prev_term and term > tol
-            small = not rose and term < 1e-18 * max(1.0, abs(value))
-            if rose or small:
-                break
-            prev_term = term
-        if not small:
-            tail = math.inf
-        diagnostics = {"exhausted": False, "kernel_constant": C_ker,
-                       "class_rate": cls.growth_rate}
+        lo, hi = op.spectral_hull()
+
+        def log_tail(s):
+            return (math.log(2.0 * op.dim) + f.log_ellipse_sup(lo, hi, s)
+                    - math.log(-math.expm1(-s))
+                    + cls.log_tail_sum(R, s / band))
+
+        log_bound, s = _golden_min(log_tail, band * rate,
+                                   band * rate + _ELLIPSE_LOG_RHO_SPAN)
+        tail = math.exp(log_bound) if log_bound < 709.0 else math.inf
+        diagnostics = {"exhausted": False, "rho": math.exp(s),
+                       "hull": [lo, hi], "class_rate": rate}
     if strict and not (tail <= tol):
         raise CertificateError(
             "class-trace-tail",

@@ -1,10 +1,9 @@
 """QUADPACK's adaptive Gauss-Kronrod quadrature with epsilon extrapolation.
 
 A port of the netlib Fortran of QAGS (``dqagse`` with the 21-point rule
-``dqk21``) and of QAGI for [a, inf) (the same loop with the 15-point rule
-``dqk15i`` on the transformed range (0, 1]), with ``dqpsrt`` (the sorted
-error list) and ``dqelg`` (Wynn's epsilon algorithm); Piessens,
-de Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*, Springer 1983.
+``dqk21``) for a finite interval, with ``dqpsrt`` (the sorted error list)
+and ``dqelg`` (Wynn's epsilon algorithm); Piessens, de Doncker-Kapenga,
+Ueberhuber & Kahaner, *QUADPACK*, Springer 1983.
 
 Statements and sums keep the Fortran order, so value and error estimate are
 bit-identical to other faithful builds of QUADPACK (SciPy's ``quad`` is
@@ -24,7 +23,7 @@ EPMACH = 2.0 ** -52
 UFLOW = 2.2250738585072014e-308
 OFLOW = sys.float_info.max
 
-# A rule is (xgk, wgk, wg, order): the Kronrod abscissae (centre last) and
+# The rule is (xgk, wgk, wg, order): the Kronrod abscissae (centre last) and
 # weights, the Gauss weight at each abscissa (None off the Gauss nodes) and
 # the order in which the Fortran visits the symmetric pairs.  The netlib
 # constants are written as the shortest decimals of the same doubles.
@@ -40,22 +39,13 @@ QK21 = ((0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
          0.21908636251598204, None, 0.26926671930999635, None,
          0.29552422471475287, None),
         (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))  # Gauss pairs first, then Kronrod
-QK15 = ((0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
-         0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
-         0.20778495500789848, 0.0),
-        (0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
-         0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
-         0.20443294007529889, 0.20948214108472782),
-        (0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0,
-         0.3818300505051189, 0.0, 0.4179591836734694),
-        range(7))
 
 
-def _qk(g, a, b, rule):
-    """dqk21 / dqk15i on [a, b]: (result, abserr, resabs, resasc).  The
-    centre is sampled alone, then each symmetric pair in the Fortran's
-    order, lower node first, by one ``g.pair(x1, x2)`` if ``g`` has one."""
-    xgk, wgk, wg, order = rule
+def _qk(g, a, b):
+    """dqk21 on [a, b]: (result, abserr, resabs, resasc).  The centre is
+    sampled alone, then each symmetric pair in the Fortran's order, lower
+    node first, by one ``g.pair(x1, x2)`` if ``g`` has one."""
+    xgk, wgk, wg, order = QK21
     n = len(xgk) - 1
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
@@ -184,38 +174,30 @@ def _qelg(n, epstab, res3la, nres):
 
 
 def quad(f, a, b, *, epsabs, epsrel, limit):
-    """``(value, abserr)`` of the integral of ``f`` over [a, b], b <= inf.
+    """``(value, abserr)`` of the integral of ``f`` over a finite [a, b].
 
-    dqagse for a finite ``b`` and dqagie with ``inf = 1`` for ``b = inf``,
-    on at most ``limit`` subintervals.  As in QUADPACK, a run that stops on
+    dqagse on at most ``limit`` subintervals.  As in QUADPACK, a run that stops on
     the limit, on roundoff or on divergence returns its best estimate.
     """
     if epsabs <= 0.0 and epsrel < max(50.0 * EPMACH, 5e-29):
         raise PreconditionError(f"quadrature tolerance epsabs={epsabs!r}, "
                                 f"epsrel={epsrel!r} cannot be reached")
-    if limit < 1 or not (math.isfinite(a) and a <= b):
-        raise PreconditionError(f"quadrature needs a finite a <= b and "
+    if limit < 1 or not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise PreconditionError(f"quadrature needs finite a <= b and "
                                 f"limit >= 1, got a={a!r}, b={b!r}, "
                                 f"limit={limit!r}")
-    if b == math.inf:
-        lo, hi, rule = 0.0, 1.0, QK15
 
-        def g(t):  # x = a + (1 - t)/t maps (0, 1] onto [a, inf)
-            return (float(f(a + (1.0 - t) / t)) / t) / t
-    else:
-        lo, hi, rule = a, b, QK21
-
-        def g(x):
-            return float(f(x))
-        if hasattr(f, "pair"):
-            g.pair = lambda x1, x2: tuple(map(float, f.pair(x1, x2)))
-    result, abserr, defabs, resabs = _qk(g, lo, hi, rule)
+    def g(x):
+        return float(f(x))
+    if hasattr(f, "pair"):
+        g.pair = lambda x1, x2: tuple(map(float, f.pair(x1, x2)))
+    result, abserr, defabs, resabs = _qk(g, a, b)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     if (abserr <= 100.0 * EPMACH * defabs and abserr > errbnd) or limit == 1 \
             or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr
-    alist, blist = [0.0, lo] + [0.0] * limit, [0.0, hi] + [0.0] * limit
+    alist, blist = [0.0, a] + [0.0] * limit, [0.0, b] + [0.0] * limit
     rlist, elist = [0.0, result] + [0.0] * limit, [0.0, abserr] + [0.0] * limit
     iord = [0, 1] + [0] * limit
     rlist2, res3la = [0.0, result] + [0.0] * 51, [0.0] * 4
@@ -230,8 +212,8 @@ def quad(f, a, b, *, epsabs, epsrel, limit):
         a1, b2 = alist[maxerr], blist[maxerr]
         a2 = b1 = 0.5 * (alist[maxerr] + blist[maxerr])
         erlast = errmax
-        area1, error1, _, defab1 = _qk(g, a1, b1, rule)
-        area2, error2, _, defab2 = _qk(g, a2, b2, rule)
+        area1, error1, _, defab1 = _qk(g, a1, b1)
+        area2, error2, _, defab2 = _qk(g, a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -268,7 +250,7 @@ def quad(f, a, b, *, epsabs, epsrel, limit):
         if ier:
             break
         if last == 2:
-            small, erlarg, ertest = abs(hi - lo) * 0.375, errsum, errbnd
+            small, erlarg, ertest = abs(b - a) * 0.375, errsum, errbnd
             rlist2[2] = area
             continue
         if noext:

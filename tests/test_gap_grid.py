@@ -294,11 +294,14 @@ def test_calculus_spectrum_equals_the_whole_box_ifftn(make, n):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("make", [two_band_chern_symbol,
-                                  anisotropic_symbol_3d])
+@pytest.mark.parametrize("make", [
+    two_band_chern_symbol, anisotropic_symbol_3d,
+    pytest.param(lambda: two_band_chern_symbol(1.9),
+                 id="two_band_chern_symbol_m1.9")])
 def test_fixture_certificate_peaks_below_8_mb(make):
-    # the whole 1024^2 (two_band) and 128^3 (anisotropic3d) grids of
-    # complex channels would take 16.8 MB and 33.6 MB each
+    # two_band stops at 256^2 at m = 1 but climbs to 1024^2 at m = 1.9 (gap
+    # 0.1), where a whole grid of complex channels would take 16.8 MB per
+    # channel; the 128^3 grid of anisotropic3d would take 33.6 MB
     op = make()
     tracemalloc.start()
     try:

@@ -1,4 +1,5 @@
-"""No function in ``src/etalab`` goes without a caller in ``src/etalab``.
+"""No function or module constant in ``src/etalab`` goes without a reader
+in ``src/etalab``.
 
 An AST scan: every top-level function and every non-dunder method of
 ``src/etalab/*.py`` must be used somewhere in the package, outside its own
@@ -7,7 +8,9 @@ string constant (for ``getattr``); a top-level function also through a bare
 name or an import alias.  So a method that shares its spelling with a local
 variable is still flagged.  The re-exports of ``__init__.py`` do not count
 as uses, and neither do the tests: an oracle that only a test calls belongs
-in that test.  Methods of the same name share their uses.
+in that test.  Methods of the same name share their uses.  Likewise every
+module-level UPPER_CASE name must be loaded (as a bare name or an attribute)
+somewhere in the package outside its own assignment.
 """
 
 from __future__ import annotations
@@ -55,14 +58,20 @@ def _uses(tree: ast.Module, imports: bool):
                 yield "name", alias.name.rsplit(".", 1)[-1], node.lineno
 
 
-def uncalled(sources: dict | None = None) -> list:
-    """``module:qualified name`` of every definition that nothing outside its
-    own body uses, over ``{module: source}`` (``src/etalab`` by default)."""
+def _trees(sources: dict | None) -> dict:
+    """``{module: AST}`` of ``{module: source}``, ``src/etalab`` by
+    default."""
     if sources is None:
         sources = {path.stem: path.read_text()
                    for path in sorted(SRC.glob("*.py"))}
-    trees = {module: ast.parse(text, module)
-             for module, text in sources.items()}
+    return {module: ast.parse(text, module)
+            for module, text in sources.items()}
+
+
+def uncalled(sources: dict | None = None) -> list:
+    """``module:qualified name`` of every definition that nothing outside its
+    own body uses, over ``{module: source}`` (``src/etalab`` by default)."""
+    trees = _trees(sources)
     uses = {}
     for module, tree in trees.items():
         for kind, name, line in _uses(tree, imports=module != "__init__"):
@@ -78,6 +87,33 @@ def uncalled(sources: dict | None = None) -> list:
                        for m, line in uses.get((kind, node.name), ())):
                 dead.append(f"{module}:{qualname}")
     return dead
+
+
+def unread_constants(sources: dict | None = None) -> list:
+    """``module:NAME`` of every module-level UPPER_CASE name that no bare
+    name or attribute loads outside its own assignment, over ``{module:
+    source}`` (``src/etalab`` by default)."""
+    trees = _trees(sources)
+    loads = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else None)
+            if name is not None and isinstance(node.ctx, ast.Load):
+                loads.setdefault(name, []).append((module, node.lineno))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            body = range(node.lineno, node.end_lineno + 1)
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            for name in (n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name) and n.id.isupper()):
+                if not any(m != module or line not in body
+                           for m, line in loads.get(name, ())):
+                    unread.append(f"{module}:{name}")
+    return unread
 
 
 def test_every_function_has_a_caller_in_the_package():
@@ -110,3 +146,25 @@ def main():
 ENTRY = main
 """
     assert uncalled({"model": source}) == ["model:Element.zero"]
+
+
+def test_every_module_constant_is_read_in_the_package():
+    assert not unread_constants(), "never read in src/etalab: " + ", ".join(
+        unread_constants())
+
+
+def test_a_constant_that_is_only_stored_is_flagged():
+    source = """
+SCALE = 2.0
+LIMIT = SCALE * 10
+STEPS: int = 3
+UNUSED = [len(UNUSED)]
+lower = 1
+
+
+def run(x):
+    STEPS = 4
+    return x.SCALE, [LIMIT] * lower
+"""
+    assert unread_constants({"model": source}) == ["model:STEPS",
+                                                   "model:UNUSED"]

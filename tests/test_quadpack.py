@@ -7,8 +7,7 @@ with c at, near or just outside an endpoint, or at the midpoint (where
 both halves of a bisection carry equal errors, so the ordering of ties in
 the error list matters).  These drive the epsilon extrapolation, the
 roundoff flags and the subdivision limit; a fixed list of named cases makes
-sure that every exit of the QUADPACK loop is taken on both the finite and
-the semi-infinite interval.
+sure that every exit of the QUADPACK loop is taken.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from etalab.quadpack import EPMACH, quad
 SETTINGS = dict(derandomize=True, database=None, deadline=None)
 
 #: (epsabs, epsrel): epsabs = 0, then the pairs etalab passes (the eta legs
-#: at tol / 4 with the default relative 1e-10, the loop integral, and the
-#: Gaussian tail integral at SciPy's defaults).
+#: at tol / 4 with the default relative 1e-10 and the loop integral), and
+#: SciPy's defaults.
 TOLERANCES = ((0.0, 1e-13), (0.0, 1e-10), (2.5e-11, 1e-10), (2.5e-7, 1e-10),
               (1e-12, 1e-13), (1.49e-8, 1.49e-8))
 LIMITS = (1, 2, 5, 10, 50, 200)
@@ -85,7 +84,7 @@ PLACES = ("a", "a+", "a-", "b", "b-", "mid", "inside")
 
 
 def special_point(place, a, b, u):
-    width = b - a if math.isfinite(b) else 1.0
+    width = b - a
     return {"a": a, "a+": a + width * 1e-9, "a-": a - width * 1e-3,
             "b": b, "b-": b - width * 1e-9, "mid": 0.5 * (a + b),
             "inside": a + u * width}[place]
@@ -112,20 +111,6 @@ def test_finite_interval_is_bit_identical(a, width, kind, place, u, p, w,
     assert_bit_identical(f, a, b, *tolerance, limit)
 
 
-@settings(max_examples=120, **SETTINGS)
-@given(a=st.floats(-3.0, 3.0), decay=st.sampled_from((0.6, 1.0, 2.0)),
-       **common)
-def test_half_line_is_bit_identical(a, decay, kind, place, u, p, w,
-                                    tolerance, limit):
-    c = special_point(place if place in ("a", "a+", "a-") else "inside",
-                      a, math.inf, u)
-    g = integrand(kind, c, -6.0 + 5.0 * u if kind == "peaked" else p, w)
-
-    def f(x):
-        return g(x) / (1.0 + x * x) ** decay
-    assert_bit_identical(f, a, math.inf, *tolerance, limit)
-
-
 #: One case for every exit of the loop, as SciPy's ``ier`` reports it:
 #: 0 converged, 1 limit, 2 roundoff, 3 bad integrand behaviour (a too small
 #: interval), 4 roundoff in the extrapolation table, 5 divergence.
@@ -136,23 +121,12 @@ NAMED = {
     (3, "finite"): (power(1e-3, -0.99), 1.0, 200, (0.0, 1e-13)),
     (4, "finite"): (power(1e-9, -0.99), 1.0, 50, (0.0, 1e-13)),
     (5, "finite"): (peaked(0.0, 1e-6), 1.0, 50, (0.0, 1e-13)),
-    (0, "half-line"): (power(0.0, -0.99), math.inf, 50, (1.49e-8, 1.49e-8)),
-    (1, "half-line"): (power(0.0, -0.99), math.inf, 5, (0.0, 1e-13)),
-    (2, "half-line"): (log_abs(0.0), math.inf, 5, (0.0, 1e-13)),
-    (3, "half-line"): (log_abs(1e-9), math.inf, 200, (0.0, 1e-13)),
-    (4, "half-line"): (power(0.0, -0.99), math.inf, 50, (0.0, 1e-13)),
-    (5, "half-line"): (power(0.0, 1.5), math.inf, 50, (0.0, 1e-13)),
 }
-
-
-def half_line(g):
-    return lambda x: g(x) / (1.0 + x * x)
 
 
 @pytest.mark.parametrize("ier, domain", sorted(NAMED))
 def test_every_exit_of_the_loop_is_bit_identical(ier, domain):
-    g, b, limit, (epsabs, epsrel) = NAMED[ier, domain]
-    f = g if domain == "finite" else half_line(g)
+    f, b, limit, (epsabs, epsrel) = NAMED[ier, domain]
     out = scipy_quad(f, 0.0, b, epsabs, epsrel, limit, full_output=1)
     messages = {1: "maximum number", 2: "occurrence of roundoff",
                 3: "Extremely bad", 4: "does not converge",
@@ -201,7 +175,7 @@ def test_unreachable_tolerance_is_a_precondition_error():
 
 @pytest.mark.parametrize("a, b, limit", [
     (1.0, 0.0, 50), (-math.inf, 0.0, 50), (math.nan, 1.0, 50),
-    (0.0, math.nan, 50), (0.0, 1.0, 0)])
+    (0.0, math.nan, 50), (0.0, math.inf, 50), (0.0, 1.0, 0)])
 def test_bad_interval_or_limit_is_a_precondition_error(a, b, limit):
     with pytest.raises(PreconditionError):
         quad(math.exp, a, b, epsabs=1e-10, epsrel=1e-10, limit=limit)
