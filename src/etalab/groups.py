@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import string
-import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,7 +59,6 @@ class GroupModel:
 
     def __init__(self):
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     # -- core operations (subclass responsibility) --------------------------
 
@@ -127,14 +125,12 @@ class GroupModel:
         if radius < 0:
             return []
         key = ("ball", radius)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
+        if key in self._cache:
+            return self._cache[key]
         elements = self._enumerate_ball(radius, budget)
         self._check_budget(len(elements), budget, f"ball(radius={radius}) on {self!r}")
         elements.sort(key=lambda g: (self.word_length(g), self.sort_key(g)))
-        with self._lock:
-            self._cache[key] = elements
+        self._cache[key] = elements
         return elements
 
     def sphere(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> list:
@@ -731,16 +727,14 @@ class ConjugacyClass:
     def elements_within(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> list:
         """Class members of word length <= radius, deterministically ordered."""
         key = ("class_elems", self.representative, radius)
-        with self.group._lock:
-            if key in self.group._cache:
-                return self.group._cache[key]
+        if key in self.group._cache:
+            return self.group._cache[key]
         if self.group.is_abelian:
             members = ([self.representative]
                        if self.group.word_length(self.representative) <= radius else [])
         else:
             members = [g for g in self.group.ball(radius, budget) if self.contains(g)]
-        with self.group._lock:
-            self.group._cache[key] = members
+        self.group._cache[key] = members
         return members
 
     def shell_counts(self, radius: int) -> list:

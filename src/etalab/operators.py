@@ -17,7 +17,7 @@ operators ``D`` acting on ``l^2(G) (x) C^m``:
   supported Hermitian convolution kernel.  A weighted Schur test puts spec D
   within ``b`` of the eigenvalues ``mu`` of ``A_e``: the gap certificate is
   ``min |mu| - b``, and ``f(D)`` is an adaptive Chebyshev series on the hull
-  run through a sparse truncation, certified by the sup error plus a
+  over moments kept per ball truncation, certified by the sup error plus a
   finite-propagation bound on the truncation.
 
 :class:`SchwartzFunction` carries the fixed catalogue of spectral functions
@@ -38,13 +38,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-# scipy.sparse (the free-group truncation) is imported at its call sites so
-# that commands which never use it do not load it; the loop unitary's erf is
-# the NumPy rational approximation :func:`_erf`.
 from .cyclic import _fast_len
 from .errors import (
     CertificateError,
@@ -64,10 +61,14 @@ from .groups import (
 HERMITIAN_TOL = 1e-12
 _GRID_CAPS = {1: 1 << 16, 2: 1 << 10, 3: 1 << 7}  # symbol gap grid, by rank
 _GAP_SLAB = 1 << 14  # grid points per column slab of the symbol gap minimum
+_GAP_START_NODES = 64  # symbol gap grid: first level, per axis
 _CALCULUS_MAX_NODES = 400  # symbol calculus grid, per axis
 _ROUNDING_ULPS = 4  # rounding floors: ulps per FFT level, per cover dimension
 _CHEB_START_DEGREE = 16  # free-kernel Chebyshev degree ladder
 _CHEB_MAX_DEGREE = 512
+_TRUNCATION_PAD = 8  # free-kernel truncation radius: R + pad, capped
+_MAX_TRUNCATION = 12
+_TRUNCATION_BUDGET = 4_000_000  # words in a free-kernel truncation
 _COVER_ZERO_TOL = 1e-10  # cover gap: |eigenvalue| / scale counted as 0
 # free-kernel Schur enclosure: log rho bracket, rounding allowance
 _SCHUR_LOG_RHO_MIN = -16.0
@@ -481,7 +482,7 @@ class FourierSymbolOperator(EquivariantOperator):
                                 {"levels": levels, "f": f.tag, "t": f.t})
         return self._finish(result, strict)
 
-    def gap_certificate(self, *, start_nodes: int = 64) -> GapCertificate:
+    def gap_certificate(self) -> GapCertificate:
         """Certified lower bound on ``min_theta min |eig D(theta)|``.
 
         For a unit vector ``v``, ``<v, D(theta)^2 v>`` is a real trigonometric
@@ -491,7 +492,7 @@ class FourierSymbolOperator(EquivariantOperator):
         less ``(2 pi/n)^2/8 sum_k Q_k``.  Taking ``v`` an eigenvector of the
         least eigenvalue of ``D(theta)^2`` gives ``gap^2 >= grid_min^2 -
         slack`` for any block size: no eigenvalue need be smooth, simple or
-        separated.  ``n`` doubles from ``start_nodes`` until two positive
+        separated.  ``n`` doubles from ``_GAP_START_NODES`` until two positive
         levels agree to 1e-3 relative or ``n`` reaches ``_GRID_CAPS`` (2^16,
         2^10, 2^7 by rank, then 32).  A level builds only the hyperplanes
         ``g_0 mod n`` that carry coefficients and transforms axis 0 last, on
@@ -502,7 +503,7 @@ class FourierSymbolOperator(EquivariantOperator):
         curvature = sum(sum(x * x for x in g) * nb
                         for g, nb in _block_norms(square).items())
         cap = _GRID_CAPS.get(self.rank, 32)
-        n = min(start_nodes, cap)
+        n = min(_GAP_START_NODES, cap)
         prev_cert = -math.inf
         history = []
         while True:
@@ -682,7 +683,7 @@ def chebyshev_fit(f: SchwartzFunction, lo: float, hi: float, degree: int):
 
 class FreeConvolutionOperator(EquivariantOperator):
     """Finitely supported Hermitian convolution kernel on a free group,
-    computed through sparse truncations of the left-convolution action."""
+    computed on ball truncations of the left-convolution action."""
 
     backend = "free_convolution"
 
@@ -691,7 +692,7 @@ class FreeConvolutionOperator(EquivariantOperator):
             raise PreconditionError(
                 "free convolution models require a free group")
         super().__init__(element)
-        self._trunc_cache = {}
+        self._moment_cache = {}
 
     @cached_property
     def enclosure(self) -> tuple:
@@ -722,49 +723,62 @@ class FreeConvolutionOperator(EquivariantOperator):
         mu, b, _ = self.enclosure
         return float(mu.min()) - b, float(mu.max()) + b
 
-    def truncated_matrix(self, radius: int, budget: int = 4_000_000):
-        """(sparse matrix, ball, index) for D acting on the span of the
-        ball, kernel M[x, y] = A(x y^-1)."""
-        from scipy import sparse
+    def _tables(self, radius: int) -> np.ndarray:
+        """Row ``rank + s`` maps x to ``s x`` on ball(radius), or to the
+        outside row N; row ``rank`` is the identity.  Breadth first, shell n
+        + 1 lists, letter by letter, the ``s x`` of shell n not yet listed."""
+        r = self.group.rank
+        n = 1 + 2 * r * sum((2 * r - 1) ** k for k in range(radius))
+        self.group._check_budget(n, _TRUNCATION_BUDGET, f"ball({radius})")
+        steps = np.full((2 * r + 1, n + 1), n)
+        steps[r], lo, hi = np.arange(n + 1), 0, 1
+        for _ in range(radius):
+            ss, xs = np.nonzero(steps[:, lo:hi] == n)
+            kids = np.arange(hi, hi + len(xs))
+            steps[ss, xs + lo] = kids
+            steps[2 * r - ss, kids] = xs + lo
+            lo, hi = hi, hi + len(xs)
+        return steps
 
-        if radius in self._trunc_cache:
-            return self._trunc_cache[radius]
-        group, m = self.group, self.dim
-        ball = group.ball(radius, budget=budget)
-        index = {g: i for i, g in enumerate(ball)}
-        rows, cols, data = [np.arange(0)], [np.arange(0)], [np.zeros(0)]
-        for g, A in zip(self.element.keys, self.element.blocks):
-            a, b = np.array([(index[x], j) for j, y in enumerate(ball)
-                             if (x := group.multiply(g, y)) in index],
-                            dtype=int).reshape(-1, 2).T
-            i, j = np.nonzero(A)
-            rows.append((a[:, None] * m + i).ravel())
-            cols.append((b[:, None] * m + j).ravel())
-            data.append(np.tile(A[i, j], len(a)))
-        n = len(ball) * m
-        mat = sparse.csr_matrix((np.concatenate(data).astype(complex), (
-            np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-        self._trunc_cache[radius] = (mat, ball, index)
-        return self._trunc_cache[radius]
+    def _moments(self, radius: int, R: int):
+        """Yield ``T_k(X) e`` on ball(R), k = 0, 1, ..., by ``T_(k+1) = 2 X
+        T_k - T_(k-1)`` on ball(radius), ``X = (D - mid) / half`` on the
+        hull.  ``X`` gathers along ``g^-1`` through the outside row, kept 0,
+        exactly: a reduced word that leaves the ball never comes back."""
+        lo, hi = self.spectral_hull()
+        half, shift = 0.5 * (hi - lo), (lo + hi) / (hi - lo)
+        steps, r, m = self._tables(radius), self.group.rank, self.dim
+
+        def walk(word, x):  # the rows of word x
+            return reduce(lambda y, s: steps[r + s, y], word[::-1], x)
+
+        rows = [walk(w, 0) for w in self.group.ball(R)]
+        gathers = [walk(self.group.inverse(g), steps[r])
+                   for g in self.element.keys]
+        prev, cur, c = 0.0, np.zeros((m, steps.shape[1], m), complex), 1.0
+        cur[:, 0] = np.eye(m)  # cur[i, x, k]: entry (i, k) of block x
+        while True:
+            yield cur[:, rows].transpose(1, 0, 2)
+            out = -shift * cur
+            for A, idx in zip(self.element.blocks / half, gathers):
+                for i, j in zip(*np.nonzero(A)):
+                    out[i] += A[i, j] * cur[j, idx]
+            prev, cur, c = cur, c * out - prev, 2.0
 
     def functional_calculus(self, f: SchwartzFunction, R: int,
                             tol: float = 1e-10, *,
-                            strict: bool = True,
-                            truncation_pad: int = 8,
-                            max_truncation: int = 12) -> CalculusResult:
-        """Chebyshev series of ``f`` on :meth:`spectral_hull`, run
-        by Clenshaw on the radius-truncated action.  Compressions keep their
-        spectrum in that hull, so truncation moves ``T_k`` by at most 2, and
-        not at all for ``k <= K``: no path of ``K`` steps from e to
-        ``ball(R)`` leaves the ball.  The error adds ``2 sum_{k>K} |c_k|``
-        and ``f.evaluation_error``."""
-        from scipy import sparse
-
+                            strict: bool = True) -> CalculusResult:
+        """Chebyshev series of ``f`` on :meth:`spectral_hull`, summed over
+        :meth:`_moments`, kept per ``(radius, R)`` and run on when a call
+        needs a higher degree (the kernel polynomial method, Weisse et al.,
+        Rev. Mod. Phys. 78, 2006).  Compressions keep their spectrum in that
+        hull, so truncation moves ``T_k`` by at most 2, and not at all for
+        ``k <= K``: no path of ``K`` steps from e to ball(R) leaves the ball.
+        The error adds ``2 sum_{k>K} |c_k|`` and ``f.evaluation_error``."""
         self._check_radius(R)
-        if max_truncation < R + 4:
+        if _MAX_TRUNCATION < R + 4:
             raise PreconditionError(
-                "free-convolution calculus needs truncation headroom "
-                f"max_truncation >= R + 4 (R={R}, got {max_truncation})")
+                f"free-kernel truncation needs R <= {_MAX_TRUNCATION - 4}")
         lo, hi = self.spectral_hull()
         degree = _CHEB_START_DEGREE
         while True:
@@ -772,24 +786,14 @@ class FreeConvolutionOperator(EquivariantOperator):
             if sup_err <= 0.05 * tol or degree >= _CHEB_MAX_DEGREE:
                 break
             degree = int(math.ceil(degree * 1.5))
-        pad = max(truncation_pad, 4)
-        radius = min(max(R + pad, R + self.band), max_truncation)
-        mat, _, index = self.truncated_matrix(radius)
-        X = (mat - 0.5 * (lo + hi) * sparse.identity(mat.shape[0])) \
-            / (0.5 * (hi - lo))
-        m = self.dim
-        e = np.zeros((mat.shape[0], m), dtype=complex)
-        e[index[self.group.identity] * m + np.arange(m), np.arange(m)] = 1.0
-        b_next = np.zeros_like(e)
-        b_cur = np.zeros_like(e)
-        for c in coeffs[:0:-1]:
-            b_prev = 2.0 * (X @ b_cur) - b_next + c * e
-            b_next, b_cur = b_cur, b_prev
-        cols = (X @ b_cur) - b_next + coeffs[0] * e
-        ball = self.group.ball(R)
+        radius = min(max(R + _TRUNCATION_PAD, R + self.band), _MAX_TRUNCATION)
+        moments, run = self._moment_cache.setdefault(
+            (radius, R), ([], self._moments(radius, R)))
+        while len(moments) <= degree:
+            moments.append(next(run))
         element = AlgebraElement._from_stack(
-            self.group, m, ball,
-            cols.reshape(-1, m, m)[[index[g] for g in ball]])
+            self.group, self.dim, self.group.ball(R),
+            np.tensordot(coeffs, np.stack(moments[:degree + 1]), 1))
         K = (2 * radius + 1 - R) // self.band if self.band else degree
         trunc_err = 2.0 * float(np.abs(coeffs[K + 1:]).sum())
         error = sup_err + trunc_err + f.evaluation_error

@@ -39,6 +39,8 @@ from .groups import CyclicGroup, FreeAbelianGroup
 from .operators import FourierSymbolOperator, two_band_chern_symbol
 from .quadpack import quad
 
+_CLOSURE_TOL = 1e-12  # boundary loop: start defect at t = 0
+
 
 def scalar_loop_integral(m: int) -> float:
     """``int_0^1 (2 - 2 cos 2 pi s)^m ds`` by adaptive quadrature.
@@ -76,8 +78,8 @@ class BoundaryLoop:
     certificate: dict
 
     @classmethod
-    def build(cls, p: Idempotent, grid=None, tol: float = 1e-10,
-              closure_tol: float = 1e-12) -> "BoundaryLoop":
+    def build(cls, p: Idempotent, grid=None,
+              tol: float = 1e-10) -> "BoundaryLoop":
         """Certify the loop on a grid that always contains the start point.
 
         The inverse of ``1 + c p`` is ``1 + conj(c) p``, so the defect
@@ -85,7 +87,7 @@ class BoundaryLoop:
         ``(c + conj(c)) p + |c|^2 p^2``: ``|c(t)|^2`` times the idempotency
         defect (at most four times it), certified against ``tol``; the
         closure at t = 0, where the coefficient nearly vanishes, is held to
-        the much tighter ``closure_tol``.
+        the much tighter ``_CLOSURE_TOL``.
         """
         grid = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9) if grid is None \
             else (0.0,) + tuple(g for g in grid if g != 0.0)
@@ -101,9 +103,9 @@ class BoundaryLoop:
             bad = max(defects, key=defects.get)
             raise PreconditionError(
                 f"loop inverse defect {worst:.3e} > {tol:.1e} at t={bad}")
-        if defects[0.0] > closure_tol:
+        if defects[0.0] > _CLOSURE_TOL:
             raise PreconditionError(
-                f"loop start defect {defects[0.0]:.3e} > {closure_tol:.1e}; "
+                f"loop start defect {defects[0.0]:.3e} > {_CLOSURE_TOL:.1e}; "
                 "the loop does not close at the unit within tolerance")
         return cls(p, {"max_defect": worst, "samples": defects})
 

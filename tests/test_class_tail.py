@@ -33,6 +33,7 @@ from etalab.operators import (
     lattice_laplace_symbol,
     wilson_symbol,
 )
+from test_operators import truncation
 
 GAUSSIAN = ("gauss", "xgauss", "udot_uinv")
 SCALES = (0.25, 0.5, 1.0, 2.0)
@@ -158,8 +159,8 @@ def test_class_tail_dominates_the_partial_sum(word, tag):
                       for g in cls.elements_within(R + 4))
     for t in (0.25, 1.0, 2.0):
         f = SchwartzFunction(tag, t)
-        calc = op.functional_calculus(f, R, 1e-6, strict=False,
-                                      truncation_pad=4, max_truncation=R + 4)
+        with truncation(4, R + 4):
+            calc = op.functional_calculus(f, R, 1e-6, strict=False)
         ct = class_trace(op, f, cls, R, calculus=calc)
         partial = sum(count * tree_coefficient(f, n)
                       for n, count in lengths.items() if n > R)
@@ -172,8 +173,8 @@ def test_free_group_tail_is_finite_at_large_scale():
     op = free_group_model()
     f = SchwartzFunction("xgauss", 8.0)
     cls = ConjugacyClass(op.group, op.group.element_from_text("a"))
-    calc = op.functional_calculus(f, 3, 1e-6, strict=False,
-                                  truncation_pad=4, max_truncation=7)
+    with truncation(4, 7):
+        calc = op.functional_calculus(f, 3, 1e-6, strict=False)
     ct = class_trace(op, f, cls, 3, calculus=calc)
     assert 1e100 < ct.tail_bound < math.inf
     with pytest.raises(CertificateError):

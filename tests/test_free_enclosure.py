@@ -35,6 +35,7 @@ from etalab.operators import (
     _dense_truncation_eig,
     free_group_model,
 )
+from test_operators import truncation
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=300)
@@ -183,9 +184,8 @@ def tree_kernel(f: SchwartzFunction, n: int) -> float:
 def test_fixture_calculus_error_covers_the_tree_kernel(t, radius):
     op = free_group_model()
     f = SchwartzFunction("gauss", t)
-    res = op.functional_calculus(f, 2, 1e-10, strict=False,
-                                 truncation_pad=radius - 2,
-                                 max_truncation=radius)
+    with truncation(radius - 2, radius):
+        res = op.functional_calculus(f, 2, 1e-10, strict=False)
     assert res.diagnostics["truncation_radius"] == radius
     for word in [(), (1,), (1, 2)]:
         value = res.element.coeffs[word][0, 0].real
@@ -206,8 +206,7 @@ def test_chain_truncation_bound_holds_at_the_edge_degree(radius):
     # weight 1/2, so a degree cutoff one above K drops the leading error
     op = uniform_hop(1, [0.0], 1.0)
     f = SchwartzFunction("gauss", 1.0)
-    res = op.functional_calculus(f, 2, 1e-13, strict=False,
-                                 truncation_pad=radius - 2,
-                                 max_truncation=radius)
+    with truncation(radius - 2, radius):
+        res = op.functional_calculus(f, 2, 1e-13, strict=False)
     value = res.element.coeffs[(1, 1)][0, 0].real
     assert abs(value - chain_kernel(f, 2)) <= res.error

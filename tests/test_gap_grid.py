@@ -128,8 +128,9 @@ def curvature_sum(op: FourierSymbolOperator) -> float:
 
 
 def certify(op: FourierSymbolOperator, start: int):
-    with mock.patch.dict(operators._GRID_CAPS, SMALL_CAPS):
-        return op.gap_certificate(start_nodes=start)
+    with mock.patch.dict(operators._GRID_CAPS, SMALL_CAPS), \
+            mock.patch.object(operators, "_GAP_START_NODES", start):
+        return op.gap_certificate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Start-up cost and per-operator caches.
 
-The only scipy package left, ``scipy.sparse``, is imported where the
-free-group truncation calls it, so the Z^d and cover commands (``gap``,
-``norms``, ``cocycle-check``, the higher eta) run without loading any scipy,
-and ``ETALAB_THREADS`` reaches the environment before NumPy's BLAS reads it.
+``src/etalab`` imports no scipy, so no command and no backend, the F_r
+calculus included, loads any scipy module, and ``ETALAB_THREADS`` reaches
+the environment before NumPy's BLAS reads it.
 ``FourierSymbolOperator`` builds the f-independent spectral data of its
 symbol once per grid size, and cuts the word-length ball out of
 the coefficient box in one array operation.  The cached and vectorised
@@ -71,12 +70,25 @@ def test_commands_that_never_integrate_load_no_scipy():
 
 
 def test_free_gap_loads_only_the_sparse_package():
-    # The weighted Schur enclosure needs no sparse matrix either, so the
-    # free-group certificate now loads no scipy package at all.
+    # The weighted Schur enclosure needs no sparse matrix, and no module of
+    # src imports scipy, so the free-group certificate loads none at all.
     mods = loaded_scipy("gap operator.kind=free")
     subpackages = {m.split(".")[1] for m in mods if "." in m}
     assert not subpackages - {"sparse"}
     assert mods == []
+
+
+def test_free_group_calculus_loads_no_scipy():
+    # the F_r calculus gathers along integer neighbour tables, without
+    # scipy.sparse
+    code = ("import json, sys\n"
+            "from etalab.operators import SchwartzFunction, free_group_model\n"
+            "res = free_group_model().functional_calculus(\n"
+            "    SchwartzFunction('gauss', 1.0), 2, 1e-4)\n"
+            "assert res.converged and len(res.element.keys) == 17\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'scipy')))")
+    assert json.loads(run_python(code)) == []
 
 
 def test_scalar_lattice_pairing_loads_no_signal_package():

@@ -5,7 +5,7 @@ Oracles used here are independent of the production routes:
 * adaptive QUADPACK integration of explicit Fourier/transform formulas
   (production uses trapezoid ladders on FFT grids and closed-form tables);
 * dense eigendecomposition of truncated convolution matrices
-  (production uses symbol quadrature or sparse Chebyshev recurrences);
+  (production uses symbol quadrature or Chebyshev moment recurrences);
 * the spectral measure of the 4-regular tree in closed form
   (production knows nothing about tree spectral measures);
 * deck-translate trace formulas evaluated directly on cover matrices.
@@ -14,12 +14,14 @@ Oracles used here are independent of the production routes:
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from etalab import operators
 from etalab.errors import (
     CertificateError,
     PreconditionError,
@@ -48,6 +50,13 @@ from etalab.operators import (
     two_band_chern_symbol,
     wilson_symbol,
 )
+
+
+def truncation(pad: int, cap: int):
+    """Patch the free-kernel truncation rule ``radius = min(max(R + pad, R
+    + band), cap)`` for the calls made inside the context."""
+    return mock.patch.multiple(operators, _TRUNCATION_PAD=pad,
+                               _MAX_TRUNCATION=cap)
 
 
 def light_free_model() -> FreeConvolutionOperator:
@@ -259,18 +268,19 @@ class TestFourierSymbol:
         # (u(D) - 1)^* = u(D)^{-1} - 1 because u_t is unimodular and D
         # self-adjoint: on every backend the leg's adjoint and the
         # independent inverse-leg calculus agree within their certificates
-        op, R, kwargs = {
-            "laplace": lambda: (lattice_laplace_symbol(), 10, {}),
-            "two_band": lambda: (two_band_chern_symbol(), 6, {}),
-            "cover": lambda: (gapped_cover_model(0), 3, {}),
-            "free": lambda: (light_free_model(), 2,
-                             {"truncation_pad": 4, "max_truncation": 8}),
+        op, R = {
+            "laplace": lambda: (lattice_laplace_symbol(), 10),
+            "two_band": lambda: (two_band_chern_symbol(), 6),
+            "cover": lambda: (gapped_cover_model(0), 3),
+            "free": lambda: (light_free_model(), 2),
         }[model]()
-        a = op.functional_calculus(SchwartzFunction(f"{family}_minus_1", t),
-                                   R, 1e-10, strict=False, **kwargs)
-        b = op.functional_calculus(
-            SchwartzFunction(f"{family}_inv_minus_1", t), R, 1e-10,
-            strict=False, **kwargs)
+        with truncation(4, 8):  # read by the free model only
+            a = op.functional_calculus(
+                SchwartzFunction(f"{family}_minus_1", t), R, 1e-10,
+                strict=False)
+            b = op.functional_calculus(
+                SchwartzFunction(f"{family}_inv_minus_1", t), R, 1e-10,
+                strict=False)
         diff = (a.element.star() - b.element).max_abs()
         assert diff <= a.error + b.error + 1e-13
 
@@ -452,8 +462,8 @@ class TestFreeConvolution:
     def test_light_model_converges_and_matches_tree_law(self):
         op = light_free_model()
         f = SchwartzFunction("gauss", 1.0)
-        res = op.functional_calculus(f, 2, 1e-8, truncation_pad=8,
-                                     max_truncation=10)
+        with truncation(8, 10):
+            res = op.functional_calculus(f, 2, 1e-8)
         assert res.converged and res.error <= 1e-8
         oracle = tree_spectral_value(f, 2.0, 0.4)
         value = res.element.coeffs[op.group.identity][0, 0].real
@@ -462,20 +472,20 @@ class TestFreeConvolution:
     def test_heavy_model_certificate_bounds_true_error(self):
         op = free_group_model()
         f = SchwartzFunction("gauss", 1.0)
-        res = op.functional_calculus(f, 2, 1e-4, truncation_pad=8,
-                                     max_truncation=10)
+        with truncation(8, 10):
+            res = op.functional_calculus(f, 2, 1e-4)
         assert res.converged
         oracle = tree_spectral_value(f, 4.0, 1.0)
         value = res.element.coeffs[op.group.identity][0, 0].real
         assert abs(value - oracle) <= res.error
 
     def test_matched_truncation_agrees_with_dense_oracle(self):
-        # same compression, two unrelated calculi: sparse Chebyshev
+        # same compression, two unrelated calculi: Chebyshev moment
         # recurrence vs dense eigendecomposition
         f = SchwartzFunction("gauss", 1.0)
         for op in (free_group_model(), light_free_model()):
-            res = op.functional_calculus(f, 2, 1e-8, strict=False,
-                                         truncation_pad=4, max_truncation=6)
+            with truncation(4, 6):
+                res = op.functional_calculus(f, 2, 1e-8, strict=False)
             oracle = dense_truncation_calculus_batch(op.element, [f], 2, 6)[0]
             worst = max(np.abs(res.element.coeffs[g] - oracle[g]).max()
                         for g in oracle)
@@ -486,9 +496,8 @@ class TestFreeConvolution:
         f = SchwartzFunction("gauss", 1.0)
         runs = {}
         for L in (6, 8, 10):
-            runs[L] = op.functional_calculus(f, 2, 1e-8, strict=False,
-                                             truncation_pad=L - 2,
-                                             max_truncation=L)
+            with truncation(L - 2, L):
+                runs[L] = op.functional_calculus(f, 2, 1e-8, strict=False)
         certs = [runs[L].diagnostics["truncation_bound"]
                  for L in (6, 8, 10)]
         assert certs[0] > certs[1] > certs[2]
@@ -501,9 +510,8 @@ class TestFreeConvolution:
 
     def test_strict_mode_refuses_unreachable_tolerance(self):
         op = free_group_model()
-        with pytest.raises(CertificateError) as err:
-            op.functional_calculus(SchwartzFunction("gauss", 1.0), 2, 1e-8,
-                                   truncation_pad=8, max_truncation=10)
+        with pytest.raises(CertificateError) as err, truncation(8, 10):
+            op.functional_calculus(SchwartzFunction("gauss", 1.0), 2, 1e-8)
         assert err.value.invariant == "calculus-error-target"
         witness = err.value.witness
         assert isinstance(witness, CalculusResult)
@@ -512,14 +520,13 @@ class TestFreeConvolution:
     def test_insufficient_truncation_headroom_rejected(self):
         op = free_group_model()
         with pytest.raises(PreconditionError):
-            op.functional_calculus(SchwartzFunction("gauss", 1.0), 2, 1e-6,
-                                   max_truncation=4)
+            op.functional_calculus(SchwartzFunction("gauss", 1.0), 9, 1e-6)
 
     def test_support_restricted_to_ball(self):
         op = light_free_model()
-        res = op.functional_calculus(SchwartzFunction("gauss", 1.0), 3, 1e-6,
-                                     strict=False, truncation_pad=4,
-                                     max_truncation=8)
+        with truncation(4, 8):
+            res = op.functional_calculus(SchwartzFunction("gauss", 1.0), 3,
+                                         1e-6, strict=False)
         assert all(op.group.word_length(g) <= 3 for g in res.element.support)
 
     def test_gap_estimate_without_declaration(self):
@@ -568,8 +575,8 @@ class TestClassTrace:
         op = free_group_model()
         f = SchwartzFunction("gauss", 0.125)
         cls = ConjugacyClass(op.group, (1, 2))
-        calc = op.functional_calculus(f, 4, 1e-6, strict=False,
-                                      truncation_pad=4, max_truncation=8)
+        with truncation(4, 8):
+            calc = op.functional_calculus(f, 4, 1e-6, strict=False)
         ct = class_trace(op, f, cls, 4, calculus=calc)
         assert ct.tail_bound < math.inf
         assert "class_rate" in ct.diagnostics
@@ -581,11 +588,11 @@ class TestClassTrace:
         op = free_group_model()
         f = SchwartzFunction("xgauss", 1.0)
         cls = ConjugacyClass(op.group, (1, 2))
-        calc = op.functional_calculus(f, 4, 1e-6, strict=False,
-                                      truncation_pad=4, max_truncation=8)
+        with truncation(4, 8):
+            calc = op.functional_calculus(f, 4, 1e-6, strict=False)
         ct = class_trace(op, f, cls, 4, calculus=calc)
-        wide = op.functional_calculus(f, 6, 1e-6, strict=False,
-                                      truncation_pad=4, max_truncation=10)
+        with truncation(4, 10):
+            wide = op.functional_calculus(f, 6, 1e-6, strict=False)
         dropped = [g for g in cls.elements_within(6)
                    if op.group.word_length(g) > 4]
         partial = sum(abs(np.trace(wide.element.coeffs[g])) + wide.error

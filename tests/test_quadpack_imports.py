@@ -4,9 +4,9 @@ etalab integrates with its own QUADPACK port (``etalab.quadpack``), cuts
 the Gaussian tails with ``math.erfc`` and evaluates the erf of the
 spectral-flow unitary with its own rational approximation
 (``operators._erf``), so neither the class eta nor the higher eta loads any
-scipy module.  The only scipy import left in ``src/etalab`` is
-``scipy.sparse``, in the two methods of the free-group truncation; an AST
-allow-list keeps it so.
+scipy module.  ``src/etalab`` imports no scipy at all: the free-group
+calculus gathers along integer neighbour tables in place of a sparse
+matrix.  An AST scan, with an empty allow-list, keeps it so.
 """
 
 from __future__ import annotations
@@ -59,13 +59,8 @@ def test_eta_and_higher_eta_load_no_scipy():
 
 
 #: (module, enclosing function, imported name) of every scipy import that
-#: ``src/etalab`` may keep: the free-group truncation's sparse matrices
-SCIPY_IMPORTS = {
-    ("operators", "FreeConvolutionOperator.truncated_matrix",
-     "scipy.sparse"),
-    ("operators", "FreeConvolutionOperator.functional_calculus",
-     "scipy.sparse"),
-}
+#: ``src/etalab`` may keep: none
+SCIPY_IMPORTS = set()
 
 
 def scipy_imports(node: ast.AST, scope: str = ""):
