@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -108,24 +108,19 @@ class CyclicCochain:
         product lies outside this conjugacy class.
     growth:
         Optional :class:`CochainGrowth` envelope certificate.
-    normalized:
-        True when the cochain vanishes whenever any argument past the first
-        is the identity.
     batch_evaluator:
         Optional vectorized evaluator over integer-array-encoded tuples
         (one ``(N, width)`` array per slot); used by samplers and pairings.
     pair_reduction:
         Optional structural rule: a function mapping a slot list ``ws`` to a
         list of ``(coefficient, base_cochain, new_ws)`` triples whose pairing
-        values sum to ``phi # tr(ws)``. Set by :func:`coboundary` and
-        :func:`periodicity`, where faces reduce to products of adjacent
-        slots.
+        values sum to ``phi # tr(ws)``. Set by :func:`_face_sum` for
+        :func:`coboundary` and :func:`periodicity`.
     """
 
     def __init__(self, group: GroupModel, degree: int, evaluator, *,
                  support_class: ConjugacyClass | None = None,
                  growth: CochainGrowth | None = None,
-                 normalized: bool = False,
                  name: str = "",
                  batch_evaluator=None,
                  pair_reduction=None):
@@ -136,7 +131,6 @@ class CyclicCochain:
         self.evaluator = evaluator
         self.support_class = support_class
         self.growth = growth
-        self.normalized = normalized
         self.name = name or f"cochain(deg={degree})"
         self.batch_evaluator = batch_evaluator
         self.pair_reduction = pair_reduction
@@ -178,21 +172,6 @@ class CyclicCochain:
 # ---------------------------------------------------------------------------
 
 
-def _merge_args(group: GroupModel, args: tuple, i: int) -> tuple:
-    """Unsigned face on an argument tuple: merge slots i, i+1 for interior i;
-    the last face multiplies the final argument into the first (wrap)."""
-    if i < len(args) - 1:
-        return args[:i] + (group.multiply(args[i], args[i + 1]),) + args[i + 2:]
-    return (group.multiply(args[-1], args[0]),) + args[1:-1]
-
-
-def _merge_arrays(group: GroupModel, arrays: list, i: int) -> list:
-    if i < len(arrays) - 1:
-        return (arrays[:i] + [group.array_add(arrays[i], arrays[i + 1])]
-                + arrays[i + 2:])
-    return [group.array_add(arrays[-1], arrays[0])] + arrays[1:-1]
-
-
 def _slot_product(x, y):
     """Pointwise product of grid slots, convolution of algebra elements."""
     if isinstance(x, np.ndarray):
@@ -200,46 +179,69 @@ def _slot_product(x, y):
     return convolve(x, y)
 
 
-def _merge_slots(ws: list, i: int) -> list:
-    """The slot-list counterpart of a face: the trace pairing of a merged
-    cochain equals the pairing of the base cochain against the slot list with
-    the two merged slots multiplied (trace cyclicity handles the wrap)."""
-    if i < len(ws) - 1:
-        return ws[:i] + [_slot_product(ws[i], ws[i + 1])] + ws[i + 2:]
-    return [_slot_product(ws[-1], ws[0])] + ws[1:-1]
+def _merge(seq, i: int, mul) -> list:
+    """Unsigned face i: merge entries i, i+1 by ``mul`` for interior i; the
+    last face multiplies the final entry into the first (wrap). ``mul`` is
+    the group product, its array encoding, or the slot product (the pairing
+    of a face is the pairing of its base against the merged slots)."""
+    seq = list(seq)
+    if i < len(seq) - 1:
+        return seq[:i] + [mul(seq[i], seq[i + 1])] + seq[i + 2:]
+    return [mul(seq[-1], seq[0])] + seq[1:-1]
+
+
+def _face_sum(phi: CyclicCochain, faces: list, scale: float,
+              name: str) -> CyclicCochain:
+    """The cochain ``scale * sum_k s_k (phi o face_k)`` for ``faces`` a list
+    of ``(s_k, path_k)`` pairs, a path being the face indices applied in
+    order, with a tuple evaluator, a batch one over array codecs and a
+    pairing reduction of coefficients ``scale * s_k``. The reduction
+    memoizes slot products by operand ids, as slot lists repeat entries (the
+    leg pattern); the memo keeps every product alive, so ids stay stable."""
+    group = phi.group
+
+    def apply(seq, path, mul):
+        return reduce(lambda q, i: _merge(q, i, mul), path, seq)
+
+    def ev(args):
+        total = 0.0
+        for s, path in faces:
+            total += s * phi.evaluator(tuple(apply(args, path, group.multiply)))
+        return scale * total
+
+    batch = None
+    if group.has_array_codec:
+        def batch(arrays):
+            total = np.zeros(len(arrays[0]), dtype=complex)
+            for s, path in faces:
+                total += s * phi.batch(apply(arrays, path, group.array_add))
+            return scale * total
+
+    def reduction(ws):
+        memo: dict = {}
+
+        def prod(x, y):
+            key = (id(x), id(y))
+            if key not in memo:
+                memo[key] = _slot_product(x, y)
+            return memo[key]
+
+        return [(scale * s, phi, apply(ws, path, prod)) for s, path in faces]
+
+    return CyclicCochain(
+        group, phi.degree + len(faces[0][1]), ev,
+        support_class=phi.support_class,
+        growth=phi.growth and phi.growth.scaled(len(faces) * abs(scale)),
+        name=name,
+        batch_evaluator=batch,
+        pair_reduction=reduction)
 
 
 def coboundary(phi: CyclicCochain) -> CyclicCochain:
     """The cyclic coboundary b: alternating sum of the signed faces,
     including the wrap face with sign ``(-1)^{n+1}``."""
-    group = phi.group
-    n = phi.degree
-    signs = [(-1) ** i for i in range(n + 2)]
-
-    def ev(args):
-        return sum(s * phi.evaluator(_merge_args(group, args, i))
-                   for i, s in enumerate(signs))
-
-    batch = None
-    if group.has_array_codec:
-        def batch(arrays):
-            arrays = list(arrays)
-            total = np.zeros(len(arrays[0]), dtype=complex)
-            for i, s in enumerate(signs):
-                total += s * phi.batch(_merge_arrays(group, arrays, i))
-            return total
-
-    def reduction(ws):
-        return [(s, phi, _merge_slots(list(ws), i)) for i, s in enumerate(signs)]
-
-    return CyclicCochain(
-        group, n + 1, ev,
-        support_class=phi.support_class,
-        growth=phi.growth.scaled(n + 2) if phi.growth else None,
-        normalized=False,
-        name=f"b({phi.name})",
-        batch_evaluator=batch,
-        pair_reduction=reduction)
+    faces = [((-1) ** i, (i,)) for i in range(phi.degree + 2)]
+    return _face_sum(phi, faces, 1, f"b({phi.name})")
 
 
 def periodicity(phi: CyclicCochain, *, check: bool = True, seed: int = 0,
@@ -257,59 +259,10 @@ def periodicity(phi: CyclicCochain, *, check: bool = True, seed: int = 0,
             raise PreconditionError(
                 f"{phi.name} is not a cocycle: |b phi| = {violation:.3e} "
                 f"at {witness}")
-    group = phi.group
     n = phi.degree
-    c = 1.0 / ((n + 2) * (n + 1))
-    pairs = [(i, j, (-1) ** (i + j))
+    faces = [((-1) ** (i + j), (j, i))
              for i in range(n + 2) for j in range(n + 3) if i < j]
-
-    def ev(args):
-        total = 0.0
-        for i, j, s in pairs:
-            total += s * phi.evaluator(
-                _merge_args(group, _merge_args(group, args, j), i))
-        return -c * total
-
-    batch = None
-    if group.has_array_codec:
-        def batch(arrays):
-            arrays = list(arrays)
-            total = np.zeros(len(arrays[0]), dtype=complex)
-            for i, j, s in pairs:
-                total += s * phi.batch(
-                    _merge_arrays(group, _merge_arrays(group, arrays, j), i))
-            return -c * total
-
-    def reduction(ws):
-        # Slot lists repeat entries (the leg pattern), so many of the
-        # 2-per-pair products coincide; memoizing by operand identity cuts
-        # the convolution count roughly in half. All intermediates stay
-        # referenced by the returned lists, keeping the ids stable.
-        ws = list(ws)
-        memo: dict = {}
-
-        def prod(x, y):
-            key = (id(x), id(y))
-            if key not in memo:
-                memo[key] = _slot_product(x, y)
-            return memo[key]
-
-        def merge(lst, k):
-            if k < len(lst) - 1:
-                return lst[:k] + [prod(lst[k], lst[k + 1])] + lst[k + 2:]
-            return [prod(lst[-1], lst[0])] + lst[1:-1]
-
-        outer = {j: merge(ws, j) for j in sorted({j for _, j, _ in pairs})}
-        return [(-c * s, phi, merge(outer[j], i)) for i, j, s in pairs]
-
-    return CyclicCochain(
-        group, n + 2, ev,
-        support_class=phi.support_class,
-        growth=phi.growth.scaled(len(pairs) * c) if phi.growth else None,
-        normalized=False,
-        name=f"S({phi.name})",
-        batch_evaluator=batch,
-        pair_reduction=reduction)
+    return _face_sum(phi, faces, -1.0 / ((n + 2) * (n + 1)), f"S({phi.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +408,18 @@ def growth_certify(phi: CyclicCochain, radius: int, *, samples: int = 20_000,
 # ---------------------------------------------------------------------------
 
 
-def pair_phi_tr(phi: CyclicCochain, ws, *, use_reduction: bool = True,
-                tuple_budget: int = DEFAULT_TUPLE_BUDGET,
+def pair_phi_tr(phi: CyclicCochain, ws, *,
                 _box_cache: dict | None = None) -> complex:
     """The trace pairing
     ``phi # tr(w_0, ..., w_n) = sum tr(w_0^{g_0} ... w_n^{g_n}) phi(g_0..g_n)``
     over support tuples.
 
-    Structural cochains built by :func:`coboundary`/:func:`periodicity` are
-    evaluated through their face reduction (faces become products of adjacent
-    slots); separable cochains over Z^d contract by FFT convolution; everything
-    else falls back to a budgeted support-tuple sum. Slots on unitized paths
-    are passed as their algebra parts (the adjoined unit contributes nothing).
+    Cochains built by :func:`coboundary`/:func:`periodicity` are evaluated
+    through their face reduction (faces become products of adjacent slots);
+    separable cochains over Z^d contract by FFT convolution; everything else
+    is a support-tuple sum within ``DEFAULT_TUPLE_BUDGET`` tuples (the naive
+    oracle of the other routes). Slots on unitized paths are passed as their
+    algebra parts (the adjoined unit contributes nothing).
     Over Z^d the slots may instead be samples on one uniform grid, entry
     planes first (``(d, d, n, ..., n)``); they pair through reductions down
     to :meth:`SeparableClassCochain.pair_grid`. A ``_box_cache`` passed by
@@ -489,14 +442,11 @@ def pair_phi_tr(phi: CyclicCochain, ws, *, use_reduction: bool = True,
     if len(dims) != 1:
         raise PreconditionError(f"inconsistent slot dimensions {sorted(dims)}")
 
-    if use_reduction and phi.pair_reduction is not None:
+    if phi.pair_reduction is not None:
         cache = {} if _box_cache is None else _box_cache
         total = 0.0 + 0.0j
         for coef, base, sub_ws in phi.pair_reduction(ws):
-            total += coef * pair_phi_tr(base, sub_ws,
-                                        use_reduction=use_reduction,
-                                        tuple_budget=tuple_budget,
-                                        _box_cache=cache)
+            total += coef * pair_phi_tr(base, sub_ws, _box_cache=cache)
         return total
 
     if isinstance(phi, SeparableClassCochain):
@@ -505,77 +455,47 @@ def pair_phi_tr(phi: CyclicCochain, ws, *, use_reduction: bool = True,
     if grid:
         raise PreconditionError(f"{phi.name} does not reduce to a separable "
                                 "class cochain, as the Z^d grid route needs")
-    return _pair_tuple_sum(phi, ws, tuple_budget)
+    return _pair_tuple_sum(phi, ws, DEFAULT_TUPLE_BUDGET)
 
 
 def _pair_tuple_sum(phi: CyclicCochain, ws: list, tuple_budget: int) -> complex:
+    """The literal pairing: a sum over support tuples, at most
+    ``tuple_budget`` of them. Over an abelian group a class is one element
+    ``h``, so slots 1.. are enumerated and slot 0 is solved from them;
+    otherwise every slot is enumerated and the tuples are filtered by the
+    class."""
     group = phi.group
-    dim = ws[0].dim
     supports = [w.support for w in ws]
     if any(not s for s in supports):
         return 0.0 + 0.0j
     cls = phi.support_class
-
-    # delocalized abelian case: the class is a singleton, so slot 0 is
-    # determined by the others
-    if cls is not None and group.is_abelian:
-        h = cls.representative
-        count = int(np.prod([len(s) for s in supports[1:]], dtype=float)) \
-            if len(supports) > 1 else 1
-        if count > tuple_budget:
-            raise ResourceBudgetError(
-                f"pairing needs {count} tuples; budget {tuple_budget}")
-        total = 0.0 + 0.0j
-        lookup0 = ws[0].coeffs
-        for rest in itertools.product(*supports[1:]):
-            acc = group.identity
-            for g in rest:
-                acc = group.multiply(acc, g)
-            g0 = group.multiply(h, group.inverse(acc))
-            M0 = lookup0.get(g0)
-            if M0 is None:
-                continue
-            args = (g0,) + rest
-            val = phi.evaluator(args)
-            if val == 0.0:
-                continue
-            if dim == 1:
-                prod = complex(M0[0, 0])
-                for w, g in zip(ws[1:], rest):
-                    prod *= complex(w.coeffs[g][0, 0])
-                total += prod * val
-            else:
-                M = M0
-                for w, g in zip(ws[1:], rest):
-                    M = M @ w.coeffs[g]
-                total += complex(np.trace(M)) * val
-        return total
-
-    count = int(np.prod([len(s) for s in supports], dtype=float))
+    solve = cls is not None and group.is_abelian
+    free = supports[1:] if solve else supports
+    count = int(np.prod([len(s) for s in free], dtype=float))
     if count > tuple_budget:
         raise ResourceBudgetError(
             f"pairing needs {count} tuples; budget {tuple_budget}")
     total = 0.0 + 0.0j
-    for args in itertools.product(*supports):
+    for args in itertools.product(*free):
         if cls is not None:
-            acc = group.identity
-            for g in args:
-                acc = group.multiply(acc, g)
-            if not cls.contains(acc):
+            acc = reduce(group.multiply, args, group.identity)
+            if solve:
+                g0 = group.multiply(cls.representative, group.inverse(acc))
+                if g0 not in ws[0].coeffs:
+                    continue
+                args = (g0,) + args
+            elif not cls.contains(acc):
                 continue
         val = phi.evaluator(args)
         if val == 0.0:
             continue
-        if dim == 1:
-            prod = 1.0 + 0.0j
-            for w, g in zip(ws, args):
-                prod *= complex(w.coeffs[g][0, 0])
-            total += prod * val
+        blocks = [w.coeffs[g] for w, g in zip(ws, args)]
+        if ws[0].dim == 1:
+            # Python complex scalars: NumPy's complex multiply can differ
+            # from them in the last bit
+            total += reduce(mul, (complex(b[0, 0]) for b in blocks)) * val
         else:
-            M = ws[0].coeffs[args[0]]
-            for w, g in zip(ws[1:], args[1:]):
-                M = M @ w.coeffs[g]
-            total += complex(np.trace(M)) * val
+            total += complex(np.trace(reduce(np.matmul, blocks))) * val
     return total
 
 
@@ -840,7 +760,7 @@ def class_trace_cochain(cls: ConjugacyClass) -> CyclicCochain:
     if isinstance(group, FreeAbelianGroup):
         return SeparableClassCochain(
             group, 0, cls.representative, [(1.0, [None])],
-            growth=CochainGrowth("bounded", 1.0), normalized=True,
+            growth=CochainGrowth("bounded", 1.0),
             name=f"tr<{group.element_to_text(cls.representative)}>")
 
     def ev(args):
@@ -857,7 +777,6 @@ def class_trace_cochain(cls: ConjugacyClass) -> CyclicCochain:
     return CyclicCochain(group, 0, ev,
                          support_class=cls,
                          growth=CochainGrowth("bounded", 1.0),
-                         normalized=True,
                          name=f"tr<{group.element_to_text(cls.representative)}>",
                          batch_evaluator=batch)
 
@@ -890,7 +809,6 @@ def area_cocycle(group: FreeAbelianGroup, class_element, plane=(0, 1), *,
         group, 2, h,
         [(1.0, [None, x_of, y_of]), (-1.0, [None, y_of, x_of])],
         growth=CochainGrowth("polynomial", 1.0, 1.0),
-        normalized=True,
         name=f"area[{i},{j}]<{group.element_to_text(h)}>")
     if certify:
         certify_cyclic_cocycle(phi, radius=2, samples=400, seed=seed)
@@ -951,7 +869,6 @@ def random_delocalized_cochain(group: GroupModel, class_element, *,
 def table_cochain(group: GroupModel, degree: int, table: dict, *,
                   support_class: ConjugacyClass | None = None,
                   growth: CochainGrowth | None = None,
-                  normalized: bool = False,
                   name: str = "table") -> CyclicCochain:
     """Dense small-degree cochain from an explicit tuple -> value table
     (absent tuples evaluate to zero)."""
@@ -966,7 +883,7 @@ def table_cochain(group: GroupModel, degree: int, table: dict, *,
         return table.get(tuple(args), 0.0)
 
     return CyclicCochain(group, degree, ev, support_class=support_class,
-                         growth=growth, normalized=normalized, name=name)
+                         growth=growth, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -982,12 +899,19 @@ class Idempotent:
     """
 
     def __init__(self, element: AlgebraElement, tol: float = 1e-12):
-        defect = (element * element - element).max_abs()
+        self._square_defect = element * element - element
+        defect = self._square_defect.max_abs()
         if defect > tol:
             raise PreconditionError(
                 f"not an idempotent: |p*p - p| = {defect:.3e} > {tol:.1e}")
         self.element = element
         self.defect = float(defect)
+
+    @cached_property
+    def trace_norms(self) -> tuple:
+        """The summed trace norms of ``p`` and of ``p*p - p``."""
+        return tuple(float(sum(x.trace_norms().values()))
+                     for x in (self.element, self._square_defect))
 
     @property
     def group(self):

@@ -34,7 +34,7 @@ from .cyclic import (
 )
 from .errors import PreconditionError
 from .eta import loop_coefficient, tau_pair
-from .group_algebra import AlgebraElement, convolve
+from .group_algebra import AlgebraElement
 from .groups import CyclicGroup, FreeAbelianGroup
 from .operators import FourierSymbolOperator, two_band_chern_symbol
 from .quadpack import quad
@@ -84,20 +84,23 @@ class BoundaryLoop:
 
         The inverse of ``1 + c p`` is ``1 + conj(c) p``, so the defect
         ``|x x^{-1} - 1|`` is the summed trace norm of
-        ``(c + conj(c)) p + |c|^2 p^2``: ``|c(t)|^2`` times the idempotency
-        defect (at most four times it), certified against ``tol``; the
-        closure at t = 0, where the coefficient nearly vanishes, is held to
-        the much tighter ``_CLOSURE_TOL``.
+        ``(c + conj(c)) p + |c|^2 p^2
+        = (c + conj(c) + |c|^2) p + |c|^2 (p^2 - p)``. As ``|1 + c| = 1`` the
+        first coefficient vanishes up to rounding, so each sample is bounded
+        by the triangle inequality from the trace norms of p and of its
+        idempotency defect, certified against ``tol``; the closure at t = 0,
+        where the coefficient nearly vanishes, is held to the much tighter
+        ``_CLOSURE_TOL``.
         """
         grid = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9) if grid is None \
             else (0.0,) + tuple(g for g in grid if g != 0.0)
-        pe = p.element
-        psq = convolve(pe, pe)
+        norm_p, norm_defect = p.trace_norms
         defects = {}
         for t in grid:
             c = loop_coefficient(t)
-            defect = pe * (c + c.conjugate()) + psq * (c * c.conjugate())
-            defects[float(t)] = float(sum(defect.trace_norms().values()))
+            cc = c * c.conjugate()
+            defects[float(t)] = (abs(c + c.conjugate() + cc) * norm_p
+                                 + abs(cc) * norm_defect)
         worst = max(defects.values())
         if worst > tol:
             bad = max(defects, key=defects.get)

@@ -368,8 +368,8 @@ def test_pair_reduction_route_matches_brute_scalar():
     psi = random_delocalized_cochain(Z1, (1,), rate=0.3, seed=31)
     b = coboundary(psi)
     ws = [random_element(Z1, 2, seed=s) for s in (9, 10, 11)]
-    red = pair_phi_tr(b, ws, use_reduction=True)
-    lit = pair_phi_tr(b, ws, use_reduction=False)
+    red = pair_phi_tr(b, ws)
+    lit = _pair_tuple_sum(b, ws, tuple_budget=10 ** 7)
     oracle = brute_pair(b, ws)
     assert red == pytest.approx(oracle, rel=1e-9, abs=1e-9)
     assert lit == pytest.approx(oracle, rel=1e-9, abs=1e-9)
@@ -379,7 +379,7 @@ def test_pair_reduction_route_matches_brute_matrix():
     psi = random_delocalized_cochain(Z1, (2,), rate=0.25, seed=37)
     b = coboundary(psi)
     ws = [random_element(Z1, 1, seed=s, dim=2) for s in (12, 13, 14)]
-    red = pair_phi_tr(b, ws, use_reduction=True)
+    red = pair_phi_tr(b, ws)
     oracle = brute_pair(b, ws)
     assert red == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
@@ -388,8 +388,8 @@ def test_pair_reduction_for_periodicity_matches_brute():
     tr = class_trace_cochain(C5.conjugacy_class(1))
     s = periodicity(tr)
     ws = [random_element(C5, 2, seed=k) for k in (15, 16, 17)]
-    red = pair_phi_tr(s, ws, use_reduction=True)
-    lit = pair_phi_tr(s, ws, use_reduction=False)
+    red = pair_phi_tr(s, ws)
+    lit = _pair_tuple_sum(s, ws, tuple_budget=10 ** 7)
     oracle = brute_pair(s, ws)
     assert red == pytest.approx(oracle, rel=1e-9, abs=1e-9)
     assert lit == pytest.approx(oracle, rel=1e-9, abs=1e-9)
@@ -431,7 +431,7 @@ def test_pair_budget_guard():
     phi = CyclicCochain(Z1, 2, lambda args: 1.0, name="flat")
     ws = [random_element(Z1, 40, seed=s) for s in (30, 31, 32)]
     with pytest.raises(ResourceBudgetError):
-        pair_phi_tr(phi, ws, tuple_budget=1000)
+        _pair_tuple_sum(phi, ws, tuple_budget=1000)
 
 
 def test_separable_batch_matches_pointwise():

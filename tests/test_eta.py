@@ -9,6 +9,8 @@ Oracles used here are independent of the production routes:
 * closed forms: constant-signature vanishing, Taylor coefficients of
   the small-time limit, the unit pairing 2i/pi of the twisted two-band
   model, and the exact loop pairing -2 tr(p) of character projectors;
+* the Fukui-Hatsugai-Suzuki lattice Chern number C of two-band symbols,
+  plain and perturbed, against their area eta (2i/pi) C;
 * central finite differences of the transgressed slot functional
   against the engine integrand;
 * the ball route at radius 32 (functional-calculus elements paired by
@@ -60,6 +62,7 @@ from etalab.operators import (
     wilson_symbol,
 )
 from etalab.pairing import BoundaryLoop
+from test_loop_pairs import fhs_chern_number
 
 
 def sign_sum_eta(op: FiniteCoverOperator, cls) -> complex:
@@ -76,6 +79,25 @@ def sign_sum_eta(op: FiniteCoverOperator, cls) -> complex:
         diag = np.einsum("ij,ij->j", V.conj(), U.conj().T @ V)
         total += np.sum(signs * diag) / len(op.elements)
     return complex(total)
+
+
+def perturbed(symbol: FourierSymbolOperator, keys, seed: int,
+              size: float = 0.05) -> FourierSymbolOperator:
+    """``symbol`` plus a seeded coupling of operator norm ``size`` at each
+    of ``keys``, with ``A_{-g} = A_g^*`` so that D stays Hermitian (a key
+    that is its own negative gets a Hermitian block)."""
+    rng = np.random.default_rng(seed)
+    coeffs = dict(symbol.element.coeffs)
+    for g in keys:
+        B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        minus = tuple(-x for x in g)
+        if minus == g:
+            B = B + B.conj().T
+        B *= size / np.linalg.norm(B, 2)
+        coeffs[g] = coeffs.get(g, 0.0) + B
+        if minus != g:
+            coeffs[minus] = coeffs.get(minus, 0.0) + B.conj().T
+    return FourierSymbolOperator(AlgebraElement(symbol.element.group, 2, coeffs))
 
 
 def z_class(n: int):
@@ -239,6 +261,19 @@ class TestHigherEta:
         report = eta_higher(op, phi, tol=1e-6)
         assert abs(report.value - 2j / math.pi) <= 1e-6
         assert report.verdict
+
+    @pytest.mark.parametrize("mass, keys, seed, chern", [
+        (-1.0, (), None, -1), (0.5, (), None, 1), (2.5, (), None, 0),
+        (1.0, ((1, 1), (1, -1)), 11, 1), (-1.0, ((0, 0),), 12, -1)])
+    def test_area_eta_is_two_i_over_pi_times_the_chern_number(
+            self, mass, keys, seed, chern):
+        op = perturbed(two_band_chern_symbol(mass), keys, seed)
+        c16, c8 = fhs_chern_number(op, 16), fhs_chern_number(op, 8)
+        assert abs(c16 - round(c16)) <= 1e-9 and round(c16) == round(c8)
+        assert round(c16) == chern
+        report = eta_higher(op, area_cocycle(FreeAbelianGroup(2), (0, 0)),
+                            tol=1e-6)
+        assert abs(report.value - 2j / math.pi * round(c16)) <= report.error
 
     def test_transgression_matches_engine_integrand(self):
         # d/dt of the two-leg slot functional equals pi*i times the
