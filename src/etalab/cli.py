@@ -827,7 +827,7 @@ def _compare_dense_calculus(cfg: RunConfig) -> list:
         ball = op.element.group.ball(5)
         oracle = dense_truncation_calculus_batch(op.element, fs, 5, trunc)
         for f, table in zip(fs, oracle):
-            res = op.functional_calculus(f, 5, tol=1e-10, strict=False)
+            res = op.functional_calculus(f, 5, tol=1e-10)
             dev = max(float(np.abs(res.element.coefficient(g)
                                    - table[g]).max()) for g in ball)
             rows.append({"label": f"{label}/{f.tag}",

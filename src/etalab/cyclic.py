@@ -45,6 +45,10 @@ from .group_algebra import AlgebraElement, _dense_block_box, convolve
 from .groups import ConjugacyClass, FreeAbelianGroup, GroupModel
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
+_COCYCLE_TOL = 1e-9  # |b phi| of a sampled cocycle precondition
+_GROWTH_SAMPLES = 20_000  # growth certificate: seeded draws from the ball
+_GROWTH_EXHAUSTIVE = 200_000  # ... or every tuple, when at most this many
+_IDEMPOTENT_TOL = 1e-12  # |p*p - p| of a validated idempotent
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +248,17 @@ def coboundary(phi: CyclicCochain) -> CyclicCochain:
     return _face_sum(phi, faces, 1, f"b({phi.name})")
 
 
-def periodicity(phi: CyclicCochain, *, check: bool = True, seed: int = 0,
-                tol: float = 1e-9) -> CyclicCochain:
+def periodicity(phi: CyclicCochain, *, check: bool = True) -> CyclicCochain:
     """Connes' degree-raising operator
     ``S = -1/((n+2)(n+1)) sum_{0<=i<j} b_j b_i`` with signed faces.
 
-    Requires the input to pass a sampled cocycle check (override with
-    ``check=False`` for diagnostics only).
+    Requires the input to pass a sampled cocycle check (``|b phi| <=
+    _COCYCLE_TOL`` on 200 tuples of radius 2; override with ``check=False``
+    for diagnostics only).
     """
     if check:
-        violation, witness = max_cocycle_violation(phi, radius=2, samples=200,
-                                                   seed=seed)
-        if violation > tol:
+        violation, witness = max_cocycle_violation(phi)
+        if violation > _COCYCLE_TOL:
             raise PreconditionError(
                 f"{phi.name} is not a cocycle: |b phi| = {violation:.3e} "
                 f"at {witness}")
@@ -373,18 +376,18 @@ def certify_cyclic_cocycle(phi: CyclicCochain, radius: int = 2,
     return phi.certificate
 
 
-def growth_certify(phi: CyclicCochain, radius: int, *, samples: int = 20_000,
-                   seed: int = 0, exhaustive_budget: int = 200_000) -> dict:
+def growth_certify(phi: CyclicCochain, radius: int, *, seed: int = 0) -> dict:
     """Verify the declared growth envelope ``|phi| <= envelope`` over
-    B_radius^(degree+1) tuples (exhaustive when feasible, sampled beyond).
+    B_radius^(degree+1) tuples (exhaustive up to ``_GROWTH_EXHAUSTIVE``
+    tuples, else ``_GROWTH_SAMPLES`` seeded draws).
 
     Raises :class:`CertificateError` with a witness tuple on violation.
     """
     if phi.growth is None:
         raise PreconditionError(f"{phi.name} carries no growth certificate")
     group = phi.group
-    sample = _Sample(group, phi.arity, radius, samples, seed,
-                     exhaustive_budget)
+    sample = _Sample(group, phi.arity, radius, _GROWTH_SAMPLES, seed,
+                     _GROWTH_EXHAUSTIVE)
     vals = np.abs(sample.values(phi))
     lengths = sample.lengths()
     envs = phi.growth.envelope_rows(lengths)
@@ -450,8 +453,9 @@ def pair_phi_tr(phi: CyclicCochain, ws, *,
         return total
 
     if isinstance(phi, SeparableClassCochain):
-        pair = phi.pair_grid if grid else phi.pair_separable
-        return pair(ws, box_cache=_box_cache)
+        if grid:
+            return phi.pair_grid(ws, box_cache=_box_cache)
+        return phi.pair_separable(ws, box_cache=_box_cache)
     if grid:
         raise PreconditionError(f"{phi.name} does not reduce to a separable "
                                 "class cochain, as the Z^d grid route needs")
@@ -895,15 +899,17 @@ class Idempotent:
     """A matrix idempotent over the group algebra, validated on construction.
 
     ``element`` is an :class:`AlgebraElement` of block dimension m (the
-    matrix size); idempotency ``p*p = p`` is enforced within ``tol``.
+    matrix size); idempotency ``p*p = p`` is enforced within
+    ``_IDEMPOTENT_TOL``.
     """
 
-    def __init__(self, element: AlgebraElement, tol: float = 1e-12):
+    def __init__(self, element: AlgebraElement):
         self._square_defect = element * element - element
         defect = self._square_defect.max_abs()
-        if defect > tol:
+        if defect > _IDEMPOTENT_TOL:
             raise PreconditionError(
-                f"not an idempotent: |p*p - p| = {defect:.3e} > {tol:.1e}")
+                f"not an idempotent: |p*p - p| = {defect:.3e} > "
+                f"{_IDEMPOTENT_TOL:.1e}")
         self.element = element
         self.defect = float(defect)
 
@@ -932,7 +938,7 @@ class Idempotent:
 
 def connes_chern(phi: CyclicCochain, p: Idempotent) -> complex:
     """Chern pairing ``(2m)!/m! * phi#tr(p, ..., p)`` (2m+1 slots) for a
-    degree-2m cocycle, checked to be one (``|b phi| <= 1e-9`` on 200
+    degree-2m cocycle, checked to be one (``|b phi| <= _COCYCLE_TOL`` on 200
     tuples of radius 2)."""
     if phi.degree % 2 != 0:
         raise PreconditionError(
@@ -941,7 +947,7 @@ def connes_chern(phi: CyclicCochain, p: Idempotent) -> complex:
     if phi.group != p.group:
         raise PreconditionError("cochain and idempotent over different groups")
     violation, witness = max_cocycle_violation(phi)
-    if violation > 1e-9:
+    if violation > _COCYCLE_TOL:
         raise PreconditionError(
             f"{phi.name} is not a cocycle: |b phi| = {violation:.3e} at "
             f"{witness}")

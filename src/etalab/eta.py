@@ -63,17 +63,16 @@ _DOT_TAG, _LEG_TAG = "udot_uinv", "ut_minus_1"
 # ---------------------------------------------------------------------------
 
 
-def threshold_sigma(rate: float, c_d: float, tau: float = 1.0) -> float:
-    """Gap threshold ``2 * rate * c_d / tau`` for one growth envelope.
+def threshold_sigma(rate: float, c_d: float) -> float:
+    """Gap threshold ``2 * rate * c_d`` for one growth envelope (the
+    displacement ratio tau is 1: the word metric is the displacement).
 
     Monotone increasing in the growth rate and in the propagation constant,
     and nonnegative whenever the inputs are.
     """
     if rate < 0 or c_d < 0:
         raise PreconditionError("growth rate and propagation constant must be >= 0")
-    if tau <= 0:
-        raise PreconditionError("summability exponent tau must be > 0")
-    return 2.0 * rate * c_d / tau
+    return 2.0 * rate * c_d
 
 
 @dataclass
@@ -415,8 +414,7 @@ class _HigherIntegrand:
     def _slot(self, tag: str, t: float) -> tuple:
         """(element, certified error, weighted norm) of one calculus."""
         res = self.op.functional_calculus(SchwartzFunction(tag, t),
-                                          self.radius, tol=self.per_eval_tol,
-                                          strict=False)
+                                          self.radius, tol=self.per_eval_tol)
         return (res.element, res.error,
                 _weighted_slot_norm(res.element, self.phi.growth))
 
@@ -523,9 +521,9 @@ class _HigherIntegrand:
                 * dot * legs * gauss)
 
 
-def _positive_gap(op: EquivariantOperator, gap: float | None) -> float:
-    """The given gap, else the operator's certificate; refused unless > 0."""
-    g0 = float(gap) if gap is not None else float(op.gap_certificate())
+def _positive_gap(op: EquivariantOperator) -> float:
+    """The operator's gap certificate, refused unless > 0."""
+    g0 = float(op.gap_certificate())
     if g0 <= 0:
         raise PreconditionError(
             f"gap certificate {g0} is not positive; eta needs an invertible "
@@ -565,20 +563,22 @@ def _build_integrand(op: EquivariantOperator, phi: CyclicCochain, m: int,
 
 
 def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
-              tol: float = 1e-8, gap: float | None = None,
-              radius: int | None = None,
+              tol: float = 1e-8, radius: int | None = None,
               quad_rel: float = 1e-10, tail_frac: float = 0.1) -> EtaReport:
     """The delocalized eta of a gapped operator at a nontrivial class.
 
     ``(2/sqrt(pi)) int_0^inf tr_<h>(D exp(-t^2 D^2)) dt`` with the class
     trace evaluated through the certified functional calculus at every
-    quadrature node. Preconditions: the class is nontrivial and the gap
-    certificate is positive. The tail beyond the cut T is bounded by
+    quadrature node. Preconditions: the class is nontrivial and the
+    operator's own gap certificate is positive; that certificate is the gap
+    of every bound below. The tail beyond the cut T is bounded by
     ``n_class * dim * erfc(gap * T)``.  The class members past the radius,
     which the class trace drops, enter as the ``class_tail`` leg, apart
     from ``calculus``: a Chebyshev bound on the Bernstein ellipses of the
     spectral hull (:func:`~etalab.operators.class_trace`), exactly 0 when
-    the ball holds the whole class.
+    the ball holds the whole class.  A calculus or tail that misses its
+    target raises nothing: it widens ``error``, and ``converged`` is False
+    when the legs and the tail exceed ``tol``.
     """
     group = op.element.group
     if cls.group != group:
@@ -587,7 +587,7 @@ def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
         raise PreconditionError(
             "delocalized eta needs a nontrivial conjugacy class "
             "(the trivial class pairs with the local index, not computed here)")
-    g0 = _positive_gap(op, gap)
+    g0 = _positive_gap(op)
     r_used = radius if radius is not None else _auto_radius(
         op, cls.minimal_length())
     members = cls.elements_within(r_used)
@@ -602,7 +602,7 @@ def eta_class(op: EquivariantOperator, cls: ConjugacyClass, *,
 
     def sample(t: float) -> tuple[complex, dict]:
         res = class_trace(op, SchwartzFunction("xgauss", t), cls, r_used,
-                          tol=per_eval_tol, strict=False)
+                          tol=per_eval_tol)
         val = TWO_OVER_SQRT_PI * complex(res.value)
         samples[float(t)] = (val, TWO_OVER_SQRT_PI * n_cls * fdim
                              * _gapped_abs_sup(g0, norm, t))
@@ -652,8 +652,7 @@ def _require_even_cocycle(phi: CyclicCochain) -> int:
 
 
 def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
-               tol: float = 1e-8, gap: float | None = None,
-               radius: int | None = None, seed: int = 0,
+               tol: float = 1e-8, radius: int | None = None, seed: int = 0,
                quad_rel: float = 1e-10, tail_frac: float = 0.1) -> EtaReport:
     """The cocycle-weighted eta driven by the spectral-flow unitaries.
 
@@ -661,14 +660,16 @@ def eta_higher(op: EquivariantOperator, phi: CyclicCochain, *,
     for an even-degree cocycle with a growth certificate. Degree 0 with a
     class trace reproduces :func:`eta_class` by an independent route. Over
     Z^d the integrand is paired on the calculus grid, which takes no
-    ``radius``.
+    ``radius``.  The gap of the tail bound is the operator's own
+    certificate, refused unless positive; a slot calculus that misses its
+    target raises nothing and widens the ``calculus`` leg instead.
     """
     group = op.element.group
     if phi.group != group:
         raise PreconditionError("cochain does not live on the operator's group")
     m = _require_even_cocycle(phi)
     certify_cyclic_cocycle(phi, radius=2, samples=200, seed=seed, tol=1e-8)
-    g0 = _positive_gap(op, gap)
+    g0 = _positive_gap(op)
     engine = _build_integrand(op, phi, m, tol, radius)
     parts = _certified_integral(engine,
                                 lambda t_cut: engine.tail_at(t_cut, g0), g0,

@@ -150,18 +150,14 @@ class AlgebraElement(_BlockStack):
         return element
 
     @staticmethod
-    def delta(group: GroupModel, g, coeff=1.0, dim: int | None = None) -> "AlgebraElement":
-        """Single-point element ``coeff * g``."""
+    def delta(group: GroupModel, g, coeff=1.0) -> "AlgebraElement":
+        """Single-point element ``coeff * g``; a scalar ``coeff`` gives a 1x1
+        block."""
         g = group.validate(g)
         block = np.asarray(coeff, dtype=complex)
         if block.ndim == 0:
-            d = dim or 1
-            block = block * np.eye(d)
-        else:
-            d = block.shape[0]
-            if dim is not None and dim != d:
-                raise RepresentationError(f"dim {dim} != block dim {d}")
-        return AlgebraElement(group, d, {g: block})
+            block = block * np.eye(1)
+        return AlgebraElement(group, block.shape[0], {g: block})
 
     @staticmethod
     def identity(group: GroupModel, dim: int = 1) -> "AlgebraElement":

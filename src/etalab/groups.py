@@ -120,25 +120,27 @@ class GroupModel:
 
     # -- derived operations (shared) ----------------------------------------
 
-    def ball(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> list:
-        """Deterministically ordered list of all elements of length <= radius."""
+    def ball(self, radius: int) -> list:
+        """Deterministically ordered list of all elements of length <= radius,
+        within ``DEFAULT_BALL_BUDGET`` elements (read at call time)."""
         if radius < 0:
             return []
         key = ("ball", radius)
         if key in self._cache:
             return self._cache[key]
+        budget = DEFAULT_BALL_BUDGET
         elements = self._enumerate_ball(radius, budget)
         self._check_budget(len(elements), budget, f"ball(radius={radius}) on {self!r}")
         elements.sort(key=lambda g: (self.word_length(g), self.sort_key(g)))
         self._cache[key] = elements
         return elements
 
-    def sphere(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> list:
+    def sphere(self, radius: int) -> list:
         """Elements of length exactly ``radius``, deterministically ordered."""
-        return [g for g in self.ball(radius, budget)
+        return [g for g in self.ball(radius)
                 if self.word_length(g) == radius]
 
-    def splittings(self, g, q: int = 0, budget: int = DEFAULT_BALL_BUDGET) -> list:
+    def splittings(self, g, q: int = 0) -> list:
         """All factorizations ``g = g1 * g2`` with ``g1`` within distance
         ``q`` of a point on some geodesic from the identity to ``g``.
 
@@ -153,7 +155,7 @@ class GroupModel:
         else:
             near = set()
             for p in base:
-                for y in self.ball(q, budget):
+                for y in self.ball(q):
                     near.add(self.multiply(p, y))
             firsts = list(near)
         firsts.sort(key=lambda x: (self.word_length(x), self.sort_key(x)))
@@ -565,7 +567,7 @@ class ProductGroup(GroupModel):
     def _enumerate_ball(self, radius: int, budget: int) -> list:
         shells = []  # per factor: list over length of element lists
         for f in self.factors:
-            ball = f.ball(radius, budget)
+            ball = f.ball(radius)
             by_len: list[list] = [[] for _ in range(radius + 1)]
             for g in ball:
                 by_len[f.word_length(g)].append(g)
@@ -724,7 +726,7 @@ class ConjugacyClass:
                        for f, hx, gx in zip(group.factors, h, g))
         raise PreconditionError(f"no conjugacy test for {group!r}")
 
-    def elements_within(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> list:
+    def elements_within(self, radius: int) -> list:
         """Class members of word length <= radius, deterministically ordered."""
         key = ("class_elems", self.representative, radius)
         if key in self.group._cache:
@@ -733,7 +735,7 @@ class ConjugacyClass:
             members = ([self.representative]
                        if self.group.word_length(self.representative) <= radius else [])
         else:
-            members = [g for g in self.group.ball(radius, budget) if self.contains(g)]
+            members = [g for g in self.group.ball(radius) if self.contains(g)]
         self.group._cache[key] = members
         return members
 

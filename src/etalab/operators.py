@@ -44,7 +44,6 @@ import numpy as np
 
 from .cyclic import _fast_len
 from .errors import (
-    CertificateError,
     PreconditionError,
     RepresentationError,
     ResourceBudgetError,
@@ -69,6 +68,8 @@ _CHEB_MAX_DEGREE = 512
 _TRUNCATION_PAD = 8  # free-kernel truncation radius: R + pad, capped
 _MAX_TRUNCATION = 12
 _TRUNCATION_BUDGET = 4_000_000  # words in a free-kernel truncation
+_DENSE_BUDGET = 200_000_000  # matrix entries of the dense truncation oracle
+_COVER_MAX_RADIUS = 64  # finite cover: ball radius the group must saturate by
 _COVER_ZERO_TOL = 1e-10  # cover gap: |eigenvalue| / scale counted as 0
 # free-kernel Schur enclosure: log rho bracket, rounding allowance
 _SCHUR_LOG_RHO_MIN = -16.0
@@ -220,7 +221,6 @@ class CalculusResult:
 
     element: AlgebraElement
     error: float
-    target: float
     converged: bool
     backend: str
     diagnostics: dict = field(default_factory=dict)
@@ -291,8 +291,11 @@ class EquivariantOperator:
         return self.band * self.operator_norm_bound()
 
     def functional_calculus(self, f: SchwartzFunction, R: int,
-                            tol: float = 1e-10, *,
-                            strict: bool = True) -> CalculusResult:
+                            tol: float = 1e-10) -> CalculusResult:
+        """Coefficients of ``f(D)`` on the ball of radius ``R`` with a
+        certified entrywise error.  A target ``tol`` out of reach is not an
+        exception: the result comes back with ``converged`` False and its
+        certified ``error`` above ``tol``, for the caller's error budget."""
         raise NotImplementedError
 
     def gap_certificate(self) -> GapCertificate:
@@ -302,14 +305,6 @@ class EquivariantOperator:
         if R < self.band:
             raise PreconditionError(
                 f"truncation radius {R} is below the operator band {self.band}")
-
-    def _finish(self, result: CalculusResult, strict: bool) -> CalculusResult:
-        if strict and not result.converged:
-            raise CertificateError(
-                "calculus-error-target",
-                f"{self.backend}: certified error {result.error:.3e} exceeds "
-                f"target {result.target:.3e}", witness=result)
-        return result
 
     def __repr__(self):
         return (f"{type(self).__name__}(group={self.group!r}, dim={self.dim}, "
@@ -450,8 +445,7 @@ class FourierSymbolOperator(EquivariantOperator):
         return coef[np.ix_(*[idx] * self.rank)], scale
 
     def functional_calculus(self, f: SchwartzFunction, R: int,
-                            tol: float = 1e-10, *,
-                            strict: bool = True) -> CalculusResult:
+                            tol: float = 1e-10) -> CalculusResult:
         """Coefficients of f(D) on the ball of radius ``R``, by the
         trapezoid rule on the levels of ``calculus_ladder(max(24, 2R + 1))``
         (so the read box never aliases onto itself); the stop test is the
@@ -478,9 +472,8 @@ class FourierSymbolOperator(EquivariantOperator):
         element = AlgebraElement._from_stack(
             group, self.dim, list(map(tuple, box[ball].tolist())),
             prev.reshape(-1, self.dim, self.dim)[ball])
-        result = CalculusResult(element, err, tol, converged, self.backend,
-                                {"levels": levels, "f": f.tag, "t": f.t})
-        return self._finish(result, strict)
+        return CalculusResult(element, err, converged, self.backend,
+                              {"levels": levels, "f": f.tag, "t": f.t})
 
     def gap_certificate(self) -> GapCertificate:
         """Certified lower bound on ``min_theta min |eig D(theta)|``.
@@ -545,16 +538,17 @@ class FourierSymbolOperator(EquivariantOperator):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_group(group: GroupModel, max_radius: int = 64) -> list:
-    """All elements of a finite group model, via ball saturation."""
+def enumerate_group(group: GroupModel) -> list:
+    """All elements of a finite group model, via ball saturation within
+    radius ``_COVER_MAX_RADIUS``."""
     prev = group.ball(0)
-    for r in range(1, max_radius + 1):
+    for r in range(1, _COVER_MAX_RADIUS + 1):
         cur = group.ball(r)
         if len(cur) == len(prev):
             return cur
         prev = cur
     raise PreconditionError(
-        f"{group!r} did not saturate within radius {max_radius}; "
+        f"{group!r} did not saturate within radius {_COVER_MAX_RADIUS}; "
         "finite covers require a finite group")
 
 
@@ -617,8 +611,7 @@ class FiniteCoverOperator(EquivariantOperator):
         return self._rows[R]
 
     def functional_calculus(self, f: SchwartzFunction, R: int,
-                            tol: float = 1e-10, *,
-                            strict: bool = True) -> CalculusResult:
+                            tol: float = 1e-10) -> CalculusResult:
         """``f(H)`` as the deck average ``A_g = mean_y F[g y, y]`` of the
         blocks of ``F = V f(lam) V^*``, for ``g`` in ball(R), gathered in
         one index through the table of :meth:`_deck_rows`.  ``error``
@@ -639,9 +632,8 @@ class FiniteCoverOperator(EquivariantOperator):
         # eigh and V f(lam) V^* round at a few ulps of max |f| per dimension
         floor = _ROUNDING_ULPS * 2.0 ** -52 * float(np.abs(fl).max()) * n * m
         error = defect + floor + f.evaluation_error
-        result = CalculusResult(element, error, tol, error <= tol,
-                                self.backend, {"cover_dim": n * m})
-        return self._finish(result, strict)
+        return CalculusResult(element, error, error <= tol,
+                              self.backend, {"cover_dim": n * m})
 
     def gap_certificate(self) -> GapCertificate:
         lam, _ = self.eigensystem()
@@ -766,8 +758,7 @@ class FreeConvolutionOperator(EquivariantOperator):
             prev, cur, c = cur, c * out - prev, 2.0
 
     def functional_calculus(self, f: SchwartzFunction, R: int,
-                            tol: float = 1e-10, *,
-                            strict: bool = True) -> CalculusResult:
+                            tol: float = 1e-10) -> CalculusResult:
         """Chebyshev series of ``f`` on :meth:`spectral_hull`, summed over
         :meth:`_moments`, kept per ``(radius, R)`` and run on when a call
         needs a higher degree (the kernel polynomial method, Weisse et al.,
@@ -797,12 +788,11 @@ class FreeConvolutionOperator(EquivariantOperator):
         K = (2 * radius + 1 - R) // self.band if self.band else degree
         trunc_err = 2.0 * float(np.abs(coeffs[K + 1:]).sum())
         error = sup_err + trunc_err + f.evaluation_error
-        result = CalculusResult(
-            element, error, tol, error <= tol, self.backend,
+        return CalculusResult(
+            element, error, error <= tol, self.backend,
             {"degree": degree, "cheb_sup_error": sup_err,
              "truncation_radius": radius, "truncation_bound": trunc_err,
              "hull": [lo, hi]})
-        return self._finish(result, strict)
 
     def gap_certificate(self) -> GapCertificate:
         """``min |mu| - b`` from :attr:`enclosure`, or 0 if it reaches 0."""
@@ -818,13 +808,12 @@ class FreeConvolutionOperator(EquivariantOperator):
 # ---------------------------------------------------------------------------
 
 
-def _dense_truncation_eig(element: AlgebraElement, truncation_radius: int,
-                          budget: int):
+def _dense_truncation_eig(element: AlgebraElement, truncation_radius: int):
     group = element.group
     ball = group.ball(truncation_radius)
     m = element.dim
     n = len(ball) * m
-    if n * n > budget:
+    if n * n > _DENSE_BUDGET:
         raise ResourceBudgetError(
             f"dense truncation needs a {n} x {n} matrix")
     index = {g: i for i, g in enumerate(ball)}
@@ -839,8 +828,7 @@ def _dense_truncation_eig(element: AlgebraElement, truncation_radius: int,
 
 
 def dense_truncation_calculus_batch(element: AlgebraElement, fs, R: int,
-                                    truncation_radius: int,
-                                    budget: int = 200_000_000) -> list:
+                                    truncation_radius: int) -> list:
     """Oracle route for several functions at once: one dense
     eigendecomposition of the truncated convolution action, one coefficient
     read-out per function. Returns a list of ``{g: block}`` dicts.
@@ -852,8 +840,7 @@ def dense_truncation_calculus_batch(element: AlgebraElement, fs, R: int,
         raise PreconditionError("truncation must cover the requested ball")
     group = element.group
     m = element.dim
-    lam, V, ball, index = _dense_truncation_eig(element, truncation_radius,
-                                                budget)
+    lam, V, ball, index = _dense_truncation_eig(element, truncation_radius)
     e_idx = index[group.identity]
     results = []
     for f in fs:
@@ -886,8 +873,7 @@ class ClassTraceResult:
 
 def class_trace(op: EquivariantOperator, f: SchwartzFunction,
                 cls: ConjugacyClass, R: int, tol: float = 1e-10, *,
-                calculus: CalculusResult | None = None,
-                strict: bool = False) -> ClassTraceResult:
+                calculus: CalculusResult | None = None) -> ClassTraceResult:
     """``sum_{g in class, l(g) <= R} tr f(D)_g`` with a certified tail.
 
     On the hull [lo, hi] of :meth:`~EquivariantOperator.spectral_hull`,
@@ -902,11 +888,15 @@ def class_trace(op: EquivariantOperator, f: SchwartzFunction,
     (:meth:`~etalab.groups.ConjugacyClass.log_tail_sum`) and takes the
     least over ``log rho`` by golden section, in log space, so only a true
     overflow reads as inf.  It is exactly 0 when no member lies past R.
+    ``tol`` is the calculus target when no ``calculus`` is passed; neither
+    its error nor ``tail_bound`` is held to it here: both come back for the
+    caller's error budget (the ``calculus`` and ``class_tail`` legs of
+    :func:`~etalab.eta.eta_class`).
     """
     if cls.group != op.group:
         raise PreconditionError("class and operator live over different groups")
     if calculus is None:
-        calculus = op.functional_calculus(f, R, tol, strict=strict)
+        calculus = op.functional_calculus(f, R, tol)
     element = calculus.element
     members = cls.elements_within(R)
     value = 0.0 + 0.0j
@@ -932,10 +922,6 @@ def class_trace(op: EquivariantOperator, f: SchwartzFunction,
         tail = math.exp(log_bound) if log_bound < 709.0 else math.inf
         diagnostics = {"exhausted": False, "rho": math.exp(s),
                        "hull": [lo, hi], "class_rate": rate}
-    if strict and not (tail <= tol):
-        raise CertificateError(
-            "class-trace-tail",
-            f"tail bound {tail:.3e} exceeds tolerance {tol:.3e} at R={R}")
     return ClassTraceResult(value, tail, calculus.error, len(members),
                             diagnostics)
 

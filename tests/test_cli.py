@@ -361,6 +361,17 @@ class TestEtaCommand:
         assert code == 0
         assert json.loads(out)["config"]["class.element"] == "1,0"
 
+    def test_blown_error_budget_exits_1(self):
+        # an unconverged calculus comes back as a result, never an
+        # exception, so the run ends in the named error-budget failure
+        code, out, _ = run_cli("eta", "--tol", "1e-14")
+        assert code == 1
+        doc = json.loads(out[:out.index("certificate failed")])
+        assert doc["result"]["converged"] is False
+        assert doc["result"]["error"] > 1e-14
+        assert [f.split(" (")[0] for f in doc["failures"]] == ["error budget"]
+        assert out.rstrip().endswith("exceeds the requested tolerance)")
+
     def test_seed_flag_lands_in_the_echo(self, tmp_path):
         out_path = tmp_path / "r.json"
         code, _, _ = run_cli("gap", "operator.kind=wilson", "--seed", "11",

@@ -96,7 +96,7 @@ def test_periodicity_of_an_area_cocycle_is_a_cocycle(rank, plane, height,
     axes = planes[plane % len(planes)]
     h = tuple(0 if k in axes else height for k in range(rank))
     group = FreeAbelianGroup(rank)
-    s = periodicity(area_cocycle(group, h, plane=axes, seed=seed), seed=seed)
+    s = periodicity(area_cocycle(group, h, plane=axes, seed=seed))
     assert s.degree == 4
     certify_cyclic_cocycle(s, radius=1, samples=150, seed=seed)
 
@@ -107,7 +107,7 @@ def test_periodicity_of_an_area_cocycle_is_a_cocycle(rank, plane, height,
 def test_periodicity_of_a_class_trace_is_a_cocycle(name, draw, seed):
     group = GROUPS[name]
     tr = class_trace_cochain(group.conjugacy_class(class_element(group, draw)))
-    s = periodicity(tr, seed=seed)
+    s = periodicity(tr)
     assert s.degree == 2
     certify_cyclic_cocycle(s, radius=1 if group is F2 else 2, samples=200,
                            seed=seed)

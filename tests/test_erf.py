@@ -127,8 +127,7 @@ def small_cover(seed: int) -> FiniteCoverOperator:
 @pytest.mark.parametrize("t", [0.3, 1.0, 2.0])
 def test_cover_loop_calculus_is_within_its_error_of_mpmath(seed, t):
     op = small_cover(seed)
-    res = op.functional_calculus(SchwartzFunction("ut_minus_1", t), 1,
-                                 strict=False)
+    res = op.functional_calculus(SchwartzFunction("ut_minus_1", t), 1)
     assert res.error >= math.pi * _ERF_ERROR
     with mpmath.workdps(30):
         F = dense_loop(mpmath.matrix(op.cover_matrix().tolist()), t)
@@ -146,7 +145,7 @@ def test_symbol_loop_calculus_is_within_its_error_of_mpmath(t):
     op = wilson_symbol()
     R, n = 2, 96
     res = op.functional_calculus(SchwartzFunction("ut_minus_1", t), R,
-                                 1e-12, strict=False)
+                                 1e-12)
     assert res.error >= math.pi * _ERF_ERROR
     blocks = {g[0]: mpmath.matrix(A.tolist())
               for g, A in zip(op.element.keys, op.element.blocks)}

@@ -21,6 +21,7 @@ Oracles used here are independent of the production routes:
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from etalab.groups import CyclicGroup, FreeAbelianGroup, FreeGroup
 from etalab.operators import (
     FiniteCoverOperator,
     FourierSymbolOperator,
+    GapCertificate,
     SchwartzFunction,
     class_trace,
     free_group_model,
@@ -162,8 +164,10 @@ class TestRandomCoverEta:
     def test_nonpositive_gap_rejected(self):
         op = gapped_cover_model(0)
         cls = op.element.group.conjugacy_class(1)
-        with pytest.raises(PreconditionError, match="not positive"):
-            eta_class(op, cls, tol=1e-8, gap=0.0)
+        zero = GapCertificate(0.0, "zero")
+        with pytest.raises(PreconditionError, match="not positive"), \
+                mock.patch.object(op, "gap_certificate", return_value=zero):
+            eta_class(op, cls, tol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +197,7 @@ class TestSymbolEta:
         cls = z_class(1)
         for t in (0.4, 1.1):
             res = class_trace(op, SchwartzFunction("xgauss", t), cls, 40,
-                              tol=1e-12, strict=False)
+                              tol=1e-12)
             assert abs(complex(res.value) - laplace_mode_oracle(t, 1)) <= 1e-9
 
     def test_small_time_limit_matches_taylor_coefficient(self):
@@ -202,7 +206,7 @@ class TestSymbolEta:
         t = 1e-3
         res = class_trace(lattice_laplace_symbol(),
                           SchwartzFunction("xgauss", t), z_class(1), 40,
-                          tol=1e-12, strict=False)
+                          tol=1e-12)
         want = 0.5 - t * t * 6.375
         assert abs(complex(res.value) - want) <= 1e-9
 
@@ -286,9 +290,9 @@ class TestHigherEta:
 
         def two_legs(t):
             a = op.functional_calculus(SchwartzFunction("ut_minus_1", t),
-                                       radius, tol=1e-12, strict=False).element
+                                       radius, tol=1e-12).element
             b = op.functional_calculus(SchwartzFunction("ut_inv_minus_1", t),
-                                       radius, tol=1e-12, strict=False).element
+                                       radius, tol=1e-12).element
             return pair_phi_tr(psi, [a, b])
 
         engine = _build_integrand(op, bpsi, 1, 1e-10, None)
@@ -353,8 +357,7 @@ class TestHigherEta:
 
             def ball(tag):
                 return op.functional_calculus(SchwartzFunction(tag, t), 32,
-                                              tol=1e-13,
-                                              strict=False).element
+                                              tol=1e-13).element
 
             slots = [ball("udot_uinv")]
             slots += [ball("ut_minus_1"), ball("ut_inv_minus_1")] * m
@@ -402,7 +405,7 @@ class TestHigherEta:
 
 class TestThresholds:
     def test_sigma_formula(self):
-        assert threshold_sigma(0.3, 2.0, 1.5) == pytest.approx(0.8, rel=1e-14)
+        assert threshold_sigma(0.3, 2.0) == pytest.approx(1.2, rel=1e-14)
         assert threshold_sigma(0.0, 5.0) == 0.0
 
     def test_sigma_validation(self):
@@ -410,8 +413,6 @@ class TestThresholds:
             threshold_sigma(-0.1, 1.0)
         with pytest.raises(PreconditionError):
             threshold_sigma(0.1, -1.0)
-        with pytest.raises(PreconditionError):
-            threshold_sigma(0.1, 1.0, 0.0)
 
     def test_lattice_groups_use_certified_zero_rate(self):
         op = lattice_laplace_symbol()
@@ -421,8 +422,7 @@ class TestThresholds:
         assert th.constants["class_rate"] == 0.0
         assert th.constants["group_rate"] == 0.0
         assert th.sigma_class == 0.0
-        want = threshold_sigma(0.1, th.constants["c_d"],
-                               th.constants["tau_group"])
+        want = threshold_sigma(0.1, th.constants["c_d"])
         assert th.sigma_cocycle == pytest.approx(want, rel=1e-12)
         assert th.class_ok
         assert th.cocycle_ok

@@ -98,11 +98,11 @@ def test_higher_degree_extends_the_kept_moments():
     moments, run = op._moment_cache[10, 2]
     assert len(moments) == low.diagnostics["degree"] + 1
     f = SchwartzFunction("xgauss", 3.0)
-    high = op.functional_calculus(f, 2, 1e-8, strict=False)
+    high = op.functional_calculus(f, 2, 1e-8)
     kept, same_run = op._moment_cache[10, 2]
     assert kept is moments and same_run is run
     assert len(moments) == high.diagnostics["degree"] + 1 > 17
-    fresh = free_group_model().functional_calculus(f, 2, 1e-8, strict=False)
+    fresh = free_group_model().functional_calculus(f, 2, 1e-8)
     assert np.array_equal(high.element.blocks, fresh.element.blocks)
 
 

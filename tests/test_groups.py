@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from etalab import groups
 from etalab.errors import (
     RepresentationError,
     ResourceBudgetError,
@@ -139,8 +142,9 @@ def test_ball_closed_under_generators(group):
 
 
 def test_ball_budget_enforced():
-    with pytest.raises(ResourceBudgetError):
-        FreeGroup(2).ball(15, budget=1000)
+    with pytest.raises(ResourceBudgetError), \
+            mock.patch.object(groups, "DEFAULT_BALL_BUDGET", 1000):
+        FreeGroup(2).ball(15)
 
 
 # ---------------------------------------------------------------------------

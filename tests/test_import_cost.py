@@ -190,12 +190,11 @@ def test_warm_cache_gives_the_fresh_result(name):
     make = OPERATORS[name]
     R = 2 if name == "anisotropic3d" else 3
     f = SchwartzFunction("xgauss", 0.8)
-    fresh = make().functional_calculus(f, R, 1e-8, strict=False)
+    fresh = make().functional_calculus(f, R, 1e-8)
     warm = make()
-    warm.functional_calculus(SchwartzFunction("gauss", 1.7), R, 1e-8,
-                             strict=False)
+    warm.functional_calculus(SchwartzFunction("gauss", 1.7), R, 1e-8)
     cached = dict(warm._spectra)
-    again = warm.functional_calculus(f, R, 1e-8, strict=False)
+    again = warm.functional_calculus(f, R, 1e-8)
     assert again.error == fresh.error
     assert again.diagnostics == fresh.diagnostics
     assert_same_element(again.element, fresh.element)
@@ -211,14 +210,13 @@ def test_spectrum_is_built_once_per_node_count(monkeypatch):
         calls.append(np.shape(a))
         return eigh(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    first = op.functional_calculus(SchwartzFunction("xgauss", 0.5), 2, 1e-8,
-                                   strict=False)
+    first = op.functional_calculus(SchwartzFunction("xgauss", 0.5), 2, 1e-8)
     levels = first.diagnostics["levels"]
     assert len(calls) == len(levels)
     assert sorted(op._spectra) == sorted(levels)
     cached = {n: op._spectra[n] for n in levels}
     second = op.functional_calculus(SchwartzFunction("xgauss", 2.5), 2,
-                                    1e-8, strict=False)
+                                    1e-8)
     new_levels = set(second.diagnostics["levels"]) - set(levels)
     assert len(calls) == len(levels) + len(new_levels)
     assert all(op._spectra[n] is cached[n] for n in levels)
@@ -247,7 +245,7 @@ def test_ball_cut_keeps_the_keys_and_order_of_the_loop(rank):
     R = 3 if rank < 3 else 2
     op = scalar_lattice_symbol(rank)
     f = SchwartzFunction("gauss", 0.9)
-    res = op.functional_calculus(f, R, 1e-8, strict=False)
+    res = op.functional_calculus(f, R, 1e-8)
     box, _ = op._coefficient_box(f, R, res.diagnostics["levels"][-1])
     loop = {}
     for idx in np.ndindex(*(2 * R + 1,) * rank):

@@ -17,6 +17,7 @@ Oracles used here are independent of the production routes:
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,21 +106,38 @@ class TestBoundaryLoop:
         assert loop_coefficient(1.0) == 0.0
 
     def test_certificate_always_covers_the_start(self):
-        loop = BoundaryLoop.build(character_projector(), grid=(0.5,))
-        assert 0.0 in loop.certificate["samples"]
-        assert loop.certificate["samples"][0.0] <= 1e-12
+        loop = BoundaryLoop.build(character_projector())
+        assert loop.certificate["start_defect"] <= 1e-12
 
     def test_start_closure_within_tight_tolerance(self):
         for p in (character_projector(), sheared_idempotent(),
                   fermi_fixture()):
             loop = BoundaryLoop.build(p)
-            assert loop.certificate["samples"][0.0] <= 1e-12
+            assert loop.certificate["start_defect"] <= 1e-12
             assert loop.certificate["max_defect"] <= 1e-10
 
     def test_defect_above_tolerance_rejected(self):
-        # the Fermi loop's inverse defect is about 6e-12 along the grid
-        with pytest.raises(PreconditionError, match="inverse defect"):
-            BoundaryLoop.build(fermi_fixture(), tol=1e-30)
+        # the Fermi loop's inverse defect is bounded by about 6e-12
+        with pytest.raises(PreconditionError, match="inverse defect"), \
+                mock.patch.object(pairing, "_LOOP_TOL", 1e-30):
+            BoundaryLoop.build(fermi_fixture())
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_closed_form_bounds_the_defect_at_every_sampled_t(self, index):
+        # the split |c + conj c + |c|^2| ||p||_1 + |c|^2 ||p^2 - p||_1 of the
+        # defect at the computed c(t) (triangle inequality), at the ends,
+        # the middle (|c| = 2) and 200 seeded t, never exceeds the bound the
+        # loop certifies for all t
+        p = shipped_pairing_fixtures()[index][2]
+        norm_p, norm_defect = p.trace_norms
+        bound = BoundaryLoop.build(p).certificate["max_defect"]
+        ts = [0.0, 0.5, 1.0, *np.random.default_rng(index).uniform(size=200)]
+        for t in ts:
+            c = loop_coefficient(t)
+            cc = c * c.conjugate()
+            defect = (abs(c + c.conjugate() + cc) * norm_p
+                      + abs(cc) * norm_defect)
+            assert defect <= bound, (t, defect, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +293,7 @@ class TestFermiProjection:
         gapless = FourierSymbolOperator(AlgebraElement(
             z1, 1, {(1,): np.array([[0.5]]), (-1,): np.array([[0.5]])}))
         with pytest.raises(PreconditionError, match="gap"):
-            fermi_projection(gapless, grid=64)
+            fermi_projection(gapless)
 
     def test_rejects_non_lattice_models(self):
         from etalab.operators import free_group_model

@@ -84,7 +84,7 @@ def test_calculus_error_bounds_the_distance_to_a_finer_oracle(op, tag, t,
                                                               extra):
     f = SchwartzFunction(tag, t)
     R = op.band + extra
-    res = op.functional_calculus(f, R, 1e-10, strict=False)
+    res = op.functional_calculus(f, R, 1e-10)
     keys = op.group.ball(R)
     zero = np.zeros((op.dim, op.dim))
     computed = np.array([res.element.coeffs.get(g, zero) for g in keys])
@@ -101,7 +101,7 @@ def test_rounding_floor_covers_a_scalar_symbol_converged_at_rounding():
     # with no allowance
     op = lattice_laplace_symbol()
     f = SchwartzFunction("gauss", 0.3)
-    res = op.functional_calculus(f, 1, 1e-10, strict=False)
+    res = op.functional_calculus(f, 1, 1e-10)
     keys = op.group.ball(1)
     computed = np.array([res.element.coeffs[g] for g in keys])
     oracle = oracle_coefficients(op, f, keys,
